@@ -9,7 +9,8 @@ Subcommands:
 
 Mismatches found by ``verify``/``table`` are findings, not failures: the
 exit status stays 0.  Nonzero exits mean usage or computation errors.
-``CHAINDEX_THREADS`` caps how many sizes ``verify`` runs in parallel.
+``CHAINDEX_THREADS`` caps how many worker processes ``verify`` starts; a
+value that is not a positive integer is an error (exit status 1).
 """
 
 from __future__ import annotations
@@ -99,14 +100,7 @@ def _cmd_table(args) -> int:
         else:
             rendered = formulas.format_2dec(exact)
         printed = printed_table.get(n, "")
-        if not printed:
-            status = ""
-        elif rendered == printed:
-            status = verify.MATCH
-        elif abs(exact - Fraction(printed)) <= verify.TABLE_TOLERANCE:
-            status = verify.ROUNDING_MATCH
-        else:
-            status = verify.MISMATCH
+        status = verify.table_status(exact, rendered, printed) if printed else ""
         rows.append({
             "n": n,
             "exact": str(exact),

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+from .graphs import check_chain_parameter as _check
+
 
 def kirchhoff_closed(n: int) -> Fraction:
     _check(n)
@@ -73,11 +75,6 @@ def limit_ratios(n: int, wiener=None, gutman=None) -> tuple[Fraction, Fraction]:
     w = Fraction(wiener) if wiener is not None else wiener_claim(n)
     gut = Fraction(gutman) if gutman is not None else Fraction(gutman_claim(n))
     return kirchhoff_closed(n) / w, degree_kirchhoff_closed(n) / gut
-
-
-def _check(n: int) -> None:
-    if n < 1:
-        raise ValueError("chain parameter n must be >= 1")
 
 
 def format_2dec(value: Fraction) -> str:

@@ -105,6 +105,14 @@ class ChainGraph(Graph):
         self.kind = kind
 
 
+def check_chain_parameter(n) -> None:
+    """Raise ValueError unless n is an int >= 1; bool and float are rejected."""
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ValueError(f"chain parameter n must be an int, got {n!r}")
+    if n < 1:
+        raise ValueError("chain parameter n must be >= 1")
+
+
 def rung_indices(n: int) -> list[int]:
     """Rail indices carrying a rung: every i = 0, 1 (mod 4) within 1..4n+1."""
     return [i for i in range(1, 4 * n + 2) if i % 4 in (0, 1)]
@@ -131,15 +139,13 @@ def build_crossed_chain(n: int) -> ChainGraph:
     Has 8n+2 vertices and 18n+1 edges; degrees are 3 at the four corner
     vertices, 5 at rung-bearing interior indices, 4 elsewhere.
     """
-    if n < 1:
-        raise ValueError("chain parameter n must be >= 1")
+    check_chain_parameter(n)
     return ChainGraph(n, "crossed", _chain_edges(n, crossed=True))
 
 
 def build_plain_chain(n: int) -> ChainGraph:
     """The uncrossed parent chain (10n+1 edges): alternating squares and octagons."""
-    if n < 1:
-        raise ValueError("chain parameter n must be >= 1")
+    check_chain_parameter(n)
     return ChainGraph(n, "plain", _chain_edges(n, crossed=False))
 
 

@@ -1,15 +1,17 @@
-"""Exact dense linear algebra over rationals and arbitrary-precision integers.
+"""Exact linear algebra over rationals and arbitrary-precision integers.
 
-Everything here is exact: determinants use fraction-free elimination,
-linear solves use rational LU, and characteristic polynomials are
-recovered from exact integer determinant evaluations at integer points.
-Floating point never appears.
+Everything here is exact and floating point never appears.  Determinants
+and characteristic polynomials share one fraction-free (Bareiss)
+elimination that touches only each row's span of nonzeros, so banded
+matrices cost O(n * b^2) per elimination.  It runs over the integers for
+determinants and over truncated integer power series for the trailing
+characteristic coefficients.  Linear solves use rational LU.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 
 class SingularMatrixError(ValueError):
@@ -24,70 +26,260 @@ def _require_square(matrix) -> int:
     return n
 
 
-def det_bareiss(matrix) -> int:
-    """Exact determinant of a square integer matrix.
+def _scaled_rows(matrix, diagonal: bool) -> tuple[list, list, list, list]:
+    """Validate a square rational matrix once and clear each row's denominators.
 
-    Fraction-free (Bareiss) elimination with first-nonzero row pivoting.
-    Row updates are applied lazily: a row untouched for several pivot steps
-    is rescaled only when it next participates, which keeps the cost at
-    O(n * b^2) for matrices of bandwidth b instead of O(n^3).
+    Returns (scales, rows, lo, hi): ``rows[i]`` is ``scales[i]`` times row i
+    as integers, and every nonzero of row i lies in columns lo[i]..hi[i]-1
+    (lo[i] = n for a zero row).  With ``diagonal`` the span also covers
+    column i, where a characteristic matrix adds its x term.
     """
     n = _require_square(matrix)
-    if n == 0:
-        return 1
-    rows = []
-    for row in matrix:
-        current = []
+    scales, rows, lo, hi = [], [], [], []
+    for i, row in enumerate(matrix):
         for entry in row:
-            if isinstance(entry, Fraction):
-                if entry.denominator != 1:
-                    raise ValueError("det_bareiss requires integer entries")
-                entry = entry.numerator
-            elif not isinstance(entry, int):
-                raise ValueError("det_bareiss requires integer entries")
-            current.append(entry)
-        rows.append(current)
+            if not isinstance(entry, (int, Fraction)):
+                raise ValueError(f"matrix entries must be int or Fraction, got {entry!r}")
+        s = lcm(*(e.denominator for e in row)) if row else 1
+        scaled = [e.numerator * (s // e.denominator) for e in row]
+        nonzero = [j for j, e in enumerate(scaled) if e]
+        if diagonal:
+            nonzero.append(i)
+        scales.append(s)
+        rows.append(scaled)
+        lo.append(min(nonzero, default=n))
+        hi.append(max(nonzero, default=-1) + 1)
+    return scales, rows, lo, hi
 
+
+def _permutation_sign(perm: list[int]) -> int:
+    sign, seen = 1, [False] * len(perm)
+    for start in range(len(perm)):
+        j = start
+        while not seen[j]:
+            seen[j] = True
+            j = perm[j]
+            if j != start:
+                sign = -sign
+    return sign
+
+
+def _eliminate(rows: list, lo: list, hi: list, one, unit):
+    """Determinant by fraction-free elimination over an exact ring.
+
+    ``rows`` is a dense square matrix whose entries support ``*``, ``-``,
+    unary ``-``, truth testing and exact ``//`` by a divisor for which
+    ``unit`` holds; ``one`` is the ring's identity.  Every nonzero of row i
+    lies in columns lo[i]..hi[i]-1.  ``rows``, ``lo`` and ``hi`` are
+    consumed.
+
+    Step c takes its pivot from the rows whose first nonzero is column c,
+    preferring the narrowest.  A row skipped by a step is only rescaled by
+    the ratio of consecutive pivots, so the rescaling is deferred until the
+    row next takes part.  A column with no nonzero left makes the
+    determinant zero; it is swapped to the end so elimination can go on.
+    A column with nonzeros but no unit swaps in a later column that has
+    one.  Returns None when fewer than n - 1 steps find a unit pivot: the
+    remaining block has no unit, or two columns vanished.
+    """
+    n = len(rows)
+    if n == 0:
+        return one
+    buckets: list[list[int]] = [[] for _ in range(n + 1)]
+    for i in range(n):
+        buckets[lo[i]].append(i)
+    pivots = [one]        # pivots[c]: the pivot of step c-1, a minor of order c
+    lag = [0] * n         # row i holds its state after step lag[i]-1, unscaled since
+    used = [False] * n
+    order = []            # pivot row of each step
     sign = 1
-    # pivot_hist[c] = pivot produced by column c-1 (minor of order c); [0] = 1
-    pivot_hist = [1]
-    lag = [0] * n  # rows[i] reflects the state after eliminating column lag[i]-1
+    vanished = False      # a zero column has been moved to the end
 
     def refresh(i: int, c: int) -> None:
-        # Bring row i up to the state after column c-1 was eliminated.
-        if lag[i] == c:
-            return
-        num, den = pivot_hist[c], pivot_hist[lag[i]]
+        # Bring row i, last touched before step c, to its state after step c-1.
+        num, den = pivots[c], pivots[lag[i]]
         row = rows[i]
-        for j in range(n):
+        for j in range(lo[i], hi[i]):
             if row[j]:
                 row[j] = row[j] * num // den
         lag[i] = c
 
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if rows[i][c]), None)
-        if pivot_row is None:
-            return 0
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            lag[c], lag[pivot_row] = lag[pivot_row], lag[c]
-            sign = -sign
-        refresh(c, c)
-        pivot = rows[c][c]
-        prev = pivot_hist[c]
-        for i in range(c + 1, n):
-            if not rows[i][c]:
+    def place(i: int, start: int) -> None:
+        # File row i under its first nonzero column at or after ``start``.
+        row, j, end = rows[i], start, hi[i]
+        while j < end and not row[j]:
+            j += 1
+        lo[i] = j if j < end else n
+        buckets[lo[i]].append(i)
+
+    def gather(c: int) -> list[int]:
+        # The remaining rows with a nonzero in column c.
+        live = []
+        for i in buckets[c]:
+            if rows[i][c]:
+                live.append(i)
+            else:
+                place(i, c + 1)
+        buckets[c] = []
+        return live
+
+    def swap_columns(c: int, target: int) -> list[int]:
+        # Swap two columns of the remaining rows, then gather column c.
+        # Stale rows may be permuted as they are: rescaling is entrywise.
+        nonlocal sign
+        sign = -sign
+        for k in range(c, n + 1):
+            buckets[k] = []
+        for i in range(n):
+            if not used[i]:
+                row = rows[i]
+                row[c], row[target] = row[target], row[c]
+                if row[target]:
+                    hi[i] = max(hi[i], target + 1)
+                place(i, c)
+        return gather(c)
+
+    for c in range(n - 1):
+        live = gather(c)
+        candidates = [i for i in live if unit(rows[i][c])]
+        while not candidates:
+            if live:
+                target = min(
+                    (j for i in range(n) if not used[i]
+                     for j in range(max(lo[i], c + 1), hi[i]) if unit(rows[i][j])),
+                    default=None,
+                )
+            elif not vanished:
+                vanished, target = True, n - 1
+            else:
+                target = None
+            if target is None:
+                return None
+            live = swap_columns(c, target)
+            candidates = [i for i in live if unit(rows[i][c])]
+        r = min(candidates, key=hi.__getitem__)
+        used[r] = True
+        order.append(r)
+        if lag[r] != c:
+            refresh(r, c)
+        row_r, end_r = rows[r], hi[r]
+        pivot, prev = row_r[c], pivots[c]
+        for i in live:
+            if i == r:
                 continue
-            refresh(i, c)
-            head = rows[i][c]
-            row_i, row_c = rows[i], rows[c]
-            for j in range(c + 1, n):
-                if row_c[j] or row_i[j]:
-                    row_i[j] = (pivot * row_i[j] - head * row_c[j]) // prev
-            row_i[c] = 0
+            if lag[i] != c:
+                refresh(i, c)
+            row_i = rows[i]
+            head = row_i[c]
+            end = max(hi[i], end_r)
+            for j in range(c + 1, end):
+                if row_r[j] or row_i[j]:
+                    row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
+            hi[i] = end
             lag[i] = c + 1
-        pivot_hist.append(pivot)
-    return sign * pivot_hist[n]
+            place(i, c + 1)
+        pivots.append(pivot)
+
+    last = used.index(False)
+    order.append(last)
+    if lag[last] != n - 1:
+        refresh(last, n - 1)
+    det = rows[last][n - 1]
+    return det if sign * _permutation_sign(order) > 0 else -det
+
+
+class _Series:
+    """A power series over Z truncated to its first k coefficients.
+
+    The scalar ring of the trailing-coefficient elimination: products and
+    differences are truncated, and ``//`` divides exactly by a series
+    whose constant term is nonzero.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: tuple) -> None:
+        self.c = c
+
+    def __bool__(self) -> bool:
+        return any(self.c)
+
+    def __neg__(self) -> "_Series":
+        return _Series(tuple(-a for a in self.c))
+
+    def __sub__(self, other: "_Series") -> "_Series":
+        return _Series(tuple(a - b for a, b in zip(self.c, other.c)))
+
+    def __mul__(self, other: "_Series") -> "_Series":
+        a, b = self.c, other.c
+        k = len(a)
+        out = [0] * k
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(k - i):
+                    out[i + j] += ai * b[j]
+        return _Series(tuple(out))
+
+    def __floordiv__(self, other: "_Series") -> "_Series":
+        a, b = self.c, other.c
+        q = []
+        for d in range(len(a)):
+            r = a[d]
+            for i in range(d):
+                r -= q[i] * b[d - i]
+            quotient, remainder = divmod(r, b[0])
+            if remainder:
+                raise ArithmeticError("truncated-series division is not exact")
+            q.append(quotient)
+        return _Series(tuple(q))
+
+
+def _has_constant_term(s: _Series) -> bool:
+    return s.c[0] != 0
+
+
+def det_bareiss(matrix) -> int:
+    """Exact determinant of a square integer matrix.
+
+    Entries are int or Fraction with denominator 1.  Fraction-free
+    (Bareiss) elimination that works only inside each row's span of
+    nonzeros, so a matrix of bandwidth b costs O(n * b^2).
+    """
+    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
+    if any(s != 1 for s in scales):
+        raise ValueError("det_bareiss requires integer entries")
+    det = _eliminate(rows, lo, hi, 1, bool)
+    return 0 if det is None else det
+
+
+def char_poly_tail(matrix, k: int) -> list[Fraction]:
+    """Lowest k coefficients of det(xI - M), ascending, for a square rational M.
+
+    Rows are scaled to clear denominators and det(xS - T) is eliminated
+    over the integer power series truncated after x^(k-1), so only the
+    wanted coefficients are ever formed.  Every pivot needs a nonzero
+    constant term, which exists at each step but the last exactly when
+    M has rank at least n - 1; otherwise SingularMatrixError is raised.
+    """
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
+        raise ValueError("k must be a positive integer")
+    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=True)
+    n = len(rows)
+    pad = (0,) * (k - 1)
+    zero = _Series((0,) + pad)
+    series_rows = []
+    for i, row in enumerate(rows):
+        series = [zero] * n
+        for j in range(lo[i], hi[i]):
+            if row[j]:
+                series[j] = _Series((-row[j],) + pad)
+        series[i] = _Series(((-row[i], scales[i]) + pad)[:k])
+        series_rows.append(series)
+    det = _eliminate(series_rows, lo, hi, _Series((1,) + pad), _has_constant_term)
+    if det is None:
+        raise SingularMatrixError("matrix has rank below n - 1")
+    denominator = prod(scales)
+    return [Fraction(c, denominator) for c in det.c]
 
 
 # ---------------------------------------------------------------------------
@@ -118,16 +310,24 @@ def poly_eval(p: list, x):
     return acc
 
 
-def _newton_interpolate(xs: list[int], ys: list[int]) -> list[Fraction]:
+def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
+    """Coefficients of the polynomial through the points (xs[i], ys[i]).
+
+    The polynomial must have integer coefficients.  Every divided
+    difference of such a polynomial at integer nodes is an integer, so the
+    whole computation stays in exact integer arithmetic.
+    """
     m = len(xs)
-    coef = [Fraction(y) for y in ys]
+    coef = list(ys)
     for j in range(1, m):
         for i in range(m - 1, j - 1, -1):
-            coef[i] = (coef[i] - coef[i - 1]) / (xs[i] - xs[i - j])
+            coef[i], remainder = divmod(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+            if remainder:
+                raise ArithmeticError("divided difference is not an integer")
     poly = [coef[m - 1]]
     for i in range(m - 2, -1, -1):
         # poly <- poly*(x - xs[i]) + coef[i]
-        shifted = [Fraction(0)] + poly
+        shifted = [0] + poly
         for j, c in enumerate(poly):
             shifted[j] -= xs[i] * c
         shifted[0] += coef[i]
@@ -138,22 +338,20 @@ def _newton_interpolate(xs: list[int], ys: list[int]) -> list[Fraction]:
 def char_poly(matrix) -> list[Fraction]:
     """Exact char polynomial det(xI - M), ascending coefficients, monic.
 
-    Rows are scaled to clear denominators, det(x*S - T) is evaluated with
-    fraction-free elimination at n+1 integer points, and the polynomial is
-    recovered by Newton interpolation.  The result is exact for any square
-    rational matrix; sparse or banded matrices are handled in near-linear
-    time per evaluation.
+    Entries are validated and rows scaled to clear denominators once;
+    det(xS - T) is then evaluated at n+1 integer points by the banded
+    fraction-free elimination and the polynomial recovered by Newton
+    interpolation over the integers.  The result is exact for any square
+    rational matrix.  Each evaluation takes O(n * b^2) arithmetic
+    operations for bandwidth b (up to O(n^3) once fill-in makes rows
+    dense) on integers of O(n log n) bits, so a banded matrix takes
+    O(n^2 * b^2) such operations in all.
     """
-    n = _require_square(matrix)
+    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=True)
+    n = len(rows)
     if n == 0:
         return [Fraction(1)]
-    scales = []
-    scaled_rows = []
-    for row in matrix:
-        entries = [Fraction(e) for e in row]
-        s = lcm(*(e.denominator for e in entries)) if entries else 1
-        scales.append(s)
-        scaled_rows.append([int(e * s) for e in entries])
+    bands = [[-e for e in row[lo[i]:hi[i]]] for i, row in enumerate(rows)]
 
     # Evaluation nodes 0, 1, -1, 2, -2, ... keep entry growth small.
     nodes = [0]
@@ -163,21 +361,17 @@ def char_poly(matrix) -> list[Fraction]:
 
     values = []
     for x in nodes:
-        work = [list(r) for r in scaled_rows]
+        work = []
         for i in range(n):
-            work[i][i] = x * scales[i] - work[i][i]
-            for j in range(n):
-                if j != i:
-                    work[i][j] = -work[i][j]
-        values.append(det_bareiss(work))
+            row = [0] * n
+            row[lo[i]:hi[i]] = bands[i]
+            row[i] += x * scales[i]
+            work.append(row)
+        det = _eliminate(work, list(lo), list(hi), 1, bool)
+        values.append(0 if det is None else det)
 
-    poly = _newton_interpolate(nodes, values)
-    denominator = 1
-    for s in scales:
-        denominator *= s
-    poly = [c / denominator for c in poly]
-    while len(poly) < n + 1:
-        poly.append(Fraction(0))
+    denominator = prod(scales)
+    poly = [Fraction(c, denominator) for c in _newton_interpolate(nodes, values)]
     if poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial is not monic; interpolation bug")
     return poly

@@ -17,7 +17,7 @@ from .graphs import ChainGraph, Graph, Vertex
 from .linalg import (
     LUDecomposition,
     SingularMatrixError,
-    char_poly,
+    char_poly_tail,
     det_bareiss,
     laplacian,
     random_walk_laplacian,
@@ -123,18 +123,31 @@ def kirchhoff_from_resistances(g: Graph) -> Fraction:
     return _pairwise_resistance_sums(g)[0]
 
 
+def _trailing_coefficients(matrix) -> tuple[Fraction, Fraction]:
+    """(c1, c2) of det(xI - M) for a combinatorial or random-walk Laplacian M.
+
+    Either Laplacian has a zero eigenvalue of multiplicity one exactly
+    when the graph is connected, so then c0 = 0 and c1 != 0.
+    """
+    try:
+        c0, c1, c2 = char_poly_tail(matrix, 3)
+    except SingularMatrixError:
+        raise ValueError("graph is not connected") from None
+    if c0 != 0 or c1 == 0:
+        raise ValueError("graph is not connected")
+    return c1, c2
+
+
 def kirchhoff_from_spectrum(g: Graph) -> Fraction:
     """Kirchhoff index as |V| times the reciprocal-eigenvalue sum.
 
     The sum of reciprocals of the nonzero Laplacian eigenvalues equals the
     ratio of the degree-2 to degree-1 characteristic coefficients, which
-    the exact characteristic polynomial provides without ever computing an
+    the exact trailing coefficients provide without ever computing an
     eigenvalue.
     """
-    poly = char_poly(laplacian(g, _band_order(g)))
-    if poly[0] != 0 or poly[1] == 0:
-        raise ValueError("graph is not connected")
-    return g.vertex_count * abs(poly[2] / poly[1])
+    c1, c2 = _trailing_coefficients(laplacian(g, _band_order(g)))
+    return g.vertex_count * abs(c2 / c1)
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
@@ -156,10 +169,8 @@ def degree_kirchhoff_from_resistances(g: Graph) -> Fraction:
 
 def degree_kirchhoff_from_spectrum(g: Graph) -> Fraction:
     """Degree-Kirchhoff index as 2|E| times the normalized reciprocal sum."""
-    poly = char_poly(random_walk_laplacian(g, _band_order(g)))
-    if poly[0] != 0 or poly[1] == 0:
-        raise ValueError("graph is not connected")
-    return 2 * g.edge_count * abs(poly[2] / poly[1])
+    c1, c2 = _trailing_coefficients(random_walk_laplacian(g, _band_order(g)))
+    return 2 * g.edge_count * abs(c2 / c1)
 
 
 def degree_kirchhoff_index(g: Graph) -> Fraction:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
+from .graphs import check_chain_parameter
 from .linalg import poly_trim
 
 QUARTER_POW = Fraction(1, 25)  # decay ratio of the normalized minor sequences
@@ -134,8 +135,7 @@ def mirror_blocks(n: int) -> MirrorBlocks:
     tridiagonal entries double across the rails, rung entries move onto the
     diagonal with opposite signs in the two blocks.
     """
-    if n < 1:
-        raise ValueError("chain parameter n must be >= 1")
+    check_chain_parameter(n)
     m = 4 * n + 1
     degs = rail_degrees(n)
     rungs = [i % 4 in (0, 1) for i in range(1, m + 1)]

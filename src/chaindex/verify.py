@@ -5,7 +5,8 @@ independently computed value, and a status.  Statuses are data, not
 errors; a mismatch is a finding about the published formulas, and the
 two distance-index claims are expected to mismatch.
 
-``CHAINDEX_THREADS`` caps how many chain sizes are verified in parallel.
+``CHAINDEX_THREADS`` caps how many worker processes verify chain sizes in
+parallel; it must be a positive integer.
 """
 
 from __future__ import annotations
@@ -92,15 +93,23 @@ def _family_record(claim_id: str, n: int, failures: list[str]) -> VerificationRe
     return VerificationRecord(claim_id, n, "ok", computed, status)
 
 
+def table_status(exact: Fraction, rendered: str, printed: str) -> str:
+    """Status of a printed table value against the exact value it rounds.
+
+    ``match`` when the printed text equals the rendering of the exact
+    value, ``rounding_match`` when it is within the table tolerance, and
+    ``mismatch`` otherwise.
+    """
+    if rendered == printed:
+        return MATCH
+    if abs(Fraction(exact) - Fraction(printed)) <= TABLE_TOLERANCE:
+        return ROUNDING_MATCH
+    return MISMATCH
+
+
 def _table_record(claim_id: str, n: int, exact: Fraction, printed: str) -> VerificationRecord:
     rendered = formulas.format_2dec(exact)
-    if rendered == printed:
-        status = MATCH
-    elif abs(Fraction(exact) - Fraction(printed)) <= TABLE_TOLERANCE:
-        status = ROUNDING_MATCH
-    else:
-        status = MISMATCH
-    return VerificationRecord(claim_id, n, printed, rendered, status)
+    return VerificationRecord(claim_id, n, printed, rendered, table_status(exact, rendered, printed))
 
 
 def claim_ids(n: int) -> list[str]:
@@ -292,11 +301,18 @@ def verify_one(n: int) -> list[VerificationRecord]:
 
 
 def thread_budget() -> int:
+    """Worker processes ``run_verification`` may start: ``CHAINDEX_THREADS``, default 1.
+
+    Anything but a positive integer raises ValueError naming the variable.
+    """
     raw = os.environ.get("CHAINDEX_THREADS", "1")
     try:
-        return max(1, int(raw))
+        budget = int(raw)
     except ValueError:
-        return 1
+        budget = 0
+    if budget < 1:
+        raise ValueError(f"CHAINDEX_THREADS must be a positive integer, got {raw!r}")
+    return budget
 
 
 def run_verification(start: int, stop: int, threads: int | None = None) -> VerificationReport:

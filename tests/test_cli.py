@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -105,6 +106,27 @@ def test_table_json(capsys):
     payload = json.loads(out)
     assert payload["table"] == "kf"
     assert payload["rows"][0]["rendered"] == "31.67"
+
+
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize("which", ["1", "2", "3"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_table_output_pinned(tmp_path, capsys, which, fmt):
+    # byte-for-byte the output of the printed-range tables, statuses included
+    target = tmp_path / f"table-{which}.{fmt}"
+    code, _, _ = run_cli(capsys, "table", which, "--format", fmt, "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == (GOLDEN / f"table-{which}.{fmt}").read_bytes()
+
+
+def test_verify_malformed_thread_budget(capsys, monkeypatch):
+    monkeypatch.setenv("CHAINDEX_THREADS", "abc")
+    code, out, err = run_cli(capsys, "verify", "--from", "1", "--to", "2")
+    assert code == 1
+    assert out == ""
+    assert "CHAINDEX_THREADS" in err
 
 
 def test_bench_small(capsys):

@@ -114,3 +114,12 @@ def test_invalid_n_rejected():
                fm.spanning_trees_closed, fm.wiener_claim, fm.gutman_claim):
         with pytest.raises(ValueError):
             fn(0)
+
+
+@pytest.mark.parametrize("bad", [True, False, 2.5, 1.0, "3", None, Fraction(2)])
+def test_non_int_n_rejected(bad):
+    for fn in (fm.kirchhoff_closed, fm.degree_kirchhoff_closed,
+               fm.spanning_trees_closed, fm.wiener_claim, fm.gutman_claim,
+               fm.wiener_class_claims, fm.gutman_class_claims, fm.limit_ratios):
+        with pytest.raises(ValueError, match="must be an int"):
+            fn(bad)

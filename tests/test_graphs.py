@@ -108,6 +108,14 @@ def test_n_zero_rejected(builder):
         builder(0)
 
 
+@pytest.mark.parametrize("builder", [build_crossed_chain, build_plain_chain])
+@pytest.mark.parametrize("bad", [True, 2.5, 1.0, "2", None])
+def test_non_int_n_rejected(builder, bad):
+    # True would otherwise build the n=1 chain, 2.5 fail with a TypeError
+    with pytest.raises(ValueError, match="must be an int"):
+        builder(bad)
+
+
 def test_edge_list_export():
     g = build_crossed_chain(2)
     text = edge_list_text(g)

@@ -270,3 +270,9 @@ def test_pair_sum_total_is_quadratic_tail(n):
         sp.deleted_pair_class_sum(n, p, q) for p in range(4) for q in range(4)
     )
     assert total == sp.norm_tail_coeffs_closed(n).quadratic
+
+
+@pytest.mark.parametrize("bad", [0, True, 2.5, "3"])
+def test_mirror_blocks_rejects_bad_n(bad):
+    with pytest.raises(ValueError):
+        sp.mirror_blocks(bad)

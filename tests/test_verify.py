@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from chaindex import verify as vf
@@ -86,7 +88,23 @@ def test_bad_range_rejected():
 def test_thread_budget_env(monkeypatch):
     monkeypatch.setenv("CHAINDEX_THREADS", "5")
     assert vf.thread_budget() == 5
-    monkeypatch.setenv("CHAINDEX_THREADS", "junk")
-    assert vf.thread_budget() == 1
+    for malformed in ("junk", "0", "-2", "1.5", ""):
+        monkeypatch.setenv("CHAINDEX_THREADS", malformed)
+        with pytest.raises(ValueError, match="CHAINDEX_THREADS"):
+            vf.thread_budget()
     monkeypatch.delenv("CHAINDEX_THREADS")
     assert vf.thread_budget() == 1
+
+
+def test_malformed_thread_budget_stops_verification(monkeypatch):
+    monkeypatch.setenv("CHAINDEX_THREADS", "abc")
+    with pytest.raises(ValueError, match="CHAINDEX_THREADS"):
+        vf.run_verification(1, 2)
+    # an explicit worker count does not read the variable
+    assert vf.run_verification(1, 1, threads=1).summary["match"] > 0
+
+
+def test_table_status():
+    assert vf.table_status(Fraction(95, 3), "31.67", "31.67") == vf.MATCH
+    assert vf.table_status(Fraction(50108, 3), "16702.67", "16702.70") == vf.ROUNDING_MATCH
+    assert vf.table_status(Fraction(308346), "308346.00", "308316.00") == vf.MISMATCH
