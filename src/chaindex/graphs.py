@@ -91,6 +91,14 @@ class Graph:
             return True
         return len(self.distances_from(self.vertices[0])) == len(self.vertices)
 
+    def band_order(self) -> tuple:
+        """Vertex order for derived matrices: here the graph's own order.
+
+        Spectra and determinants are invariant under reordering, so a
+        subclass may return an order that concentrates the nonzeros.
+        """
+        return self.vertices
+
 
 class ChainGraph(Graph):
     """A crossed or plain chain; vertices are ordered plain rail then primed rail."""
@@ -103,6 +111,14 @@ class ChainGraph(Graph):
         super().__init__(vertices, edges)
         self.n = n
         self.kind = kind
+
+    def band_order(self) -> tuple:
+        """The rails interleaved by index (1, 1', 2, 2', ...).
+
+        Every edge then joins vertices at most three places apart, so every
+        derived matrix has bandwidth 3.
+        """
+        return tuple(sorted(self.vertices, key=lambda v: (v.index, v.primed)))
 
 
 def check_chain_parameter(n) -> None:

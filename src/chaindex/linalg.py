@@ -384,8 +384,14 @@ def char_poly(matrix) -> list[Fraction]:
 class LUDecomposition:
     """Exact LU factorization (first-nonzero partial pivoting) of a rational matrix.
 
-    Factor once, then solve many right-hand sides.  Elimination skips zero
-    entries, so banded systems factor and solve in O(n * b^2) / O(n * b).
+    Factor once, then solve many right-hand sides.  Arithmetic touches
+    only nonzero entries, but every factorization step scans all rows
+    below the pivot, and every column to its right in each row it
+    eliminates, so a matrix of bandwidth b takes O(n^2 * b) Python steps
+    to factor (O(n^3) when dense).  A solve walks only the stored
+    nonzeros of L and U, O(n * b).  A singular matrix raises
+    SingularMatrixError; a right-hand side of the wrong length raises a
+    plain ValueError.
     """
 
     def __init__(self, matrix) -> None:
@@ -437,17 +443,6 @@ class LUDecomposition:
                     acc -= self._u[i][j] * x[j]
             x[i] = acc / self._u[i][i]
         return x
-
-
-def solve(matrix, rhs) -> list[Fraction]:
-    """Exact solution of M x = rhs.
-
-    Raises SingularMatrixError for singular M and ValueError for shape
-    mismatches, so the two failure modes are distinguishable.
-    """
-    if len(rhs) != len(matrix):
-        raise ValueError("matrix and right-hand side sizes disagree")
-    return LUDecomposition(matrix).solve(rhs)
 
 
 # ---------------------------------------------------------------------------

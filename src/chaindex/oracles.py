@@ -21,7 +21,6 @@ from .linalg import (
     det_bareiss,
     laplacian,
     random_walk_laplacian,
-    solve,
 )
 
 
@@ -30,58 +29,17 @@ def _require_connected(g: Graph) -> None:
         raise ValueError("graph is not connected")
 
 
-def _band_order(g: Graph) -> tuple:
-    """Vertex order used for internal matrices.
-
-    Interleaving the two rails of a chain makes every derived matrix
-    banded, which the exact elimination kernels exploit; the spectra and
-    determinants being computed are invariant under any reordering.
-    """
-    if isinstance(g, ChainGraph):
-        return tuple(sorted(g.vertices, key=lambda v: (v.index, v.primed)))
-    return g.vertices
-
-
 # ---------------------------------------------------------------------------
 # resistance distances
 
 
-def resistance(g: Graph, u, v) -> Fraction:
-    """Effective resistance between u and v with unit resistors on edges.
-
-    Grounds one other vertex, solves the reduced Laplacian for the
-    potentials of a unit current injected at u and extracted at v, and
-    returns the potential difference.
-    """
-    if u == v:
-        raise ValueError("resistance requires two distinct vertices")
-    order = [w for w in _band_order(g) if w != u and w != v]
-    if len(order) + 2 != g.vertex_count:
-        raise ValueError("both endpoints must belong to the graph")
-    _require_connected(g)
-    ground = order[-1] if order else v
-    kept = [w for w in _band_order(g) if w != ground]
-    lap = laplacian(g, kept + [ground])
-    reduced = [row[:-1] for row in lap[:-1]]
-    rhs = [Fraction(0)] * len(kept)
-    pos = {w: i for i, w in enumerate(kept)}
-    if u != ground:
-        rhs[pos[u]] += 1
-    if v != ground:
-        rhs[pos[v]] -= 1
-    potentials = solve(reduced, rhs)
-    phi_u = potentials[pos[u]] if u != ground else Fraction(0)
-    phi_v = potentials[pos[v]] if v != ground else Fraction(0)
-    return phi_u - phi_v
-
-
-def _grounded_inverse(g: Graph) -> tuple[list, list[list[Fraction]]]:
+def _grounded_inverse(g: Graph) -> tuple[tuple, list[list[Fraction]]]:
     """Inverse of the Laplacian with the last band-ordered vertex grounded.
 
     One factorization serves every column, so all-pairs resistances cost
     one LU plus one triangular solve per vertex.
     """
-    order = list(_band_order(g))
+    order = g.band_order()
     lap = laplacian(g, order)
     m = len(order) - 1
     reduced = [row[:m] for row in lap[:m]]
@@ -96,6 +54,25 @@ def _grounded_inverse(g: Graph) -> tuple[list, list[list[Fraction]]]:
         columns.append(lu.solve(unit))
         unit[k] = Fraction(0)
     return order, columns
+
+
+def resistance(g: Graph, u, v) -> Fraction:
+    """Effective resistance between u and v with unit resistors on edges.
+
+    Reads r(u, v) = G[u][u] + G[v][v] - 2 G[u][v] from the grounded
+    inverse G, which is zero on the grounded vertex.
+    """
+    if u == v:
+        raise ValueError("resistance requires two distinct vertices")
+    if u not in g.vertices or v not in g.vertices:
+        raise ValueError("both endpoints must belong to the graph")
+    order, inv = _grounded_inverse(g)
+    pos = {w: i for i, w in enumerate(order[:-1])}
+
+    def entry(a, b) -> Fraction:
+        return inv[pos[a]][pos[b]] if a in pos and b in pos else Fraction(0)
+
+    return entry(u, u) + entry(v, v) - 2 * entry(u, v)
 
 
 def _pairwise_resistance_sums(g: Graph) -> tuple[Fraction, Fraction]:
@@ -115,6 +92,15 @@ def _pairwise_resistance_sums(g: Graph) -> tuple[Fraction, Fraction]:
             plain += r
             weighted += degs[a] * degs[b] * r
     return plain, weighted
+
+
+def _agree(name: str, pairwise: Fraction, spectral: Fraction) -> Fraction:
+    """The index value once its two independent routes agree exactly."""
+    if pairwise != spectral:
+        raise ArithmeticError(
+            f"{name} routes disagree: pairwise {pairwise} vs spectral {spectral}"
+        )
+    return pairwise
 
 
 def kirchhoff_from_resistances(g: Graph) -> Fraction:
@@ -146,19 +132,13 @@ def kirchhoff_from_spectrum(g: Graph) -> Fraction:
     the exact trailing coefficients provide without ever computing an
     eigenvalue.
     """
-    c1, c2 = _trailing_coefficients(laplacian(g, _band_order(g)))
+    c1, c2 = _trailing_coefficients(laplacian(g, g.band_order()))
     return g.vertex_count * abs(c2 / c1)
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
     """Kirchhoff index; both computation routes must agree exactly."""
-    pairwise = kirchhoff_from_resistances(g)
-    spectral = kirchhoff_from_spectrum(g)
-    if pairwise != spectral:
-        raise ArithmeticError(
-            f"kirchhoff routes disagree: pairwise {pairwise} vs spectral {spectral}"
-        )
-    return pairwise
+    return _agree("kirchhoff", kirchhoff_from_resistances(g), kirchhoff_from_spectrum(g))
 
 
 def degree_kirchhoff_from_resistances(g: Graph) -> Fraction:
@@ -169,19 +149,17 @@ def degree_kirchhoff_from_resistances(g: Graph) -> Fraction:
 
 def degree_kirchhoff_from_spectrum(g: Graph) -> Fraction:
     """Degree-Kirchhoff index as 2|E| times the normalized reciprocal sum."""
-    c1, c2 = _trailing_coefficients(random_walk_laplacian(g, _band_order(g)))
+    c1, c2 = _trailing_coefficients(random_walk_laplacian(g, g.band_order()))
     return 2 * g.edge_count * abs(c2 / c1)
 
 
 def degree_kirchhoff_index(g: Graph) -> Fraction:
     """Degree-Kirchhoff index; both computation routes must agree exactly."""
-    pairwise = degree_kirchhoff_from_resistances(g)
-    spectral = degree_kirchhoff_from_spectrum(g)
-    if pairwise != spectral:
-        raise ArithmeticError(
-            f"degree-kirchhoff routes disagree: {pairwise} vs {spectral}"
-        )
-    return pairwise
+    return _agree(
+        "degree-kirchhoff",
+        degree_kirchhoff_from_resistances(g),
+        degree_kirchhoff_from_spectrum(g),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +173,7 @@ def spanning_tree_count(g: Graph, drop=None) -> int:
     one explicitly (mainly so tests can confirm the independence).
     """
     _require_connected(g)
-    band = list(_band_order(g))
+    band = g.band_order()
     if drop is None:
         drop = band[-1]
     elif drop not in band:
@@ -327,11 +305,17 @@ class IndexBundle:
 
 
 def index_bundle(g: ChainGraph) -> IndexBundle:
-    """Compute the full exact bundle for a chain graph via the oracles."""
+    """Compute the full exact bundle for a chain graph via the oracles.
+
+    One grounded inverse gives both pairwise resistance sums; each is then
+    checked against its own trailing-coefficient route.
+    """
+    _require_connected(g)
+    kf, kf_star = _pairwise_resistance_sums(g)
     return IndexBundle(
         n=g.n,
-        kf=kirchhoff_index(g),
-        kf_star=degree_kirchhoff_index(g),
+        kf=_agree("kirchhoff", kf, kirchhoff_from_spectrum(g)),
+        kf_star=_agree("degree-kirchhoff", kf_star, degree_kirchhoff_from_spectrum(g)),
         tau=spanning_tree_count(g),
         wiener=wiener_index(g),
         gutman=gutman_index(g),

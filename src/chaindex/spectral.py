@@ -173,7 +173,7 @@ def factorization_holds(n: int) -> tuple[bool, bool]:
     from .linalg import char_poly, laplacian, poly_mul, random_walk_laplacian
 
     g = build_crossed_chain(n)
-    order = sorted(g.vertices, key=lambda v: (v.index, v.primed))
+    order = g.band_order()
     blocks = mirror_blocks(n)
 
     lap_direct = poly_trim(char_poly(laplacian(g, order)))

@@ -112,48 +112,6 @@ def _table_record(claim_id: str, n: int, exact: Fraction, printed: str) -> Verif
     return VerificationRecord(claim_id, n, printed, rendered, table_status(exact, rendered, printed))
 
 
-def claim_ids(n: int) -> list[str]:
-    """Every claim id verified at chain size n, in registry order."""
-    ids = [
-        "factorization.laplacian",
-        "factorization.normalized",
-        "seq.lap-leading",
-        "seq.lap-trailing",
-        "seq.lap-interior",
-        "seq.norm-leading",
-        "seq.norm-trailing",
-        "tail.lap",
-        "tail.norm",
-        "recip.lap-eigensum",
-        "recip.lap-diagsum",
-        "recip.norm-eigensum",
-        "recip.norm-diagsum",
-    ]
-    ids.extend(f"interior-minor.p{p}q{q}" for p in range(4) for q in range(4))
-    ids.extend(f"pair-sum.p{p}q{q}" for p in range(4) for q in range(4))
-    ids.extend(
-        [
-            "kf.assembly",
-            "kfstar.assembly",
-            "tau.assembly",
-            "kf.closed-vs-oracle",
-            "kfstar.closed-vs-oracle",
-            "tau.closed-vs-oracle",
-            "wiener.claim-vs-oracle",
-            "gutman.claim-vs-oracle",
-        ]
-    )
-    ids.extend(f"wiener.class.{name}" for name in WIENER_CLASS_NAMES)
-    ids.extend(f"gutman.class.{name}" for name in GUTMAN_CLASS_NAMES)
-    if n in formulas.TABLE_KF:
-        ids.append("kf.table")
-    if n in formulas.TABLE_KF_STAR:
-        ids.append("kfstar.table")
-    if n in formulas.TABLE_TREES:
-        ids.append("tau.table")
-    return ids
-
-
 def verify_one(n: int) -> list[VerificationRecord]:
     """Run every claim at one chain size and return the records."""
     records: list[VerificationRecord] = []
@@ -257,24 +215,15 @@ def verify_one(n: int) -> list[VerificationRecord]:
         * Fraction(4) ** (2 * n + 2) * Fraction(6) ** (2 * n - 1) / (8 * n + 2),
     ))
 
-    records.append(_value_record(
-        "kf.closed-vs-oracle", n, formulas.kirchhoff_closed(n), oracles.kirchhoff_index(g),
-    ))
-    records.append(_value_record(
-        "kfstar.closed-vs-oracle", n,
-        formulas.degree_kirchhoff_closed(n), oracles.degree_kirchhoff_index(g),
-    ))
-    records.append(_value_record(
-        "tau.closed-vs-oracle", n,
-        formulas.spanning_trees_closed(n), oracles.spanning_tree_count(g),
-    ))
-
-    records.append(_value_record(
-        "wiener.claim-vs-oracle", n, formulas.wiener_claim(n), oracles.wiener_index(g),
-    ))
-    records.append(_value_record(
-        "gutman.claim-vs-oracle", n, formulas.gutman_claim(n), oracles.gutman_index(g),
-    ))
+    bundle = oracles.index_bundle(g)
+    for claim_id, claimed, computed in (
+        ("kf.closed-vs-oracle", formulas.kirchhoff_closed(n), bundle.kf),
+        ("kfstar.closed-vs-oracle", formulas.degree_kirchhoff_closed(n), bundle.kf_star),
+        ("tau.closed-vs-oracle", formulas.spanning_trees_closed(n), bundle.tau),
+        ("wiener.claim-vs-oracle", formulas.wiener_claim(n), bundle.wiener),
+        ("gutman.claim-vs-oracle", formulas.gutman_claim(n), bundle.gutman),
+    ):
+        records.append(_value_record(claim_id, n, claimed, computed))
     for name, claimed, computed in zip(
         WIENER_CLASS_NAMES, formulas.wiener_class_claims(n), oracles.wiener_class_sums(g)
     ):

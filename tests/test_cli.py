@@ -121,6 +121,17 @@ def test_table_output_pinned(tmp_path, capsys, which, fmt):
     assert target.read_bytes() == (GOLDEN / f"table-{which}.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_verify_output_pinned(tmp_path, capsys, fmt):
+    # byte-for-byte the whole claim matrix for n=1..3: every claim id,
+    # value and status, including the recorded mismatches
+    target = tmp_path / f"verify-1-3.{fmt}"
+    code, _, _ = run_cli(capsys, "verify", "--from", "1", "--to", "3",
+                         "--format", fmt, "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == (GOLDEN / f"verify-1-3.{fmt}").read_bytes()
+
+
 def test_verify_malformed_thread_budget(capsys, monkeypatch):
     monkeypatch.setenv("CHAINDEX_THREADS", "abc")
     code, out, err = run_cli(capsys, "verify", "--from", "1", "--to", "2")

@@ -5,13 +5,13 @@ import pytest
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex.linalg import (
+    LUDecomposition,
     SingularMatrixError,
     char_poly,
     det_bareiss,
     laplacian,
     poly_eval,
     random_walk_laplacian,
-    solve,
 )
 
 
@@ -121,11 +121,11 @@ def test_char_poly_non_square():
 
 def test_solve_identity():
     b = [Fraction(3), Fraction(-1)]
-    assert solve([[1, 0], [0, 1]], b) == b
+    assert LUDecomposition([[1, 0], [0, 1]]).solve(b) == b
 
 
 def test_solve_diagonal():
-    assert solve([[2, 0], [0, 4]], [1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
+    assert LUDecomposition([[2, 0], [0, 4]]).solve([1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
 
 
 def test_solve_random_systems():
@@ -136,7 +136,7 @@ def test_solve_random_systems():
             if naive_det(m) != 0:
                 break
         b = [rng.randint(-4, 4) for _ in range(n)]
-        x = solve(m, b)
+        x = LUDecomposition(m).solve(b)
         assert [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)] == [
             Fraction(v) for v in b
         ]
@@ -144,9 +144,9 @@ def test_solve_random_systems():
 
 def test_solve_error_kinds_are_distinct():
     with pytest.raises(SingularMatrixError):
-        solve([[1, 1], [1, 1]], [1, 2])
+        LUDecomposition([[1, 1], [1, 1]]).solve([1, 2])
     with pytest.raises(ValueError) as err:
-        solve([[1, 0], [0, 1]], [1, 2, 3])
+        LUDecomposition([[1, 0], [0, 1]]).solve([1, 2, 3])
     assert not isinstance(err.value, SingularMatrixError)
 
 

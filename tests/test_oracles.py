@@ -4,6 +4,7 @@ import pytest
 
 from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain
 from chaindex import oracles as oc
+from chaindex import verify as vf
 from chaindex.linalg import det_bareiss, laplacian
 
 
@@ -81,6 +82,10 @@ def test_resistance_triangle_inequality_and_distance_bound():
 def test_resistance_rejects_equal_endpoints():
     with pytest.raises(ValueError):
         oc.resistance(k2(), "a", "a")
+    with pytest.raises(ValueError, match="belong"):
+        oc.resistance(k2(), "a", "z")
+    with pytest.raises(ValueError, match="not connected"):
+        oc.resistance(Graph("abcd", [("a", "b"), ("c", "d")]), "a", "b")
 
 
 # --- Kirchhoff indices ----------------------------------------------------------
@@ -217,3 +222,41 @@ def test_bundle_json_round_trip():
     data = b.to_json_dict()
     assert data["kf"] == "156" and data["tau"] == "113246208"
     assert oc.IndexBundle.from_json_dict(data) == b
+
+
+def count_grounded_inverses(monkeypatch) -> list:
+    calls = []
+    inner = oc._grounded_inverse
+
+    def counting(g):
+        calls.append(g)
+        return inner(g)
+
+    monkeypatch.setattr(oc, "_grounded_inverse", counting)
+    return calls
+
+
+def test_bundle_factors_the_grounded_laplacian_once(monkeypatch):
+    calls = count_grounded_inverses(monkeypatch)
+    oc.index_bundle(build_crossed_chain(2))
+    assert len(calls) == 1
+
+
+def test_verify_one_factors_the_grounded_laplacian_once(monkeypatch):
+    calls = count_grounded_inverses(monkeypatch)
+    vf.verify_one(1)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("spectral_route, index", [
+    ("kirchhoff_from_spectrum", oc.kirchhoff_index),
+    ("degree_kirchhoff_from_spectrum", oc.degree_kirchhoff_index),
+])
+def test_route_disagreement_raises(monkeypatch, spectral_route, index):
+    # a wrong spectral value must stop both the bundle and the single index
+    g = build_crossed_chain(2)
+    monkeypatch.setattr(oc, spectral_route, lambda g: Fraction(-1))
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        oc.index_bundle(g)
+    with pytest.raises(ArithmeticError, match="routes disagree"):
+        index(g)
