@@ -71,9 +71,6 @@ class Graph:
     def degree(self, v) -> int:
         return len(self._adj[v])
 
-    def has_edge(self, u, v) -> bool:
-        return frozenset((u, v)) in self.edges
-
     def distances_from(self, source) -> dict:
         """Breadth-first hop distances from ``source`` to every reachable vertex."""
         dist = {source: 0}

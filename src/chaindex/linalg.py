@@ -1,11 +1,11 @@
 """Exact linear algebra over rationals and arbitrary-precision integers.
 
-Everything here is exact and floating point never appears.  Determinants
-and characteristic polynomials share one fraction-free (Bareiss)
-elimination that touches only each row's span of nonzeros, so banded
-matrices cost O(n * b^2) per elimination.  It runs over the integers for
-determinants and over truncated integer power series for the trailing
-characteristic coefficients.  Linear solves use rational LU.
+Everything here is exact and floating point never appears.  Determinants,
+adjugates and characteristic polynomials share one fraction-free
+(Bareiss) elimination that touches only each row's span of nonzeros, so
+banded matrices cost O(n * b^2) per determinant.  It runs over the
+integers for determinants and adjugates and over truncated integer power
+series for the trailing characteristic coefficients.
 """
 
 from __future__ import annotations
@@ -67,11 +67,13 @@ def _permutation_sign(perm: list[int]) -> int:
 def _eliminate(rows: list, lo: list, hi: list, one, unit):
     """Determinant by fraction-free elimination over an exact ring.
 
-    ``rows`` is a dense square matrix whose entries support ``*``, ``-``,
+    ``rows`` holds n rows whose first n columns are a square matrix; any
+    further columns are carried along and rescaled with their row, and
+    pivots are sought only in the first n.  Entries support ``*``, ``-``,
     unary ``-``, truth testing and exact ``//`` by a divisor for which
     ``unit`` holds; ``one`` is the ring's identity.  Every nonzero of row i
     lies in columns lo[i]..hi[i]-1.  ``rows``, ``lo`` and ``hi`` are
-    consumed.
+    consumed: on return each pivot row holds its state at its own step.
 
     Step c takes its pivot from the rows whose first nonzero is column c,
     preferring the narrowest.  A row skipped by a step is only rescaled by
@@ -79,12 +81,13 @@ def _eliminate(rows: list, lo: list, hi: list, one, unit):
     row next takes part.  A column with no nonzero left makes the
     determinant zero; it is swapped to the end so elimination can go on.
     A column with nonzeros but no unit swaps in a later column that has
-    one.  Returns None when fewer than n - 1 steps find a unit pivot: the
+    one.  Returns (det, order), where order lists the pivot row of each
+    step; det is None when fewer than n - 1 steps find a unit pivot: the
     remaining block has no unit, or two columns vanished.
     """
     n = len(rows)
     if n == 0:
-        return one
+        return one, []
     buckets: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(n):
         buckets[lo[i]].append(i)
@@ -106,7 +109,7 @@ def _eliminate(rows: list, lo: list, hi: list, one, unit):
 
     def place(i: int, start: int) -> None:
         # File row i under its first nonzero column at or after ``start``.
-        row, j, end = rows[i], start, hi[i]
+        row, j, end = rows[i], start, min(hi[i], n)
         while j < end and not row[j]:
             j += 1
         lo[i] = j if j < end else n
@@ -146,7 +149,7 @@ def _eliminate(rows: list, lo: list, hi: list, one, unit):
             if live:
                 target = min(
                     (j for i in range(n) if not used[i]
-                     for j in range(max(lo[i], c + 1), hi[i]) if unit(rows[i][j])),
+                     for j in range(max(lo[i], c + 1), min(hi[i], n)) if unit(rows[i][j])),
                     default=None,
                 )
             elif not vanished:
@@ -154,7 +157,7 @@ def _eliminate(rows: list, lo: list, hi: list, one, unit):
             else:
                 target = None
             if target is None:
-                return None
+                return None, order
             live = swap_columns(c, target)
             candidates = [i for i in live if unit(rows[i][c])]
         r = min(candidates, key=hi.__getitem__)
@@ -185,7 +188,7 @@ def _eliminate(rows: list, lo: list, hi: list, one, unit):
     if lag[last] != n - 1:
         refresh(last, n - 1)
     det = rows[last][n - 1]
-    return det if sign * _permutation_sign(order) > 0 else -det
+    return (det if sign * _permutation_sign(order) > 0 else -det), order
 
 
 class _Series:
@@ -248,8 +251,43 @@ def det_bareiss(matrix) -> int:
     scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
     if any(s != 1 for s in scales):
         raise ValueError("det_bareiss requires integer entries")
-    det = _eliminate(rows, lo, hi, 1, bool)
+    det, _ = _eliminate(rows, lo, hi, 1, bool)
     return 0 if det is None else det
+
+
+def adjugate(matrix) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) of a square integer matrix, where adj M = det M * M^-1.
+
+    The elimination runs on [M | I], leaving U X = R with U upper
+    triangular and X = M^-1; every entry of adj M = det M * X is an
+    integer, so back substitution divides exactly.  It walks only the
+    nonzeros of U, so a matrix of bandwidth b costs O(n^2 * b).  A
+    singular M raises SingularMatrixError.
+    """
+    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
+    if any(s != 1 for s in scales):
+        raise ValueError("adjugate requires integer entries")
+    n = len(rows)
+    for i, row in enumerate(rows):
+        row.extend([0] * n)
+        row[n + i] = 1
+        hi[i] = n + i + 1
+    det, order = _eliminate(rows, lo, hi, 1, bool)
+    if not det:
+        raise SingularMatrixError("matrix is singular")
+    # A nonzero det means no column was swapped, so step k solved for X[k].
+    adj = [[0] * n for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        r = order[k]
+        row = rows[r]
+        upper = [(j, row[j]) for j in range(k + 1, min(hi[r], n)) if row[j]]
+        pivot, out = row[k], adj[k]
+        for col in range(n):
+            acc = det * row[n + col]
+            for j, u in upper:
+                acc -= u * adj[j][col]
+            out[col] = acc // pivot
+    return det, adj
 
 
 def char_poly_tail(matrix, k: int) -> list[Fraction]:
@@ -275,7 +313,7 @@ def char_poly_tail(matrix, k: int) -> list[Fraction]:
                 series[j] = _Series((-row[j],) + pad)
         series[i] = _Series(((-row[i], scales[i]) + pad)[:k])
         series_rows.append(series)
-    det = _eliminate(series_rows, lo, hi, _Series((1,) + pad), _has_constant_term)
+    det, _ = _eliminate(series_rows, lo, hi, _Series((1,) + pad), _has_constant_term)
     if det is None:
         raise SingularMatrixError("matrix has rank below n - 1")
     denominator = prod(scales)
@@ -301,13 +339,6 @@ def poly_mul(p: list, q: list) -> list:
             if b != 0:
                 out[i + j] += a * b
     return out
-
-
-def poly_eval(p: list, x):
-    acc = Fraction(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
 
 
 def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
@@ -367,7 +398,7 @@ def char_poly(matrix) -> list[Fraction]:
             row[lo[i]:hi[i]] = bands[i]
             row[i] += x * scales[i]
             work.append(row)
-        det = _eliminate(work, list(lo), list(hi), 1, bool)
+        det, _ = _eliminate(work, list(lo), list(hi), 1, bool)
         values.append(0 if det is None else det)
 
     denominator = prod(scales)
@@ -375,74 +406,6 @@ def char_poly(matrix) -> list[Fraction]:
     if poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial is not monic; interpolation bug")
     return poly
-
-
-# ---------------------------------------------------------------------------
-# exact LU with partial pivoting
-
-
-class LUDecomposition:
-    """Exact LU factorization (first-nonzero partial pivoting) of a rational matrix.
-
-    Factor once, then solve many right-hand sides.  Arithmetic touches
-    only nonzero entries, but every factorization step scans all rows
-    below the pivot, and every column to its right in each row it
-    eliminates, so a matrix of bandwidth b takes O(n^2 * b) Python steps
-    to factor (O(n^3) when dense).  A solve walks only the stored
-    nonzeros of L and U, O(n * b).  A singular matrix raises
-    SingularMatrixError; a right-hand side of the wrong length raises a
-    plain ValueError.
-    """
-
-    def __init__(self, matrix) -> None:
-        n = _require_square(matrix)
-        self.n = n
-        self.perm = list(range(n))
-        self._low: list[list[tuple[int, Fraction]]] = [[] for _ in range(n)]
-        u = [[Fraction(e) for e in row] for row in matrix]
-        for c in range(n):
-            pivot_row = next((i for i in range(c, n) if u[i][c] != 0), None)
-            if pivot_row is None:
-                raise SingularMatrixError("matrix is singular")
-            if pivot_row != c:
-                u[c], u[pivot_row] = u[pivot_row], u[c]
-                self._low[c], self._low[pivot_row] = self._low[pivot_row], self._low[c]
-                self.perm[c], self.perm[pivot_row] = self.perm[pivot_row], self.perm[c]
-            pivot = u[c][c]
-            row_c = u[c]
-            for i in range(c + 1, n):
-                if u[i][c] == 0:
-                    continue
-                f = u[i][c] / pivot
-                self._low[i].append((c, f))
-                row_i = u[i]
-                for j in range(c + 1, n):
-                    if row_c[j]:
-                        row_i[j] -= f * row_c[j]
-                row_i[c] = Fraction(0)
-        self._u = u
-        self._unz = [
-            [j for j in range(i + 1, n) if u[i][j] != 0] for i in range(n)
-        ]
-
-    def solve(self, rhs) -> list[Fraction]:
-        if len(rhs) != self.n:
-            raise ValueError("right-hand side has wrong length")
-        y = [Fraction(rhs[p]) for p in self.perm]
-        for i in range(self.n):
-            acc = y[i]
-            for c, f in self._low[i]:
-                if y[c]:
-                    acc -= f * y[c]
-            y[i] = acc
-        x = [Fraction(0)] * self.n
-        for i in range(self.n - 1, -1, -1):
-            acc = y[i]
-            for j in self._unz[i]:
-                if x[j]:
-                    acc -= self._u[i][j] * x[j]
-            x[i] = acc / self._u[i][i]
-        return x
 
 
 # ---------------------------------------------------------------------------

@@ -15,8 +15,8 @@ from fractions import Fraction
 
 from .graphs import ChainGraph, Graph, Vertex
 from .linalg import (
-    LUDecomposition,
     SingularMatrixError,
+    adjugate,
     char_poly_tail,
     det_bareiss,
     laplacian,
@@ -33,65 +33,58 @@ def _require_connected(g: Graph) -> None:
 # resistance distances
 
 
-def _grounded_inverse(g: Graph) -> tuple[tuple, list[list[Fraction]]]:
-    """Inverse of the Laplacian with the last band-ordered vertex grounded.
+def _grounded_inverse(g: Graph) -> tuple[tuple, int, list[list[int]]]:
+    """(order, det, adj) of the Laplacian with the last band-ordered vertex grounded.
 
-    One factorization serves every column, so all-pairs resistances cost
-    one LU plus one triangular solve per vertex.
+    The grounded inverse is adj / det; keeping it as integers lets every
+    resistance sum stay integral until one final division by det.
     """
     order = g.band_order()
     lap = laplacian(g, order)
     m = len(order) - 1
-    reduced = [row[:m] for row in lap[:m]]
     try:
-        lu = LUDecomposition(reduced)
+        det, adj = adjugate([row[:m] for row in lap[:m]])
     except SingularMatrixError:
         raise ValueError("graph is not connected") from None
-    unit = [Fraction(0)] * m
-    columns = []
-    for k in range(m):
-        unit[k] = Fraction(1)
-        columns.append(lu.solve(unit))
-        unit[k] = Fraction(0)
-    return order, columns
+    return order, det, adj
 
 
 def resistance(g: Graph, u, v) -> Fraction:
     """Effective resistance between u and v with unit resistors on edges.
 
-    Reads r(u, v) = G[u][u] + G[v][v] - 2 G[u][v] from the grounded
-    inverse G, which is zero on the grounded vertex.
+    Reads r(u, v) = (A[u][u] + A[v][v] - 2 A[u][v]) / det from the
+    grounded adjugate A, which is zero on the grounded vertex.
     """
     if u == v:
         raise ValueError("resistance requires two distinct vertices")
     if u not in g.vertices or v not in g.vertices:
         raise ValueError("both endpoints must belong to the graph")
-    order, inv = _grounded_inverse(g)
+    order, det, adj = _grounded_inverse(g)
     pos = {w: i for i, w in enumerate(order[:-1])}
 
-    def entry(a, b) -> Fraction:
-        return inv[pos[a]][pos[b]] if a in pos and b in pos else Fraction(0)
+    def entry(a, b) -> int:
+        return adj[pos[a]][pos[b]] if a in pos and b in pos else 0
 
-    return entry(u, u) + entry(v, v) - 2 * entry(u, v)
+    return Fraction(entry(u, u) + entry(v, v) - 2 * entry(u, v), det)
 
 
 def _pairwise_resistance_sums(g: Graph) -> tuple[Fraction, Fraction]:
     """(plain sum, degree-weighted sum) of resistances over all vertex pairs."""
-    order, inv = _grounded_inverse(g)
+    order, det, adj = _grounded_inverse(g)
     m = len(order) - 1
     degs = [g.degree(v) for v in order]
-    plain = Fraction(0)
-    weighted = Fraction(0)
+    plain = 0
+    weighted = 0
     for a in range(m):
-        g_aa = inv[a][a]
+        a_aa = adj[a][a]
         # pairs (a, ground)
-        plain += g_aa
-        weighted += degs[a] * degs[m] * g_aa
+        plain += a_aa
+        weighted += degs[a] * degs[m] * a_aa
         for b in range(a + 1, m):
-            r = g_aa + inv[b][b] - 2 * inv[a][b]
+            r = a_aa + adj[b][b] - 2 * adj[a][b]
             plain += r
             weighted += degs[a] * degs[b] * r
-    return plain, weighted
+    return Fraction(plain, det), Fraction(weighted, det)
 
 
 def _agree(name: str, pairwise: Fraction, spectral: Fraction) -> Fraction:
@@ -291,17 +284,6 @@ class IndexBundle:
             "wiener": str(self.wiener),
             "gutman": str(self.gutman),
         }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "IndexBundle":
-        return cls(
-            n=int(data["n"]),
-            kf=Fraction(data["kf"]),
-            kf_star=Fraction(data["kf_star"]),
-            tau=int(data["tau"]),
-            wiener=int(data["wiener"]),
-            gutman=int(data["gutman"]),
-        )
 
 
 def index_bundle(g: ChainGraph) -> IndexBundle:

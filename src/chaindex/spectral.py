@@ -384,15 +384,19 @@ def deleted_pair_class_sum(n: int, p: int, q: int) -> Fraction:
 
     Deleting rows/columns i and j of a tridiagonal matrix splits it into a
     leading block, an interior block, and a trailing block, so the minor is
-    an exact triple product.
+    an exact triple product.  The interior minors (i, j) for every j come
+    from one continuant sweep over the block after row i.
     """
-    blocks = mirror_blocks(n)
-    leading = blocks.norm_sum.leading_minors()
-    trailing = blocks.norm_sum.trailing_minors()
+    norm_sum = mirror_blocks(n).norm_sum
+    leading = norm_sum.leading_minors()
+    trailing = norm_sum.trailing_minors()
     m = 4 * n + 1
     total = Fraction(0)
+    row, interior = None, []
     for i, j in class_pairs(n, p, q):
-        total += leading[i - 1] * trailing[m - j] * blocks.norm_sum.interior_det(i, j)
+        if i != row:
+            row, interior = i, norm_sum.block(i + 1, m).leading_minors()
+        total += leading[i - 1] * trailing[m - j] * interior[j - i - 1]
     return total
 
 

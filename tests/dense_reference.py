@@ -2,8 +2,9 @@
 
 ``dense_det_bareiss`` is the dense fraction-free elimination the package
 used before its kernel became band-aware: row pivoting on the first
-nonzero entry, every column swept at every step.  ``fraction_det`` and
-``leverrier_char_poly`` share no code or method with the package at all.
+nonzero entry, every column swept at every step.  ``fraction_det``,
+``fraction_inverse`` and ``leverrier_char_poly`` share no code or method
+with the package at all.
 """
 
 from fractions import Fraction
@@ -92,6 +93,24 @@ def fraction_rank(matrix) -> int:
                     m[i][j] -= f * m[rank][j]
         rank += 1
     return rank
+
+
+def fraction_inverse(matrix):
+    """Inverse by Gauss-Jordan elimination over Fraction, or None when singular."""
+    n = len(matrix)
+    m = [[Fraction(e) for e in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(matrix)]
+    for c in range(n):
+        p = next((i for i in range(c, n) if m[i][c]), None)
+        if p is None:
+            return None
+        m[c], m[p] = m[p], m[c]
+        m[c] = [e / m[c][c] for e in m[c]]
+        for i in range(n):
+            if i != c and m[i][c]:
+                f = m[i][c]
+                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
+    return [row[n:] for row in m]
 
 
 def leverrier_char_poly(matrix) -> list[Fraction]:

@@ -1,12 +1,13 @@
 """Differential tests of the band-aware exact kernel against naive references.
 
-``det_bareiss``, ``char_poly`` and ``char_poly_tail`` are compared with
-the dense Bareiss copy, Fraction Gaussian elimination and the
-Faddeev-LeVerrier recurrence in ``dense_reference``.  Inputs cover
-singular matrices, matrices whose leading entry is zero, 0x0 and 1x1,
-random banded matrices, low-rank matrices and the Laplacians of random
-connected graphs in shuffled vertex order.  Examples are derandomized and
-bounded so the module stays a few seconds of the tier-1 run.
+``det_bareiss``, ``adjugate``, ``char_poly`` and ``char_poly_tail`` are
+compared with the dense Bareiss copy, Fraction Gaussian and Gauss-Jordan
+elimination and the Faddeev-LeVerrier recurrence in ``dense_reference``.
+Inputs cover singular matrices, matrices whose leading entry is zero,
+0x0 and 1x1, random banded matrices, low-rank matrices and the
+Laplacians of random connected graphs in shuffled vertex order.
+Examples are derandomized and bounded so the module stays a few seconds
+of the tier-1 run.
 """
 
 from fractions import Fraction
@@ -15,6 +16,7 @@ import pytest
 from dense_reference import (
     dense_det_bareiss,
     fraction_det,
+    fraction_inverse,
     fraction_rank,
     leverrier_char_poly,
 )
@@ -25,6 +27,7 @@ from chaindex import Graph
 from chaindex import oracles as oc
 from chaindex.linalg import (
     SingularMatrixError,
+    adjugate,
     char_poly,
     char_poly_tail,
     det_bareiss,
@@ -75,12 +78,12 @@ def zero_leading(draw):
 
 
 @st.composite
-def low_rank(draw):
+def low_rank(draw, entries=rationals):
     # U V with U n x r and V r x n, r <= n - 2: rank at most n - 2
     n = draw(st.integers(2, 6))
     r = draw(st.integers(0, n - 2))
-    u = [[draw(rationals) for _ in range(r)] for _ in range(n)]
-    v = [[draw(rationals) for _ in range(n)] for _ in range(r)]
+    u = [[draw(entries) for _ in range(r)] for _ in range(n)]
+    v = [[draw(entries) for _ in range(n)] for _ in range(r)]
     return [[sum((u[i][t] * v[t][j] for t in range(r)), Fraction(0)) for j in range(n)]
             for i in range(n)]
 
@@ -134,6 +137,49 @@ def test_empty_matrix():
     assert det_bareiss([]) == 1
     assert char_poly([]) == [Fraction(1)]
     assert char_poly_tail([], 3) == [Fraction(1), Fraction(0), Fraction(0)]
+
+
+# --- adjugates ----------------------------------------------------------------
+
+
+@BOUNDED
+@given(st.one_of(square(sparse_ints), square(small_ints), banded(sparse_ints), zero_leading()))
+def test_adjugate_matches_gauss_jordan(m):
+    if fraction_rank(m) < len(m):
+        with pytest.raises(SingularMatrixError):
+            adjugate(m)
+        return
+    det, adj = adjugate(m)
+    assert det == fraction_det(m)
+    assert adj == [[det * e for e in row] for row in fraction_inverse(m)]
+
+
+@BOUNDED
+@given(st.one_of(singular(), low_rank(small_ints)))
+def test_adjugate_of_singular_matrix_raises(m):
+    assert fraction_rank(m) < len(m)
+    with pytest.raises(SingularMatrixError):
+        adjugate(m)
+
+
+def test_adjugate_when_a_row_vanishes_left_of_the_identity():
+    # elimination zeroes a row's first n columns but not its part of the
+    # appended identity; it must read as singular, not be filed past
+    # column n (in the 3x3 case the row's first nonzero is column n + 1)
+    for m in ([[1, 1], [1, 1]], [[1, 0, 0], [0, 1, 1], [0, 1, 1]]):
+        with pytest.raises(SingularMatrixError):
+            adjugate(m)
+
+
+@BOUNDED
+@given(small_ints)
+def test_adjugate_of_1x1_and_0x0(a):
+    assert adjugate([]) == (1, [])
+    if a:
+        assert adjugate([[a]]) == (a, [[1]])
+    else:
+        with pytest.raises(SingularMatrixError):
+            adjugate([[a]])
 
 
 # --- characteristic polynomials ----------------------------------------------

@@ -5,12 +5,11 @@ import pytest
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex.linalg import (
-    LUDecomposition,
     SingularMatrixError,
+    adjugate,
     char_poly,
     det_bareiss,
     laplacian,
-    poly_eval,
     random_walk_laplacian,
 )
 
@@ -33,6 +32,13 @@ def naive_det(m):
 
 def random_int_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
+
+
+def horner(poly, x):
+    acc = 0
+    for c in reversed(poly):
+        acc = acc * x + c
+    return acc
 
 
 # --- determinants ----------------------------------------------------------
@@ -91,7 +97,7 @@ def test_char_poly_matches_determinant_evaluations():
         poly = char_poly(m)
         for x in (0, 1, -2, 7):
             shifted = [[(x if i == j else 0) - m[i][j] for j in range(n)] for i in range(n)]
-            assert poly_eval(poly, x) == naive_det(shifted)
+            assert horner(poly, x) == naive_det(shifted)
 
 
 def test_char_poly_rational_entries():
@@ -99,7 +105,7 @@ def test_char_poly_rational_entries():
     poly = char_poly(m)
     for x in (Fraction(0), Fraction(1), Fraction(-1, 2)):
         direct = (x - m[0][0]) * (x - m[1][1]) - m[0][1] * m[1][0]
-        assert poly_eval(poly, x) == direct
+        assert horner(poly, x) == direct
 
 
 def test_char_poly_laplacian_trailing_structure():
@@ -116,16 +122,16 @@ def test_char_poly_non_square():
         char_poly([[1, 2, 3], [4, 5, 6]])
 
 
-# --- linear solves ----------------------------------------------------------
+# --- adjugates -------------------------------------------------------------
 
 
 def test_solve_identity():
-    b = [Fraction(3), Fraction(-1)]
-    assert LUDecomposition([[1, 0], [0, 1]]).solve(b) == b
+    assert adjugate([[1, 0], [0, 1]]) == (1, [[1, 0], [0, 1]])
 
 
 def test_solve_diagonal():
-    assert LUDecomposition([[2, 0], [0, 4]]).solve([1, 1]) == [Fraction(1, 2), Fraction(1, 4)]
+    # adj diag(2, 4) = det * diag(1/2, 1/4)
+    assert adjugate([[2, 0], [0, 4]]) == (8, [[4, 0], [0, 2]])
 
 
 def test_solve_random_systems():
@@ -135,18 +141,17 @@ def test_solve_random_systems():
             m = random_int_matrix(rng, n)
             if naive_det(m) != 0:
                 break
-        b = [rng.randint(-4, 4) for _ in range(n)]
-        x = LUDecomposition(m).solve(b)
-        assert [sum(m[i][j] * x[j] for j in range(n)) for i in range(n)] == [
-            Fraction(v) for v in b
-        ]
+        det, adj = adjugate(m)
+        assert det == naive_det(m)
+        assert [[sum(m[i][k] * adj[k][j] for k in range(n)) for j in range(n)]
+                for i in range(n)] == [[det if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 def test_solve_error_kinds_are_distinct():
     with pytest.raises(SingularMatrixError):
-        LUDecomposition([[1, 1], [1, 1]]).solve([1, 2])
+        adjugate([[1, 1], [1, 1]])
     with pytest.raises(ValueError) as err:
-        LUDecomposition([[1, 0], [0, 1]]).solve([1, 2, 3])
+        adjugate([[Fraction(1, 2), 0], [0, 1]])
     assert not isinstance(err.value, SingularMatrixError)
 
 
@@ -224,4 +229,4 @@ def test_char_poly_vs_bareiss_on_mirror_blocks():
                                         for j in range(m)] for i in range(m)])):
             shifted = [[(x if i == j else 0) - source[i][j] for j in range(m)]
                        for i in range(m)]
-            assert poly_eval(p, x) == det_bareiss(shifted)
+            assert horner(p, x) == det_bareiss(shifted)

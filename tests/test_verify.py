@@ -49,10 +49,6 @@ def test_gutman_claim_recorded_as_mismatch(report):
     assert record.status == vf.MISMATCH
 
 
-def test_json_round_trip(report):
-    assert vf.VerificationReport.from_json(report.to_json()) == report
-
-
 def test_json_statuses_lowercase(report):
     text = report.to_json()
     for status in ("Match", "Mismatch", "RoundingMatch"):
