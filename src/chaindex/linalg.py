@@ -1,11 +1,13 @@
 """Exact linear algebra over rationals and arbitrary-precision integers.
 
 Everything here is exact and floating point never appears.  Determinants,
-adjugates and characteristic polynomials share one fraction-free
-(Bareiss) elimination that touches only each row's span of nonzeros, so
-banded matrices cost O(n * b^2) per determinant.  It runs over the
-integers for determinants and adjugates and over truncated integer power
-series for the trailing characteristic coefficients.
+adjugates and the trailing characteristic coefficients share one
+fraction-free (Bareiss) elimination that touches only each row's span of
+nonzeros, so banded matrices cost O(n * b^2) per determinant.  It runs
+over the integers for determinants and adjugates and over truncated
+integer power series for the trailing coefficients.  No full
+characteristic polynomial is formed here: the mirror-block factorization
+is certified at the matrix level in ``spectral.factorization_holds``.
 """
 
 from __future__ import annotations
@@ -318,94 +320,6 @@ def char_poly_tail(matrix, k: int) -> list[Fraction]:
         raise SingularMatrixError("matrix has rank below n - 1")
     denominator = prod(scales)
     return [Fraction(c, denominator) for c in det.c]
-
-
-# ---------------------------------------------------------------------------
-# polynomials: ascending coefficient lists over Fraction/int
-
-
-def poly_trim(p: list) -> list:
-    while len(p) > 1 and p[-1] == 0:
-        p = p[:-1]
-    return p
-
-
-def poly_mul(p: list, q: list) -> list:
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
-    return out
-
-
-def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
-    """Coefficients of the polynomial through the points (xs[i], ys[i]).
-
-    The polynomial must have integer coefficients.  Every divided
-    difference of such a polynomial at integer nodes is an integer, so the
-    whole computation stays in exact integer arithmetic.
-    """
-    m = len(xs)
-    coef = list(ys)
-    for j in range(1, m):
-        for i in range(m - 1, j - 1, -1):
-            coef[i], remainder = divmod(coef[i] - coef[i - 1], xs[i] - xs[i - j])
-            if remainder:
-                raise ArithmeticError("divided difference is not an integer")
-    poly = [coef[m - 1]]
-    for i in range(m - 2, -1, -1):
-        # poly <- poly*(x - xs[i]) + coef[i]
-        shifted = [0] + poly
-        for j, c in enumerate(poly):
-            shifted[j] -= xs[i] * c
-        shifted[0] += coef[i]
-        poly = shifted
-    return poly
-
-
-def char_poly(matrix) -> list[Fraction]:
-    """Exact char polynomial det(xI - M), ascending coefficients, monic.
-
-    Entries are validated and rows scaled to clear denominators once;
-    det(xS - T) is then evaluated at n+1 integer points by the banded
-    fraction-free elimination and the polynomial recovered by Newton
-    interpolation over the integers.  The result is exact for any square
-    rational matrix.  Each evaluation takes O(n * b^2) arithmetic
-    operations for bandwidth b (up to O(n^3) once fill-in makes rows
-    dense) on integers of O(n log n) bits, so a banded matrix takes
-    O(n^2 * b^2) such operations in all.
-    """
-    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=True)
-    n = len(rows)
-    if n == 0:
-        return [Fraction(1)]
-    bands = [[-e for e in row[lo[i]:hi[i]]] for i, row in enumerate(rows)]
-
-    # Evaluation nodes 0, 1, -1, 2, -2, ... keep entry growth small.
-    nodes = [0]
-    while len(nodes) < n + 1:
-        k = (len(nodes) + 1) // 2
-        nodes.append(k if len(nodes) % 2 == 1 else -k)
-
-    values = []
-    for x in nodes:
-        work = []
-        for i in range(n):
-            row = [0] * n
-            row[lo[i]:hi[i]] = bands[i]
-            row[i] += x * scales[i]
-            work.append(row)
-        det, _ = _eliminate(work, list(lo), list(hi), 1, bool)
-        values.append(0 if det is None else det)
-
-    denominator = prod(scales)
-    poly = [Fraction(c, denominator) for c in _newton_interpolate(nodes, values)]
-    if poly[-1] != 1:
-        raise ArithmeticError("characteristic polynomial is not monic; interpolation bug")
-    return poly
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Because swapping the two rails is an automorphism, the (normalized)
 Laplacian written in rail-block form [[A, B], [B, A]] splits into a sum
-block A+B and a difference block A-B with the same combined spectrum.
+block A+B and a difference block A-B with the same combined spectrum;
+``factorization_holds`` certifies that split entry by entry.
 For these chains the sum block is symmetric tridiagonal and the
 difference block is diagonal, so every spectral quantity reduces to
 continuant recurrences on the tridiagonal data.
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
-from .graphs import check_chain_parameter
-from .linalg import poly_trim
+from .graphs import build_crossed_chain, check_chain_parameter, mirror_partition
+from .linalg import laplacian, random_walk_laplacian
 
 QUARTER_POW = Fraction(1, 25)  # decay ratio of the normalized minor sequences
 
@@ -99,8 +100,7 @@ class TriDiagSym:
                 for idx, c in enumerate(prev):
                     nxt[idx] -= s * c
             prev, cur = cur, nxt
-        out = cur + [Fraction(0)] * (self.dim + 1 - len(cur))
-        return out
+        return cur
 
 
 @dataclass(frozen=True)
@@ -164,31 +164,53 @@ def mirror_blocks(n: int) -> MirrorBlocks:
 
 
 def factorization_holds(n: int) -> tuple[bool, bool]:
-    """Check that each full characteristic polynomial equals the block product.
+    """Certify that each Laplacian family splits into its mirror blocks.
 
-    Returns (laplacian_ok, normalized_ok); both checks are exact polynomial
-    identities, nothing is approximated.
+    Builds the Laplacian and the random-walk Laplacian from the crossed
+    chain's edges, rows in rail-block order (plain rail, then primed rail),
+    and checks each against ``mirror_blocks(n)`` entry by entry.  Returns
+    (laplacian_ok, normalized_ok); both checks are exact.
     """
-    from .graphs import build_crossed_chain
-    from .linalg import char_poly, laplacian, poly_mul, random_walk_laplacian
-
     g = build_crossed_chain(n)
-    order = g.band_order()
+    plain_rail, primed_rail = mirror_partition(g)
+    order = plain_rail + primed_rail
     blocks = mirror_blocks(n)
+    return (
+        _splits_into(laplacian(g, order), blocks.lap_sum, blocks.lap_diff),
+        _splits_into(random_walk_laplacian(g, order), blocks.norm_sum, blocks.norm_diff),
+    )
 
-    lap_direct = poly_trim(char_poly(laplacian(g, order)))
-    lap_product = blocks.lap_sum.char_poly()
-    for s in blocks.lap_diff:
-        lap_product = poly_mul(lap_product, [Fraction(-s), Fraction(1)])
-    lap_ok = poly_trim(lap_product) == lap_direct
 
-    norm_direct = poly_trim(char_poly(random_walk_laplacian(g, order)))
-    norm_product = blocks.norm_sum.char_poly()
-    for s in blocks.norm_diff:
-        norm_product = poly_mul(norm_product, [Fraction(-s), Fraction(1)])
-    norm_ok = poly_trim(norm_product) == norm_direct
+def _splits_into(matrix: list, sum_block: TriDiagSym, diff: tuple) -> bool:
+    """Whether M = [[A, B], [B, A]] with A - B = diag(diff) and A + B tridiagonal,
+    carrying the sum block's diagonal and, in each pair of opposite
+    off-diagonal entries, a product equal to its ``offdiag_sq``.
 
-    return lap_ok, norm_ok
+    With P = [[I, I], [I, -I]], P M P^-1 = diag(A + B, A - B), and the
+    characteristic polynomial of a tridiagonal matrix depends only on its
+    diagonal and those products, so True proves
+    det(xI - M) = det(xI - sum_block) * prod(x - d for d in diff).
+    """
+    m = sum_block.dim
+    if len(diff) != m or len(matrix) != 2 * m:
+        return False
+    for i in range(m):
+        a, b = matrix[i][:m], matrix[i][m:]
+        if matrix[m + i] != b + a:
+            return False
+        if a[i] + b[i] != sum_block.diag[i] or a[i] - b[i] != diff[i]:
+            return False
+        for j in range(m):
+            if abs(i - j) > 1:
+                if a[j] or b[j]:
+                    return False
+            elif i != j and a[j] != b[j]:
+                return False
+    return all(
+        (matrix[k][k + 1] + matrix[k][m + k + 1]) * (matrix[k + 1][k] + matrix[k + 1][m + k])
+        == sum_block.offdiag_sq[k]
+        for k in range(m - 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +252,7 @@ def norm_minor_sequences(n: int) -> tuple[list[Fraction], list[Fraction]]:
 
 def norm_minor_recurrences(n: int) -> tuple[list[Fraction], list[Fraction]]:
     """The same two sequences generated by their four-phase recurrences."""
+    check_chain_parameter(n)
     x = [Fraction(1), Fraction(2, 3), Fraction(1, 3), Fraction(1, 6)]
     for k in range(1, n + 1):
         x.append(Fraction(4, 5) * x[4 * k - 1] - Fraction(1, 5) * x[4 * k - 2])
@@ -295,12 +318,14 @@ def tail_coeffs(poly: list) -> TailCoeffs:
 
 
 def lap_tail_coeffs_closed(n: int) -> TailCoeffs:
+    check_chain_parameter(n)
     linear = (4 * n + 1) * 2 ** (4 * n)
     quadratic = Fraction(4 * n * (4 * n + 1) * (4 * n + 2) * 2 ** (4 * n - 2), 3)
     return TailCoeffs(Fraction(linear), quadratic)
 
 
 def norm_tail_coeffs_closed(n: int) -> TailCoeffs:
+    check_chain_parameter(n)
     scale = QUARTER_POW ** (n - 1)
     linear = Fraction(18 * n + 1, 45) * scale
     quadratic = Fraction(2 * n * (54 * n**2 + 9 * n + 4), 45) * scale
@@ -309,19 +334,23 @@ def norm_tail_coeffs_closed(n: int) -> TailCoeffs:
 
 def lap_eigen_recip_sum(n: int) -> Fraction:
     """Sum of reciprocals of the nonzero sum-block Laplacian eigenvalues."""
+    check_chain_parameter(n)
     return Fraction(n * (4 * n + 2), 3)
 
 
 def lap_diag_recip_sum(n: int) -> Fraction:
     """Sum of reciprocals of the Laplacian difference-block diagonal."""
+    check_chain_parameter(n)
     return Fraction(5 * n + 2, 6)
 
 
 def norm_eigen_recip_sum(n: int) -> Fraction:
+    check_chain_parameter(n)
     return Fraction(2 * n * (54 * n**2 + 9 * n + 4), 18 * n + 1)
 
 
 def norm_diag_recip_sum(n: int) -> Fraction:
+    check_chain_parameter(n)
     return Fraction(11 * n + 2, 3)
 
 
@@ -334,6 +363,28 @@ def interior_det(n: int, i: int, j: int) -> Fraction:
     return mirror_blocks(n).norm_sum.interior_det(i, j)
 
 
+_INTERIOR_DET_FORM = {
+    # (i mod 4, j mod 4) -> (coefficient, alpha, beta, power shift); with
+    # d = j//4 - i//4 the minor is coefficient * (alpha*d + beta) * (1/25)^(d + shift).
+    (0, 0): (Fraction(2, 5), 1, 0, -1),
+    (0, 1): (Fraction(1), 4, 1, 0),
+    (0, 2): (Fraction(2, 5), 4, 2, 0),
+    (0, 3): (Fraction(1, 5), 4, 3, 0),
+    (1, 0): (Fraction(1, 4), 4, -1, -1),
+    (1, 1): (Fraction(2, 5), 1, 0, -1),
+    (1, 2): (Fraction(1), 4, 1, 0),
+    (1, 3): (Fraction(1), 2, 1, 0),
+    (2, 0): (Fraction(1), 2, -1, -1),
+    (2, 1): (Fraction(1, 5), 4, -1, -1),
+    (2, 2): (Fraction(2, 25), 4, 0, -1),
+    (2, 3): (Fraction(1), 4, 1, 0),
+    (3, 0): (Fraction(1), 4, -3, -1),
+    (3, 1): (Fraction(2, 5), 4, -2, -1),
+    (3, 2): (Fraction(4, 25), 4, -1, -1),
+    (3, 3): (Fraction(2, 25), 4, 0, -1),
+}
+
+
 def interior_det_closed(i: int, j: int) -> Fraction:
     """Closed form of the interior minor, dispatched on (i mod 4, j mod 4).
 
@@ -342,40 +393,25 @@ def interior_det_closed(i: int, j: int) -> Fraction:
     """
     if not (1 <= i < j):
         raise ValueError("need 1 <= i < j")
-    a, b = i // 4, j // 4
-    d = b - a
-    r, s = i % 4, j % 4
-    q = QUARTER_POW
-    table = {
-        (0, 0): Fraction(2, 5) * d * q ** (d - 1),
-        (0, 1): (4 * d + 1) * q**d,
-        (0, 2): Fraction(2, 5) * (4 * d + 2) * q**d,
-        (0, 3): Fraction(1, 5) * (4 * d + 3) * q**d,
-        (1, 0): Fraction(1, 4) * (4 * d - 1) * q ** (d - 1),
-        (1, 1): Fraction(2, 5) * d * q ** (d - 1),
-        (1, 2): (4 * d + 1) * q**d,
-        (1, 3): (2 * d + 1) * q**d,
-        (2, 0): (2 * d - 1) * q ** (d - 1),
-        (2, 1): Fraction(1, 5) * (4 * d - 1) * q ** (d - 1),
-        (2, 2): Fraction(2, 25) * (4 * d) * q ** (d - 1),
-        (2, 3): (4 * d + 1) * q**d,
-        (3, 0): (4 * d - 3) * q ** (d - 1),
-        (3, 1): Fraction(2, 5) * (4 * d - 2) * q ** (d - 1),
-        (3, 2): Fraction(4, 25) * (4 * d - 1) * q ** (d - 1),
-        (3, 3): Fraction(2, 25) * (4 * d) * q ** (d - 1),
-    }
-    return table[(r, s)]
+    d = j // 4 - i // 4
+    coefficient, alpha, beta, shift = _INTERIOR_DET_FORM[(i % 4, j % 4)]
+    return coefficient * (alpha * d + beta) * QUARTER_POW ** (d + shift)
+
+
+def _check_residue_class(p: int, q: int) -> None:
+    if p not in range(4) or q not in range(4):
+        raise ValueError(f"residue classes must lie in 0..3, got ({p!r}, {q!r})")
 
 
 def class_pairs(n: int, p: int, q: int) -> Iterator[tuple[int, int]]:
     """All pairs 1 <= i < j <= 4n+1 with i = p and j = q (mod 4)."""
+    _check_residue_class(p, q)
     m = 4 * n + 1
-    for i in range(1, m + 1):
-        if i % 4 != p:
-            continue
-        for j in range(i + 1, m + 1):
-            if j % 4 == q:
-                yield i, j
+    return (
+        (i, j)
+        for i in range(1, m + 1) if i % 4 == p
+        for j in range(i + 1, m + 1) if j % 4 == q
+    )
 
 
 def deleted_pair_class_sum(n: int, p: int, q: int) -> Fraction:
@@ -424,6 +460,8 @@ _PAIR_SUM_POLY = {
 
 def deleted_pair_class_sum_closed(n: int, p: int, q: int) -> Fraction:
     """Closed form of the same residue-class sum."""
+    check_chain_parameter(n)
+    _check_residue_class(p, q)
     c3, c2, c1, den = _PAIR_SUM_POLY[(p, q)]
     value = Fraction(c3 * n**3 + c2 * n**2 + c1 * n, den)
     return value * QUARTER_POW ** (n - 1)

@@ -112,8 +112,9 @@ def verify_one(n: int) -> list[VerificationRecord]:
     g = build_crossed_chain(n)
 
     lap_ok, norm_ok = spectral.factorization_holds(n)
-    records.append(_family_record("factorization.laplacian", n, [] if lap_ok else ["product differs from direct polynomial"]))
-    records.append(_family_record("factorization.normalized", n, [] if norm_ok else ["product differs from direct polynomial"]))
+    failed = ["rail-swap certificate fails against the mirror blocks"]
+    records.append(_family_record("factorization.laplacian", n, [] if lap_ok else failed))
+    records.append(_family_record("factorization.normalized", n, [] if norm_ok else failed))
 
     leading, trailing, interior = spectral.lap_minor_sequences(n)
     records.append(_family_record(

@@ -2,12 +2,17 @@
 
 ``dense_det_bareiss`` is the dense fraction-free elimination the package
 used before its kernel became band-aware: row pivoting on the first
-nonzero entry, every column swept at every step.  ``fraction_det``,
-``fraction_inverse`` and ``leverrier_char_poly`` share no code or method
-with the package at all.
+nonzero entry, every column swept at every step.  ``char_poly`` is the
+polynomial route the package used to check the mirror-block
+factorization: integer evaluations of the public ``det_bareiss`` plus
+Newton interpolation.  ``fraction_det``, ``fraction_inverse`` and
+``leverrier_char_poly`` share no code or method with the package at all.
 """
 
 from fractions import Fraction
+from math import lcm, prod
+
+from chaindex.linalg import det_bareiss
 
 
 def dense_det_bareiss(matrix) -> int:
@@ -126,3 +131,60 @@ def leverrier_char_poly(matrix) -> list[Fraction]:
         trace = sum(a[i][t] * m[t][i] for i in range(n) for t in range(n))
         coeffs[n - k] = -trace / k
     return coeffs
+
+
+def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
+    """Coefficients of the polynomial through the points (xs[i], ys[i]).
+
+    The polynomial must have integer coefficients.  Every divided
+    difference of such a polynomial at integer nodes is an integer, so the
+    whole computation stays in exact integer arithmetic.
+    """
+    m = len(xs)
+    coef = list(ys)
+    for j in range(1, m):
+        for i in range(m - 1, j - 1, -1):
+            coef[i], remainder = divmod(coef[i] - coef[i - 1], xs[i] - xs[i - j])
+            if remainder:
+                raise ArithmeticError("divided difference is not an integer")
+    poly = [coef[m - 1]]
+    for i in range(m - 2, -1, -1):
+        # poly <- poly*(x - xs[i]) + coef[i]
+        shifted = [0] + poly
+        for j, c in enumerate(poly):
+            shifted[j] -= xs[i] * c
+        shifted[0] += coef[i]
+        poly = shifted
+    return poly
+
+
+def char_poly(matrix) -> list[Fraction]:
+    """det(xI - M), ascending and monic, for a square int or Fraction matrix.
+
+    Row i is scaled by the lcm s_i of its denominators, so det(xS - T) has
+    integer coefficients; it is evaluated by ``det_bareiss`` at n+1 integer
+    nodes, recovered by Newton interpolation and divided by det S.
+    """
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    if n == 0:
+        return [Fraction(1)]
+    scales = [lcm(*(e.denominator for e in row)) for row in matrix]
+    scaled = [[e.numerator * (s // e.denominator) for e in row] for row, s in zip(matrix, scales)]
+
+    # Evaluation nodes 0, 1, -1, 2, -2, ... keep entry growth small.
+    nodes = [0]
+    while len(nodes) < n + 1:
+        k = (len(nodes) + 1) // 2
+        nodes.append(k if len(nodes) % 2 == 1 else -k)
+
+    values = [
+        det_bareiss([[(x * scales[i] if i == j else 0) - e for j, e in enumerate(row)]
+                     for i, row in enumerate(scaled)])
+        for x in nodes
+    ]
+    poly = [Fraction(c, prod(scales)) for c in _newton_interpolate(nodes, values)]
+    if poly[-1] != 1:
+        raise ArithmeticError("characteristic polynomial is not monic; interpolation bug")
+    return poly

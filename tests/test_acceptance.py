@@ -107,7 +107,7 @@ def test_criterion_3_spanning_trees(chains):
 def test_criterion_4_factorization():
     results = {n: sp.factorization_holds(n) for n in range(1, 5)}
     ok = all(lap and norm for lap, norm in results.values())
-    _report(ok, 4, f"polynomial identity for both families, n=1..4: {results}")
+    _report(ok, 4, f"rail-swap certificate of the polynomial identity, both families, n=1..4: {results}")
     assert ok
 
 

@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from dense_reference import char_poly
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex.linalg import (
     SingularMatrixError,
     adjugate,
-    char_poly,
     det_bareiss,
     laplacian,
     random_walk_laplacian,

@@ -9,9 +9,11 @@ sparse random matrices that force the pivoting and lazy-rescaling paths.
 import random
 from fractions import Fraction
 
+from dense_reference import char_poly
+
 from chaindex import Graph
 from chaindex import oracles as oc
-from chaindex.linalg import char_poly, det_bareiss, laplacian
+from chaindex.linalg import det_bareiss, laplacian
 
 
 def random_connected_graph(rng, size, extra_edges):

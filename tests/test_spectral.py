@@ -1,10 +1,13 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
+from dense_reference import char_poly
 
-from chaindex import build_crossed_chain
+from chaindex import Vertex, build_crossed_chain
 from chaindex import spectral as sp
-from chaindex.linalg import char_poly, det_bareiss, laplacian, poly_trim
+from chaindex.graphs import ChainGraph
+from chaindex.linalg import det_bareiss, laplacian, random_walk_laplacian
 
 
 def test_tridiag_validation():
@@ -77,6 +80,92 @@ def test_factorization(n):
     assert sp.factorization_holds(n) == (True, True)
 
 
+def test_factorization_certificate_up_to_40():
+    assert all(sp.factorization_holds(n) == (True, True) for n in range(4, 41))
+
+
+def block_product(sum_block, diff):
+    # One tridiagonal matrix holding the sum block and then the difference
+    # diagonal; the zero squared off-diagonal entries split its char poly
+    # into det(xI - sum_block) * prod(x - d).
+    return sp.TriDiagSym(
+        sum_block.diag + tuple(diff), sum_block.offdiag_sq + (0,) * len(diff)
+    ).char_poly()
+
+
+def polynomial_route(n):
+    """(laplacian_ok, normalized_ok) from full interpolated char polys.
+
+    Reads the chain and the blocks through ``sp`` so that a test patching
+    them there changes this route and the certificate alike.
+    """
+    g = sp.build_crossed_chain(n)
+    blocks = sp.mirror_blocks(n)
+    order = g.band_order()
+    return (
+        char_poly(laplacian(g, order)) == block_product(blocks.lap_sum, blocks.lap_diff),
+        char_poly(random_walk_laplacian(g, order))
+        == block_product(blocks.norm_sum, blocks.norm_diff),
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_polynomial_route_matches_block_product(n):
+    assert polynomial_route(n) == (True, True)
+
+
+@pytest.mark.slow
+def test_polynomial_route_matches_block_product_up_to_20():
+    assert all(polynomial_route(n) == (True, True) for n in range(5, 21))
+
+
+def test_removed_rung_fails_certificate_and_polynomial_route(monkeypatch):
+    def without_rung(n):
+        rung = frozenset((Vertex(4), Vertex(4, True)))
+        return ChainGraph(n, "crossed", [tuple(e) for e in build_crossed_chain(n).edges - {rung}])
+
+    monkeypatch.setattr(sp, "build_crossed_chain", without_rung)
+    assert sp.factorization_holds(2) == (False, False)
+    assert polynomial_route(2) == (False, False)
+
+
+@pytest.mark.parametrize("field", ["diag", "offdiag_sq", "diff"])
+def test_changed_block_entry_fails_certificate_and_polynomial_route(monkeypatch, field):
+    mirror_blocks = sp.mirror_blocks
+
+    def bumped(values):
+        return (values[0] + 1,) + values[1:]
+
+    def with_changed_entry(n):
+        b = mirror_blocks(n)
+        if field == "diff":
+            return dataclasses.replace(b, lap_diff=bumped(b.lap_diff), norm_diff=bumped(b.norm_diff))
+        return dataclasses.replace(
+            b,
+            lap_sum=dataclasses.replace(b.lap_sum, **{field: bumped(getattr(b.lap_sum, field))}),
+            norm_sum=dataclasses.replace(b.norm_sum, **{field: bumped(getattr(b.norm_sum, field))}),
+        )
+
+    monkeypatch.setattr(sp, "mirror_blocks", with_changed_entry)
+    assert sp.factorization_holds(2) == (False, False)
+    assert polynomial_route(2) == (False, False)
+
+
+@pytest.mark.parametrize("rails", [(0, 1), (1,)])
+def test_certificate_rejects_entry_off_the_pattern(monkeypatch, rails):
+    # An entry three places off the diagonal on both rails keeps the rail
+    # swap and the diagonals; on the primed rail alone it breaks only the swap.
+    def perturbed(g, order):
+        mat = laplacian(g, order)
+        m = len(mat) // 2
+        for r in rails:
+            mat[r * m][r * m + 3] = mat[r * m + 3][r * m] = -1
+        return mat
+
+    monkeypatch.setattr(sp, "laplacian", perturbed)
+    assert sp.factorization_holds(2) == (False, True)
+
+
 def test_tridiag_char_poly_matches_dense():
     b = sp.mirror_blocks(2)
     dense = [[0] * 9 for _ in range(9)]
@@ -84,7 +173,7 @@ def test_tridiag_char_poly_matches_dense():
         dense[i][i] = int(d)
     for i in range(8):
         dense[i][i + 1] = dense[i + 1][i] = -2
-    assert poly_trim(b.lap_sum.char_poly()) == poly_trim(char_poly(dense))
+    assert b.lap_sum.char_poly() == char_poly(dense)
 
 
 # --- integer minor sequences -------------------------------------------------
@@ -272,7 +361,19 @@ def test_pair_sum_total_is_quadratic_tail(n):
     assert total == sp.norm_tail_coeffs_closed(n).quadratic
 
 
-@pytest.mark.parametrize("bad", [0, True, 2.5, "3"])
+@pytest.mark.parametrize("bad", [0, -1, True, 2.5, "3"])
 def test_mirror_blocks_rejects_bad_n(bad):
-    with pytest.raises(ValueError):
-        sp.mirror_blocks(bad)
+    for fn in (sp.mirror_blocks, sp.lap_tail_coeffs_closed, sp.norm_tail_coeffs_closed,
+               sp.lap_eigen_recip_sum, sp.lap_diag_recip_sum, sp.norm_eigen_recip_sum,
+               sp.norm_diag_recip_sum, sp.norm_minor_recurrences,
+               lambda n: sp.deleted_pair_class_sum_closed(n, 0, 0)):
+        with pytest.raises(ValueError):
+            fn(bad)
+
+
+@pytest.mark.parametrize("p, q", [(5, 0), (0, 4), (-1, 2)])
+def test_residue_class_outside_0_to_3_rejected(p, q):
+    with pytest.raises(ValueError, match="residue"):
+        sp.deleted_pair_class_sum(2, p, q)
+    with pytest.raises(ValueError, match="residue"):
+        sp.deleted_pair_class_sum_closed(2, p, q)
