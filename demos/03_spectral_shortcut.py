@@ -44,9 +44,10 @@ print("reciprocal eigenvalue sum  = quadratic/linear =",
       tail.quadratic / tail.linear,
       "== closed form", spectral.norm_eigen_recip_sum(n))
 
-print("\ninterior minors z(i,j) fall into 16 residue cases; e.g.")
+print("\ninterior minors z(i,j) fall into 16 residue cases; each row's")
+print("continuant sweep is computed once and kept on the block. e.g.")
 for i, j in [(4, 8), (1, 7), (2, 9)]:
-    print(f"   z({i},{j}) continuant = {spectral.interior_det(n, i, j)}"
+    print(f"   z({i},{j}) continuant = {blocks.norm_sum.interior_det(i, j)}"
           f"   closed = {spectral.interior_det_closed(i, j)}")
 
 total = sum(

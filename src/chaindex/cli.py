@@ -33,7 +33,10 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 
 def _positive(value: str) -> int:
-    n = int(value)
+    try:
+        n = int(value)
+    except ValueError:
+        n = 0
     if n < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return n

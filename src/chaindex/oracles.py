@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .graphs import ChainGraph, Graph, Vertex
 from .linalg import (
@@ -68,8 +69,10 @@ def resistance(g: Graph, u, v) -> Fraction:
     return Fraction(entry(u, u) + entry(v, v) - 2 * entry(u, v), det)
 
 
+@lru_cache(maxsize=1)
 def _pairwise_resistance_sums(g: Graph) -> tuple[Fraction, Fraction]:
-    """(plain sum, degree-weighted sum) of resistances over all vertex pairs."""
+    """(plain sum, degree-weighted sum) of resistances over all vertex pairs,
+    kept for the last (immutable) graph; no trailing-coefficient route reads it."""
     order, det, adj = _grounded_inverse(g)
     m = len(order) - 1
     degs = [g.degree(v) for v in order]
@@ -184,24 +187,27 @@ def spanning_tree_count(g: Graph, drop=None) -> int:
 # distance-based indices
 
 
+@lru_cache(maxsize=1)
+def _distance_totals(g: Graph) -> dict:
+    """v -> (sum of d(v, w), sum of deg(w) * d(v, w)): one BFS per vertex,
+    kept for the last graph so every distance index of it shares them."""
+    totals = {}
+    for v in g.vertices:
+        dist = g.distances_from(v)
+        totals[v] = (sum(dist.values()), sum(g.degree(w) * d for w, d in dist.items()))
+    return totals
+
+
 def wiener_index(g: Graph) -> int:
     """Sum of shortest-path distances over all unordered vertex pairs."""
     _require_connected(g)
-    total = 0
-    for v in g.vertices:
-        total += sum(g.distances_from(v).values())
-    return total // 2
+    return sum(plain for plain, _ in _distance_totals(g).values()) // 2
 
 
 def gutman_index(g: Graph) -> int:
     """Distances weighted by endpoint degree products, over unordered pairs."""
     _require_connected(g)
-    total = 0
-    for v in g.vertices:
-        dv = g.degree(v)
-        dist = g.distances_from(v)
-        total += dv * sum(g.degree(w) * d for w, d in dist.items())
-    return total // 2
+    return sum(g.degree(v) * weighted for v, (_, weighted) in _distance_totals(g).items()) // 2
 
 
 def _check_chain(g: ChainGraph) -> None:
@@ -210,14 +216,10 @@ def _check_chain(g: ChainGraph) -> None:
 
 
 def _class_distance_sum(g: ChainGraph, members: list[Vertex], weighted: bool) -> int:
-    total = 0
-    for u in members:
-        dist = g.distances_from(u)
-        if weighted:
-            total += g.degree(u) * sum(g.degree(w) * d for w, d in dist.items())
-        else:
-            total += sum(dist.values())
-    return total
+    totals = _distance_totals(g)
+    if weighted:
+        return sum(g.degree(u) * totals[u][1] for u in members)
+    return sum(totals[u][0] for u in members)
 
 
 def _both_rails(indices) -> list[Vertex]:
@@ -287,17 +289,11 @@ class IndexBundle:
 
 
 def index_bundle(g: ChainGraph) -> IndexBundle:
-    """Compute the full exact bundle for a chain graph via the oracles.
-
-    One grounded inverse gives both pairwise resistance sums; each is then
-    checked against its own trailing-coefficient route.
-    """
-    _require_connected(g)
-    kf, kf_star = _pairwise_resistance_sums(g)
+    """Compute the full exact bundle for a chain graph via the oracles."""
     return IndexBundle(
         n=g.n,
-        kf=_agree("kirchhoff", kf, kirchhoff_from_spectrum(g)),
-        kf_star=_agree("degree-kirchhoff", kf_star, degree_kirchhoff_from_spectrum(g)),
+        kf=kirchhoff_index(g),
+        kf_star=degree_kirchhoff_index(g),
         tau=spanning_tree_count(g),
         wiener=wiener_index(g),
         gutman=gutman_index(g),

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterator, NamedTuple
 
 from .graphs import build_crossed_chain, check_chain_parameter, mirror_partition
@@ -47,12 +48,6 @@ class TriDiagSym:
     def dim(self) -> int:
         return len(self.diag)
 
-    def determinant(self) -> Fraction:
-        det_prev, det = Fraction(1), Fraction(1)
-        for k, d in enumerate(self.diag):
-            det_prev, det = det, d * det - (self.offdiag_sq[k - 1] * det_prev if k else 0)
-        return det
-
     def leading_minors(self) -> list[Fraction]:
         """Determinants of the leading principal blocks, orders 0..dim."""
         minors = [Fraction(1)]
@@ -78,13 +73,20 @@ class TriDiagSym:
             self.offdiag_sq[start - 1 : stop - 1],
         )
 
+    @cached_property
+    def _sweeps(self) -> dict:
+        """Start row i -> leading minors of the block after row i, filled on first use."""
+        return {}
+
     def interior_det(self, i: int, j: int) -> Fraction:
-        """Determinant of the block strictly between rows i and j (1 when j = i+1)."""
+        """Determinant of the block strictly between rows i and j (1 when j = i+1),
+        read from the memoized leading-minor sweep of the block after row i."""
         if not (1 <= i < j <= self.dim):
             raise ValueError("need 1 <= i < j <= dim")
-        if j == i + 1:
-            return Fraction(1)
-        return self.block(i + 1, j - 1).determinant()
+        sweep = self._sweeps.get(i)
+        if sweep is None:
+            sweep = self._sweeps[i] = self.block(i + 1, self.dim).leading_minors()
+        return sweep[j - i - 1]
 
     def char_poly(self) -> list[Fraction]:
         """det(xI - T) as ascending coefficients, via the polynomial continuant."""
@@ -358,11 +360,6 @@ def norm_diag_recip_sum(n: int) -> Fraction:
 # interior minors of the normalized sum block: the 16-case closed table
 
 
-def interior_det(n: int, i: int, j: int) -> Fraction:
-    """Exact determinant of the normalized sum-block interior minor (i, j)."""
-    return mirror_blocks(n).norm_sum.interior_det(i, j)
-
-
 _INTERIOR_DET_FORM = {
     # (i mod 4, j mod 4) -> (coefficient, alpha, beta, power shift); with
     # d = j//4 - i//4 the minor is coefficient * (alpha*d + beta) * (1/25)^(d + shift).
@@ -420,19 +417,23 @@ def deleted_pair_class_sum(n: int, p: int, q: int) -> Fraction:
 
     Deleting rows/columns i and j of a tridiagonal matrix splits it into a
     leading block, an interior block, and a trailing block, so the minor is
-    an exact triple product.  The interior minors (i, j) for every j come
-    from one continuant sweep over the block after row i.
+    the exact triple product L[i-1] * I(i, j) * T[m-j].  Interior minors obey
+    I(i, j+1) = d_j I(i, j) - s_{j-1} I(i, j-1) from I(i, i) = 0, I(i, i+1) = 1,
+    so W_j, the sum of L[i-1] * I(i, j) over i < j in class p, obeys the same
+    recurrence plus L[j-1] when j is in class p: one sweep over j.
     """
+    _check_residue_class(p, q)
     norm_sum = mirror_blocks(n).norm_sum
     leading = norm_sum.leading_minors()
     trailing = norm_sum.trailing_minors()
-    m = 4 * n + 1
-    total = Fraction(0)
-    row, interior = None, []
-    for i, j in class_pairs(n, p, q):
-        if i != row:
-            row, interior = i, norm_sum.block(i + 1, m).leading_minors()
-        total += leading[i - 1] * trailing[m - j] * interior[j - i - 1]
+    diag, off_sq = norm_sum.diag, (0,) + norm_sum.offdiag_sq  # d_j, s_{j-1} at index j-1
+    m = norm_sum.dim
+    total = w_prev = w = Fraction(0)  # W_{j-1} and W_j
+    for j in range(1, m + 1):
+        if j % 4 == q:
+            total += w * trailing[m - j]
+        carry = leading[j - 1] if j % 4 == p else 0
+        w_prev, w = w, diag[j - 1] * w - off_sq[j - 1] * w_prev + carry
     return total
 
 

@@ -175,15 +175,11 @@ def verify_one(n: int) -> list[VerificationRecord]:
         sum(1 / Fraction(s) for s in blocks.norm_diff),
     ))
 
-    # interior[i][j - i - 1] is the interior minor (i, j): one continuant sweep per i.
-    norm_sum = blocks.norm_sum
-    interior = {i: norm_sum.block(i + 1, norm_sum.dim).leading_minors()
-                for i in range(1, norm_sum.dim)}
     for p in range(4):
         for q in range(4):
             failures = []
             for i, j in spectral.class_pairs(n, p, q):
-                value, closed = interior[i][j - i - 1], spectral.interior_det_closed(i, j)
+                value, closed = blocks.norm_sum.interior_det(i, j), spectral.interior_det_closed(i, j)
                 if value != closed:
                     failures.append(f"(i={i}, j={j}): {value} != {closed}")
             records.append(_family_record(f"interior-minor.p{p}q{q}", n, failures))

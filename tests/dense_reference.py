@@ -7,11 +7,15 @@ polynomial route the package used to check the mirror-block
 factorization: integer evaluations of the public ``det_bareiss`` plus
 Newton interpolation.  ``fraction_det``, ``fraction_inverse`` and
 ``leverrier_char_poly`` share no code or method with the package at all.
+``fresh_interior_det`` and ``pair_class_sum`` are the per-pair routes the
+spectral layer used before it memoized interior sweeps and summed each
+residue class in one recurrence.
 """
 
 from fractions import Fraction
 from math import lcm, prod
 
+from chaindex import spectral
 from chaindex.linalg import det_bareiss
 
 
@@ -188,3 +192,22 @@ def char_poly(matrix) -> list[Fraction]:
     if poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial is not monic; interpolation bug")
     return poly
+
+
+def fresh_interior_det(tridiag, i: int, j: int) -> Fraction:
+    """Interior minor (i, j) as a fresh continuant of the block strictly between."""
+    return tridiag.block(i + 1, j - 1).leading_minors()[-1]
+
+
+def pair_class_sum(n: int, p: int, q: int) -> Fraction:
+    """Residue-class sum of two-deleted minors of the normalized sum block,
+    one triple product L[i-1] * I(i, j) * T[m-j] per pair."""
+    norm_sum = spectral.mirror_blocks(n).norm_sum
+    leading = norm_sum.leading_minors()
+    trailing = norm_sum.trailing_minors()
+    m = norm_sum.dim
+    return sum(
+        (leading[i - 1] * fresh_interior_det(norm_sum, i, j) * trailing[m - j]
+         for i, j in spectral.class_pairs(n, p, q)),
+        Fraction(0),
+    )

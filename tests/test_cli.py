@@ -37,6 +37,20 @@ def test_indices_rejects_invalid_n(capsys):
     assert exc.value.code != 0
 
 
+@pytest.mark.parametrize("argv", [
+    ["indices", "--n", "abc"],
+    ["verify", "--from", "x"],
+    ["table", "1", "--to", "1.5"],
+])
+def test_non_integer_size_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "must be a positive integer" in err
+    assert "_positive" not in err
+
+
 def test_indices_rejects_bad_kind(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["indices", "--n", "1", "--kind", "mobius"])

@@ -249,15 +249,39 @@ def test_verify_one_factors_the_grounded_laplacian_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_both_resistance_indices_share_one_grounded_inverse(monkeypatch):
+    calls = count_grounded_inverses(monkeypatch)
+    g = Graph(range(6), [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 3)])
+    oc.kirchhoff_index(g)
+    oc.degree_kirchhoff_index(g)
+    assert len(calls) == 1
+
+
+def test_verify_one_shares_one_bfs_per_vertex(monkeypatch):
+    calls = []
+    inner = Graph.distances_from
+
+    def counting(self, source):
+        calls.append(source)
+        return inner(self, source)
+
+    monkeypatch.setattr(Graph, "distances_from", counting)
+    vf.verify_one(2)
+    assert len(calls) < 2 * build_crossed_chain(2).vertex_count
+
+
 @pytest.mark.parametrize("spectral_route, index", [
     ("kirchhoff_from_spectrum", oc.kirchhoff_index),
     ("degree_kirchhoff_from_spectrum", oc.degree_kirchhoff_index),
 ])
 def test_route_disagreement_raises(monkeypatch, spectral_route, index):
-    # a wrong spectral value must stop both the bundle and the single index
-    g = build_crossed_chain(2)
+    # a wrong spectral value must stop both the bundle and the single index,
+    # whether or not the pairwise route is already memoized for the graph
+    warm, cold = build_crossed_chain(2), build_crossed_chain(2)
+    index(warm)
     monkeypatch.setattr(oc, spectral_route, lambda g: Fraction(-1))
-    with pytest.raises(ArithmeticError, match="routes disagree"):
-        oc.index_bundle(g)
-    with pytest.raises(ArithmeticError, match="routes disagree"):
-        index(g)
+    for g in (warm, cold):
+        with pytest.raises(ArithmeticError, match="routes disagree"):
+            oc.index_bundle(g)
+        with pytest.raises(ArithmeticError, match="routes disagree"):
+            index(g)

@@ -2,7 +2,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from dense_reference import char_poly
+from dense_reference import char_poly, fresh_interior_det, pair_class_sum
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex import spectral as sp
@@ -298,12 +298,36 @@ def test_norm_minor_three_way_equality(n):
 
 
 def test_interior_det_examples():
-    assert sp.interior_det(2, 4, 8) == Fraction(2, 5)
+    def interior_det(n, i, j):
+        return sp.mirror_blocks(n).norm_sum.interior_det(i, j)
+
+    assert interior_det(2, 4, 8) == Fraction(2, 5)
     assert sp.interior_det_closed(4, 8) == Fraction(2, 5)
-    assert sp.interior_det(1, 1, 2) == 1
-    assert sp.interior_det(1, 1, 3) == 1
+    assert interior_det(1, 1, 2) == 1
+    assert interior_det(1, 1, 3) == 1
     assert sp.interior_det_closed(1, 3) == 1
-    assert sp.interior_det(2, 2, 7) == sp.interior_det_closed(2, 7) == Fraction(1, 5)
+    assert interior_det(2, 2, 7) == sp.interior_det_closed(2, 7) == Fraction(1, 5)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("order", ["forward", "reverse"])
+def test_memoized_interior_det_matches_fresh_continuant(n, order):
+    # a fresh block each time, so the memo fills in the order queried
+    norm_sum = sp.mirror_blocks(n).norm_sum
+    m = norm_sum.dim
+    pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
+    if order == "reverse":
+        pairs.reverse()
+    for i, j in pairs:
+        assert norm_sum.interior_det(i, j) == fresh_interior_det(norm_sum, i, j), (i, j)
+
+
+def test_interior_memo_leaves_equality_and_hash_alone():
+    warm, cold = sp.mirror_blocks(2).norm_sum, sp.mirror_blocks(2).norm_sum
+    warm.interior_det(1, 5)
+    assert warm == cold and hash(warm) == hash(cold)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        warm.diag = ()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -339,6 +363,13 @@ def test_pair_sums_all_classes(n):
         for q in range(4):
             assert sp.deleted_pair_class_sum(n, p, q) == \
                 sp.deleted_pair_class_sum_closed(n, p, q), (p, q)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pair_sums_match_per_pair_reference(n):
+    for p in range(4):
+        for q in range(4):
+            assert sp.deleted_pair_class_sum(n, p, q) == pair_class_sum(n, p, q), (p, q)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -377,3 +408,29 @@ def test_residue_class_outside_0_to_3_rejected(p, q):
         sp.deleted_pair_class_sum(2, p, q)
     with pytest.raises(ValueError, match="residue"):
         sp.deleted_pair_class_sum_closed(2, p, q)
+
+
+# --- slow tier: the spectral families at large n -----------------------------------
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [64, 100])
+def test_spectral_families_match_closed_forms_at_large_n(n):
+    blocks = sp.mirror_blocks(n)
+    m = 4 * n + 1
+    leading, trailing, interior = sp.lap_minor_sequences(n)
+    assert leading == trailing == [sp.lap_leading_closed(i) for i in range(m)]
+    assert interior == [sp.lap_interior_closed(i) for i in range(m - 1)]
+    x_cont, y_cont = sp.norm_minor_sequences(n)
+    x_rec, y_rec = sp.norm_minor_recurrences(n)
+    assert x_cont == x_rec == [sp.norm_leading_closed(i) for i in range(m)]
+    assert y_cont == y_rec == [sp.norm_trailing_closed(i) for i in range(m)]
+    assert sp.tail_coeffs(blocks.lap_sum.char_poly()) == sp.lap_tail_coeffs_closed(n)
+    assert sp.tail_coeffs(blocks.norm_sum.char_poly()) == sp.norm_tail_coeffs_closed(n)
+    for i in range(1, m + 1):
+        for j in range(i + 1, m + 1):
+            assert blocks.norm_sum.interior_det(i, j) == sp.interior_det_closed(i, j), (i, j)
+    for p in range(4):
+        for q in range(4):
+            assert sp.deleted_pair_class_sum(n, p, q) == \
+                sp.deleted_pair_class_sum_closed(n, p, q), (p, q)
