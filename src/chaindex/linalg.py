@@ -39,11 +39,14 @@ def _scaled_rows(matrix, diagonal: bool) -> tuple[list, list, list, list]:
     n = _require_square(matrix)
     scales, rows, lo, hi = [], [], [], []
     for i, row in enumerate(matrix):
-        for entry in row:
-            if not isinstance(entry, (int, Fraction)):
-                raise ValueError(f"matrix entries must be int or Fraction, got {entry!r}")
-        s = lcm(*(e.denominator for e in row)) if row else 1
-        scaled = [e.numerator * (s // e.denominator) for e in row]
+        types = set(map(type, row))
+        if not types <= {int, Fraction}:  # subclasses such as bool pass here
+            for entry in row:
+                if not isinstance(entry, (int, Fraction)):
+                    raise ValueError(f"matrix entries must be int or Fraction, got {entry!r}")
+        ints = types <= {int}  # exactly int: no denominators to clear
+        s = 1 if ints else lcm(*(e.denominator for e in row))
+        scaled = list(row) if ints else [e.numerator * (s // e.denominator) for e in row]
         nonzero = [j for j, e in enumerate(scaled) if e]
         if diagonal:
             nonzero.append(i)

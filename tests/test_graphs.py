@@ -1,6 +1,12 @@
+from fractions import Fraction
+
 import pytest
+from dense_reference import char_poly, fraction_inverse
+from hypothesis import given
+from test_kernel_differential import BOUNDED, shuffled_connected_graph
 
 from chaindex import (
+    Graph,
     Vertex,
     build_crossed_chain,
     build_plain_chain,
@@ -8,6 +14,8 @@ from chaindex import (
     mirror_partition,
     rung_indices,
 )
+from chaindex import oracles as oc
+from chaindex.linalg import char_poly_tail, det_bareiss, laplacian, random_walk_laplacian
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -134,11 +142,93 @@ def test_edge_list_export_plain_header():
 
 
 def test_malformed_graphs_rejected():
-    from chaindex import Graph
-
     with pytest.raises(ValueError):
         Graph("ab", [("a", "a")])
     with pytest.raises(ValueError):
         Graph("ab", [("a", "z")])
     with pytest.raises(ValueError):
         Graph("aab", [("a", "b")])
+
+
+# --- the elimination order ---------------------------------------------------
+
+
+ORDER_CASES = {
+    "empty": ((), ()),
+    "one vertex": (("a",), ()),
+    "disconnected": (range(6), [(0, 1), (1, 2), (3, 4), (4, 5), (5, 3)]),
+    "isolated vertices": ("pqrs", [("q", "s")]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+def test_band_order_is_a_deterministic_permutation(case):
+    vertices, edges = ORDER_CASES[case]
+    g = Graph(vertices, edges)
+    order = g.band_order()
+    assert sorted(order, key=g.position) == list(g.vertices)
+    assert g.band_order() == order
+    assert Graph(vertices, edges).band_order() == order
+
+
+def test_band_order_is_reverse_cuthill_mckee():
+    # roots by least degree, the isolated h first; b before e and f by the
+    # graph's own order; a visits c (degree 2) before d (degree 3)
+    g = Graph("abcdefgh", [("a", "b"), ("a", "c"), ("a", "d"), ("c", "d"),
+                           ("d", "e"), ("f", "g")])
+    assert "".join(g.band_order()) == "gfedcabh"
+
+
+@pytest.mark.parametrize("builder", [build_crossed_chain, build_plain_chain])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_band_order_has_bandwidth_3(builder, n):
+    g = builder(n)
+    lap = laplacian(g, g.band_order())
+    assert max(abs(i - j) for i, row in enumerate(lap) for j, e in enumerate(row) if e) == 3
+
+
+def test_connectivity_is_searched_once_per_graph(monkeypatch):
+    calls = []
+    inner = Graph.distances_from
+
+    def counting(self, source):
+        calls.append(source)
+        return inner(self, source)
+
+    monkeypatch.setattr(Graph, "distances_from", counting)
+    g = Graph(range(4), [(0, 1), (2, 3)])
+    assert not g.is_connected() and not g.is_connected()
+    assert Graph((), ()).is_connected()
+    assert calls == [0]
+
+
+def own_order_indices(g):
+    """Kf, Kf* and tau from matrices in the graph's own vertex order."""
+    lap = laplacian(g, g.vertices)
+    m = g.vertex_count - 1
+    tau = det_bareiss([row[:m] for row in lap[:m]])
+    inverse = fraction_inverse([row[:m] for row in lap[:m]])  # last vertex grounded
+
+    def entry(i, j):
+        return inverse[i][j] if i < m and j < m else 0
+
+    def r(a, b):
+        return entry(a, a) + entry(b, b) - 2 * entry(a, b)
+
+    pairs = [(a, b) for b in range(m + 1) for a in range(b)]
+    degs = [g.degree(v) for v in g.vertices]
+    kf = sum(r(a, b) for a, b in pairs)
+    kf_star = sum(degs[a] * degs[b] * r(a, b) for a, b in pairs)
+    for matrix, total in ((lap, kf / g.vertex_count),
+                          (random_walk_laplacian(g, g.vertices), kf_star / (2 * g.edge_count))):
+        c0, c1, c2 = char_poly_tail(matrix, 3)
+        assert [c0, c1, c2] == char_poly(matrix)[:3]
+        assert abs(Fraction(c2, c1)) == total
+    return kf, kf_star, tau
+
+
+@BOUNDED
+@given(shuffled_connected_graph(max_size=14))
+def test_indices_do_not_depend_on_the_elimination_order(g):
+    assert (oc.kirchhoff_index(g), oc.degree_kirchhoff_index(g), oc.spanning_tree_count(g)) \
+        == own_order_indices(g)

@@ -90,9 +90,9 @@ def low_rank(draw, entries=rationals):
 
 
 @st.composite
-def shuffled_connected_graph(draw):
+def shuffled_connected_graph(draw, max_size=9):
     # a random spanning tree plus random extra edges, vertices in shuffled order
-    size = draw(st.integers(2, 9))
+    size = draw(st.integers(2, max_size))
     edges = {frozenset((v, draw(st.integers(0, v - 1)))) for v in range(1, size)}
     for _ in range(draw(st.integers(0, 2 * size))):
         u, v = draw(st.integers(0, size - 1)), draw(st.integers(0, size - 1))

@@ -8,6 +8,7 @@ from chaindex import Vertex, build_crossed_chain
 from chaindex.linalg import (
     SingularMatrixError,
     adjugate,
+    char_poly_tail,
     det_bareiss,
     laplacian,
     random_walk_laplacian,
@@ -76,6 +77,24 @@ def test_det_singular_and_permuted():
 def test_det_rejects_non_integer():
     with pytest.raises(ValueError):
         det_bareiss([[Fraction(1, 2)]])
+
+
+@pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
+def test_entries_other_than_int_or_fraction_rejected(bad):
+    text = f"matrix entries must be int or Fraction, got {bad!r}"
+    for kernel in (det_bareiss, adjugate, lambda m: char_poly_tail(m, 2)):
+        with pytest.raises(ValueError) as err:
+            kernel([[1, 0, 0], [0, Fraction(1), bad], [bad, 0, 1]])
+        assert str(err.value) == text
+
+
+def test_bool_entries_count_as_ints():
+    m = [[True, False, True], [False, True, 2], [1, True, Fraction(5)]]
+    ints = [[int(e) for e in row] for row in m]
+    for kernel in (det_bareiss, adjugate, lambda m: char_poly_tail(m, 3)):
+        assert kernel(m) == kernel(ints)
+    assert type(det_bareiss([[True]])) is int
+    assert type(adjugate([[True, False], [False, True]])[1][0][0]) is int
 
 
 # --- characteristic polynomials -------------------------------------------

@@ -267,7 +267,7 @@ def test_verify_one_shares_one_bfs_per_vertex(monkeypatch):
 
     monkeypatch.setattr(Graph, "distances_from", counting)
     vf.verify_one(2)
-    assert len(calls) < 2 * build_crossed_chain(2).vertex_count
+    assert len(calls) <= build_crossed_chain(2).vertex_count + 1
 
 
 @pytest.mark.parametrize("spectral_route, index", [
