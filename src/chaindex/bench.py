@@ -52,8 +52,6 @@ def run_bench(sizes, oracle_limit: int = 24) -> list[BenchRow]:
     """Benchmark each size; the oracle runs only for n <= oracle_limit."""
     rows = []
     for n in sizes:
-        if n < 1:
-            raise ValueError("chain parameter n must be >= 1")
         closed_seconds, closed = _time_closed(n)
         oracle_seconds = oracle_values = exact = None
         if n <= oracle_limit:

@@ -86,15 +86,15 @@ def _cmd_verify(args) -> int:
 
 
 _TABLES = {
-    1: ("kf", formulas.TABLE_KF, formulas.kirchhoff_closed, 15),
-    2: ("kf_star", formulas.TABLE_KF_STAR, formulas.degree_kirchhoff_closed, 15),
-    3: ("tau", formulas.TABLE_TREES, formulas.spanning_trees_closed, 8),
+    1: ("kf", formulas.TABLE_KF, formulas.kirchhoff_closed),
+    2: ("kf_star", formulas.TABLE_KF_STAR, formulas.degree_kirchhoff_closed),
+    3: ("tau", formulas.TABLE_TREES, formulas.spanning_trees_closed),
 }
 
 
 def _cmd_table(args) -> int:
-    name, printed_table, closed, default_max = _TABLES[args.which]
-    n_max = args.stop if args.stop is not None else default_max
+    name, printed_table, closed = _TABLES[args.which]
+    n_max = args.stop if args.stop is not None else max(printed_table)
     rows = []
     for n in range(1, n_max + 1):
         exact = Fraction(closed(n))

@@ -329,6 +329,15 @@ def char_poly_tail(matrix, k: int) -> list[Fraction]:
 # graph matrices
 
 
+def _positions(g, order) -> tuple[tuple, dict]:
+    """Row order (default: the graph's own) and each vertex's row in it."""
+    vs = tuple(order) if order is not None else g.vertices
+    pos = {v: i for i, v in enumerate(vs)}
+    if len(pos) != len(vs) or pos.keys() != set(g.vertices):
+        raise ValueError("order must be a permutation of the graph's vertices")
+    return vs, pos
+
+
 def laplacian(g, order=None) -> list[list[int]]:
     """Combinatorial Laplacian (degree matrix minus adjacency), integer entries.
 
@@ -336,12 +345,8 @@ def laplacian(g, order=None) -> list[list[int]]:
     graph's own order).  Any order gives a similar matrix with the same
     spectrum, so callers may pick one that concentrates the nonzeros.
     """
-    vs = tuple(order) if order is not None else g.vertices
-    pos = {v: i for i, v in enumerate(vs)}
-    if len(pos) != g.vertex_count:
-        raise ValueError("order must be a permutation of the graph's vertices")
-    n = len(vs)
-    mat = [[0] * n for _ in range(n)]
+    vs, pos = _positions(g, order)
+    mat = [[0] * len(vs) for _ in vs]
     for i, v in enumerate(vs):
         mat[i][i] = g.degree(v)
         for w in g.neighbors(v):
@@ -356,12 +361,8 @@ def random_walk_laplacian(g, order=None) -> list[list[Fraction]]:
     Laplacian D^-1/2 L D^-1/2 (they are similar), while keeping every
     entry rational.  Requires every vertex to have at least one neighbor.
     """
-    vs = tuple(order) if order is not None else g.vertices
-    pos = {v: i for i, v in enumerate(vs)}
-    if len(pos) != g.vertex_count:
-        raise ValueError("order must be a permutation of the graph's vertices")
-    n = len(vs)
-    mat = [[Fraction(0)] * n for _ in range(n)]
+    vs, pos = _positions(g, order)
+    mat = [[Fraction(0)] * len(vs) for _ in vs]
     for i, v in enumerate(vs):
         d = g.degree(v)
         if d == 0:

@@ -226,6 +226,16 @@ def _both_rails(indices) -> list[Vertex]:
     return [Vertex(i, primed) for i in indices for primed in (False, True)]
 
 
+def _class_sums(g: ChainGraph, weighted: bool) -> list[int]:
+    """Distance sums from the left ends, the right ends, then indices 2, 3,
+    0 (mod 4) and interior indices 1 (mod 4), both rails each."""
+    _check_chain(g)
+    m = 4 * g.n + 1
+    classes = [[1], [m], range(2, m + 1, 4), range(3, m + 1, 4), range(4, m + 1, 4),
+               range(5, m, 4)]
+    return [_class_distance_sum(g, _both_rails(c), weighted) for c in classes]
+
+
 def wiener_class_sums(g: ChainGraph) -> list[int]:
     """Distance sums from five vertex classes to the whole graph.
 
@@ -234,32 +244,14 @@ def wiener_class_sums(g: ChainGraph) -> list[int]:
     Together the classes partition the vertex set, so half the total of
     these sums is the Wiener index.
     """
-    _check_chain(g)
-    n = g.n
-    classes = [
-        _both_rails([1, 4 * n + 1]),
-        _both_rails(range(2, 4 * n + 2, 4)),
-        _both_rails(range(3, 4 * n + 2, 4)),
-        _both_rails(range(4, 4 * n + 2, 4)),
-        _both_rails(range(5, 4 * n + 1, 4)),
-    ]
-    return [_class_distance_sum(g, members, weighted=False) for members in classes]
+    left, right, *rest = _class_sums(g, weighted=False)
+    return [left + right, *rest]
 
 
 def gutman_class_sums(g: ChainGraph) -> list[int]:
     """Degree-weighted distance sums from six vertex classes (see above);
     the ends split into the left pair and the right pair."""
-    _check_chain(g)
-    n = g.n
-    classes = [
-        _both_rails([1]),
-        _both_rails([4 * n + 1]),
-        _both_rails(range(2, 4 * n + 2, 4)),
-        _both_rails(range(3, 4 * n + 2, 4)),
-        _both_rails(range(4, 4 * n + 2, 4)),
-        _both_rails(range(5, 4 * n + 1, 4)),
-    ]
-    return [_class_distance_sum(g, members, weighted=True) for members in classes]
+    return _class_sums(g, weighted=True)
 
 
 # ---------------------------------------------------------------------------

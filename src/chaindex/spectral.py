@@ -11,10 +11,15 @@ continuant recurrences on the tridiagonal data.
 The sum block of the normalized family has irrational off-diagonal
 entries, but a tridiagonal determinant depends on the off-diagonals only
 through their squares; storing the squares keeps everything rational.
+
+Each size has one ``MirrorBlocks``, shared while anyone holds it, and each
+block memoizes its continuant sweeps, so every function of one size
+reads the same minors.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -33,6 +38,8 @@ class TriDiagSym:
     Exact even when the off-diagonal entries themselves are irrational
     square roots of rationals: determinants, minors, and characteristic
     polynomials all depend on the off-diagonals only through the squares.
+    Every minor is read from one memoized continuant sweep per start row;
+    returned lists are copies, and the memo leaves ``==`` and ``hash`` alone.
     """
 
     diag: tuple
@@ -50,43 +57,39 @@ class TriDiagSym:
 
     def leading_minors(self) -> list[Fraction]:
         """Determinants of the leading principal blocks, orders 0..dim."""
-        minors = [Fraction(1)]
-        for k, d in enumerate(self.diag):
-            minors.append(
-                d * minors[-1] - (self.offdiag_sq[k - 1] * minors[-2] if k else 0)
-            )
-        return minors
+        return list(self._sweep(0))
 
     def trailing_minors(self) -> list[Fraction]:
         """Determinants of the trailing principal blocks, orders 0..dim."""
-        return self.reversed().leading_minors()
+        return self._reversed.leading_minors()
 
-    def reversed(self) -> "TriDiagSym":
-        return TriDiagSym(tuple(reversed(self.diag)), tuple(reversed(self.offdiag_sq)))
+    def interior_det(self, i: int, j: int) -> Fraction:
+        """Determinant of the block strictly between rows i and j (1 when j = i+1)."""
+        if not (1 <= i < j <= self.dim):
+            raise ValueError("need 1 <= i < j <= dim")
+        return self._sweep(i)[j - i - 1]
 
-    def block(self, start: int, stop: int) -> "TriDiagSym":
-        """Principal block on rows/columns start..stop (1-based, inclusive)."""
-        if not (1 <= start and stop <= self.dim):
-            raise ValueError("block indices out of range")
-        return TriDiagSym(
-            self.diag[start - 1 : stop],
-            self.offdiag_sq[start - 1 : stop - 1],
-        )
+    @cached_property
+    def _reversed(self) -> "TriDiagSym":
+        return TriDiagSym(self.diag[::-1], self.offdiag_sq[::-1])
 
     @cached_property
     def _sweeps(self) -> dict:
-        """Start row i -> leading minors of the block after row i, filled on first use."""
+        """Start row i -> ``_sweep(i)``, filled on first use."""
         return {}
 
-    def interior_det(self, i: int, j: int) -> Fraction:
-        """Determinant of the block strictly between rows i and j (1 when j = i+1),
-        read from the memoized leading-minor sweep of the block after row i."""
-        if not (1 <= i < j <= self.dim):
-            raise ValueError("need 1 <= i < j <= dim")
+    def _sweep(self, i: int) -> tuple:
+        """Leading minors of the block after row i, orders 0..dim-i, by the continuant."""
         sweep = self._sweeps.get(i)
         if sweep is None:
-            sweep = self._sweeps[i] = self.block(i + 1, self.dim).leading_minors()
-        return sweep[j - i - 1]
+            minors = [Fraction(1)]
+            for k in range(i, self.dim):
+                minors.append(
+                    self.diag[k] * minors[-1]
+                    - (self.offdiag_sq[k - 1] * minors[-2] if k > i else 0)
+                )
+            sweep = self._sweeps[i] = tuple(minors)
+        return sweep
 
     def char_poly(self) -> list[Fraction]:
         """det(xI - T) as ascending coefficients, via the polynomial continuant."""
@@ -118,15 +121,11 @@ class MirrorBlocks:
 
 def rail_degrees(n: int) -> list[int]:
     """Vertex degrees along one rail of the crossed chain, indices 1..4n+1."""
-    degs = []
-    for i in range(1, 4 * n + 2):
-        if i in (1, 4 * n + 1):
-            degs.append(3)
-        elif i % 4 in (0, 1):
-            degs.append(5)
-        else:
-            degs.append(4)
-    return degs
+    m = 4 * n + 1
+    return [3 if i in (1, m) else 5 if i % 4 in (0, 1) else 4 for i in range(1, m + 1)]
+
+
+_live_blocks = weakref.WeakValueDictionary()  # n -> MirrorBlocks, while anyone holds it
 
 
 def mirror_blocks(n: int) -> MirrorBlocks:
@@ -135,9 +134,13 @@ def mirror_blocks(n: int) -> MirrorBlocks:
     Rail vertex i has a rung exactly when i = 0, 1 (mod 4); the sum/difference
     of the two Laplacian rail blocks then depends only on degrees and rungs:
     tridiagonal entries double across the rails, rung entries move onto the
-    diagonal with opposite signs in the two blocks.
+    diagonal with opposite signs in the two blocks.  Each size has one
+    instance, shared with its memoized sweeps while anyone holds it.
     """
     check_chain_parameter(n)
+    blocks = _live_blocks.get(n)
+    if blocks is not None:
+        return blocks
     m = 4 * n + 1
     degs = rail_degrees(n)
     rungs = [i % 4 in (0, 1) for i in range(1, m + 1)]
@@ -156,13 +159,14 @@ def mirror_blocks(n: int) -> MirrorBlocks:
         Fraction(d + 1, d) if r else Fraction(1) for d, r in zip(degs, rungs)
     )
 
-    return MirrorBlocks(
+    blocks = _live_blocks[n] = MirrorBlocks(
         n=n,
         lap_sum=TriDiagSym(tuple(map(Fraction, lap_sum_diag)), lap_sum_off),
         lap_diff=lap_diff,
         norm_sum=TriDiagSym(norm_sum_diag, norm_sum_off),
         norm_diff=norm_diff,
     )
+    return blocks
 
 
 def factorization_holds(n: int) -> tuple[bool, bool]:
@@ -225,10 +229,10 @@ def lap_minor_sequences(n: int) -> tuple[list, list, list]:
     Leading/trailing minors are indexed 0..4n; interior minors (all-4
     diagonal) are indexed 0..4n-1.  All values are exact integers.
     """
-    blocks = mirror_blocks(n)
-    leading = [int(v) for v in blocks.lap_sum.leading_minors()[: 4 * n + 1]]
-    trailing = [int(v) for v in blocks.lap_sum.trailing_minors()[: 4 * n + 1]]
-    interior = [int(v) for v in blocks.lap_sum.block(2, 4 * n).leading_minors()[: 4 * n]]
+    lap_sum = mirror_blocks(n).lap_sum
+    leading = [int(v) for v in lap_sum.leading_minors()[: 4 * n + 1]]
+    trailing = [int(v) for v in lap_sum.trailing_minors()[: 4 * n + 1]]
+    interior = [int(lap_sum.interior_det(1, j)) for j in range(2, 4 * n + 2)]
     return leading, trailing, interior
 
 

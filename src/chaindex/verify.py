@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from . import formulas, oracles, spectral
-from .graphs import build_crossed_chain
+from .graphs import build_crossed_chain, check_chain_parameter
 
 MATCH = "match"
 MISMATCH = "mismatch"
@@ -260,7 +260,9 @@ def thread_budget() -> int:
 
 def run_verification(start: int, stop: int, threads: int | None = None) -> VerificationReport:
     """Verify every claim for each n in start..stop (inclusive)."""
-    if not 1 <= start <= stop:
+    check_chain_parameter(start)
+    check_chain_parameter(stop)
+    if start > stop:
         raise ValueError("need 1 <= start <= stop")
     sizes = range(start, stop + 1)
     threads = thread_budget() if threads is None else max(1, threads)

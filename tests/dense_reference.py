@@ -196,7 +196,8 @@ def char_poly(matrix) -> list[Fraction]:
 
 def fresh_interior_det(tridiag, i: int, j: int) -> Fraction:
     """Interior minor (i, j) as a fresh continuant of the block strictly between."""
-    return tridiag.block(i + 1, j - 1).leading_minors()[-1]
+    block = spectral.TriDiagSym(tridiag.diag[i : j - 1], tridiag.offdiag_sq[i : j - 2])
+    return block.leading_minors()[-1]
 
 
 def pair_class_sum(n: int, p: int, q: int) -> Fraction:

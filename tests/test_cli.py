@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from chaindex import bench
 from chaindex.cli import main
 
 
@@ -146,6 +147,15 @@ def test_verify_output_pinned(tmp_path, capsys, fmt):
     assert target.read_bytes() == (GOLDEN / f"verify-1-3.{fmt}").read_bytes()
 
 
+def test_verify_matches_benchmark_reference(tmp_path, capsys):
+    # the same bytes the benchmark's verify-range workload is checked against
+    reference = Path(__file__).parents[1] / "perfbench" / "reference" / "verify-1-10.json"
+    target = tmp_path / "verify-1-10.json"
+    code, _, _ = run_cli(capsys, "verify", "--from", "1", "--to", "10", "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == reference.read_bytes()
+
+
 def test_verify_malformed_thread_budget(capsys, monkeypatch):
     monkeypatch.setenv("CHAINDEX_THREADS", "abc")
     code, out, err = run_cli(capsys, "verify", "--from", "1", "--to", "2")
@@ -180,6 +190,12 @@ def test_bench_csv_lists_methods(capsys):
     methods = {line.split(",")[1] for line in lines[1:]}
     assert methods == {"closed-form", "oracle"}
     assert all(line.endswith("true") for line in lines[1:])
+
+
+@pytest.mark.parametrize("bad", [0, -3, True])
+def test_run_bench_rejects_bad_size(bad):
+    with pytest.raises(ValueError, match="chain parameter n"):
+        bench.run_bench([bad])
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

@@ -222,6 +222,17 @@ def test_random_walk_rejects_isolated_vertex():
         random_walk_laplacian(g)
 
 
+@pytest.mark.parametrize("builder", [laplacian, random_walk_laplacian])
+@pytest.mark.parametrize("order", [[0, 1, 7], [5, 6, 7], [0, 1, 1], [0, 1, 2, 2]])
+def test_order_must_permute_the_vertices(builder, order):
+    from chaindex import Graph
+
+    g = Graph([0, 1, 2], [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="permutation of the graph's vertices"):
+        builder(g, order)
+    assert builder(g, [2, 0, 1])[0][0] == 1
+
+
 def test_reordered_matrices_share_char_poly():
     g = build_crossed_chain(2)
     interleaved = sorted(g.vertices, key=lambda v: (v.index, v.primed))

@@ -1,4 +1,5 @@
 import dataclasses
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from chaindex import Vertex, build_crossed_chain
 from chaindex import spectral as sp
 from chaindex.graphs import ChainGraph
 from chaindex.linalg import det_bareiss, laplacian, random_walk_laplacian
+from chaindex.verify import verify_one
 
 
 def test_tridiag_validation():
@@ -313,7 +315,8 @@ def test_interior_det_examples():
 @pytest.mark.parametrize("order", ["forward", "reverse"])
 def test_memoized_interior_det_matches_fresh_continuant(n, order):
     # a fresh block each time, so the memo fills in the order queried
-    norm_sum = sp.mirror_blocks(n).norm_sum
+    shared = sp.mirror_blocks(n).norm_sum
+    norm_sum = sp.TriDiagSym(shared.diag, shared.offdiag_sq)
     m = norm_sum.dim
     pairs = [(i, j) for i in range(1, m + 1) for j in range(i + 1, m + 1)]
     if order == "reverse":
@@ -323,11 +326,76 @@ def test_memoized_interior_det_matches_fresh_continuant(n, order):
 
 
 def test_interior_memo_leaves_equality_and_hash_alone():
-    warm, cold = sp.mirror_blocks(2).norm_sum, sp.mirror_blocks(2).norm_sum
+    shared = sp.mirror_blocks(2).norm_sum
+    warm, cold = (sp.TriDiagSym(shared.diag, shared.offdiag_sq) for _ in range(2))
     warm.interior_det(1, 5)
+    assert warm is not cold
     assert warm == cold and hash(warm) == hash(cold)
     with pytest.raises(dataclasses.FrozenInstanceError):
         warm.diag = ()
+
+
+# --- one shared set of blocks per size ---------------------------------------------
+
+
+def count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_verify_one_builds_the_blocks_once(monkeypatch):
+    builds = count_calls(monkeypatch, sp, "rail_degrees")
+    tridiags = count_calls(monkeypatch, sp.TriDiagSym, "__post_init__")
+    verify_one(2)
+    assert len(builds) == 1
+    assert len(tridiags) <= 4
+
+
+def test_pair_sums_on_held_blocks_create_no_block(monkeypatch):
+    blocks = sp.mirror_blocks(3)
+    sp.deleted_pair_class_sum(3, 0, 0)
+    tridiags = count_calls(monkeypatch, sp.TriDiagSym, "__post_init__")
+    for p in range(4):
+        for q in range(4):
+            sp.deleted_pair_class_sum(3, p, q)
+    assert tridiags == []
+    assert sp.mirror_blocks(3) is blocks
+
+
+def test_returned_minor_lists_do_not_alias_the_memo():
+    block = sp.mirror_blocks(2).norm_sum
+    leading, trailing = block.leading_minors(), block.trailing_minors()
+    memo = block._sweep(0), block._reversed._sweep(0)
+    for returned in (block.leading_minors(), block.trailing_minors()):
+        returned[0] = Fraction(99)
+        returned.append(Fraction(7))
+    assert (block.leading_minors(), block.trailing_minors()) == (leading, trailing)
+    assert (block._sweep(0), block._reversed._sweep(0)) == memo
+    assert memo == (tuple(leading), tuple(trailing))
+
+
+def test_blocks_are_freed_with_their_last_holder():
+    blocks = sp.mirror_blocks(3)
+    blocks.norm_sum.interior_det(1, 9)
+    assert sp.mirror_blocks(3) is blocks
+    ref = weakref.ref(blocks)
+    del blocks
+    assert ref() is None
+
+
+def test_shared_blocks_still_reject_bool_and_float():
+    blocks = sp.mirror_blocks(1)
+    assert sp.mirror_blocks(1) is blocks
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError):
+            sp.mirror_blocks(bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])

@@ -74,6 +74,12 @@ def test_bad_range_rejected():
         vf.run_verification(3, 2)
 
 
+@pytest.mark.parametrize("start, stop", [(True, 1), (1, True), (1, 1.5), (1.0, 2)])
+def test_non_int_range_rejected(start, stop):
+    with pytest.raises(ValueError, match="must be an int"):
+        vf.run_verification(start, stop)
+
+
 def test_thread_budget_env(monkeypatch):
     monkeypatch.setenv("CHAINDEX_THREADS", "5")
     assert vf.thread_budget() == 5
