@@ -5,32 +5,27 @@ the printed entries.  Rows agree verbatim, agree up to the source's own
 rounding habits, or — in exactly one case — expose a misprint.
 """
 
-from fractions import Fraction
+from chaindex import verify
 
-from chaindex import formulas
+TITLES = {
+    "kf.table": "Kirchhoff index:",
+    "kfstar.table": "degree-Kirchhoff index:",
+    "tau.table": "spanning trees (verbatim integers):",
+}
+VERDICTS = {
+    verify.MATCH: "match",
+    verify.ROUNDING_MATCH: "rounding slip in print ({printed})",
+    verify.MISMATCH: "MISPRINT: printed {printed}",
+}
 
-TOLERANCE = Fraction(1, 20)
-
-
-def show(title, table, closed, integral=False):
-    print(title)
+for claim_id, (table, closed, render) in verify.TABLES.items():
+    print(TITLES[claim_id])
     for n, printed in table.items():
         exact = closed(n)
-        rendered = str(exact) if integral else formulas.format_2dec(exact)
-        if rendered == printed:
-            status = "match"
-        elif abs(Fraction(exact) - Fraction(printed)) <= TOLERANCE:
-            status = f"rounding slip in print ({printed})"
-        else:
-            status = f"MISPRINT: printed {printed}"
-        print(f"   n={n:>2}  {rendered:>34}   {status}")
+        rendered = render(exact)
+        verdict = VERDICTS[verify.table_status(exact, rendered, printed)]
+        print(f"   n={n:>2}  {rendered:>34}   {verdict.format(printed=printed)}")
     print()
-
-
-show("Kirchhoff index:", formulas.TABLE_KF, formulas.kirchhoff_closed)
-show("degree-Kirchhoff index:", formulas.TABLE_KF_STAR, formulas.degree_kirchhoff_closed)
-show("spanning trees (verbatim integers):", formulas.TABLE_TREES,
-     formulas.spanning_trees_closed, integral=True)
 
 print("the degree-Kirchhoff row at n=11 is the one real misprint: the")
 print("closed form and the independent resistance-sum oracle both give")

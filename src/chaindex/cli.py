@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 
 from . import bench, formulas, oracles, verify
 from .graphs import build_crossed_chain, build_plain_chain
@@ -59,11 +58,8 @@ def _cmd_indices(args) -> int:
     payload = {"kind": args.kind, **bundle.to_json_dict()}
     if args.kind == "crossed":
         payload["closed_form"] = {
-            "kf": str(formulas.kirchhoff_closed(args.n)),
-            "kf_star": str(formulas.degree_kirchhoff_closed(args.n)),
-            "tau": str(formulas.spanning_trees_closed(args.n)),
-            "wiener_claim": str(formulas.wiener_claim(args.n)),
-            "gutman_claim": str(formulas.gutman_claim(args.n)),
+            **{field: str(form(args.n)) for field, form in formulas.PROVEN.items()},
+            **{f"{field}_claim": str(claim(args.n)) for field, claim in formulas.CLAIMED.items()},
         }
     if args.format == "json":
         text = json.dumps(payload, indent=2)
@@ -85,23 +81,18 @@ def _cmd_verify(args) -> int:
     return 0
 
 
-_TABLES = {
-    1: ("kf", formulas.TABLE_KF, formulas.kirchhoff_closed),
-    2: ("kf_star", formulas.TABLE_KF_STAR, formulas.degree_kirchhoff_closed),
-    3: ("tau", formulas.TABLE_TREES, formulas.spanning_trees_closed),
-}
+# Table number -> (output name, claim id in verify.TABLES).
+_TABLES = {1: ("kf", "kf.table"), 2: ("kf_star", "kfstar.table"), 3: ("tau", "tau.table")}
 
 
 def _cmd_table(args) -> int:
-    name, printed_table, closed = _TABLES[args.which]
+    name, claim_id = _TABLES[args.which]
+    printed_table, closed, render = verify.TABLES[claim_id]
     n_max = args.stop if args.stop is not None else max(printed_table)
     rows = []
     for n in range(1, n_max + 1):
-        exact = Fraction(closed(n))
-        if args.which == 3:
-            rendered = str(exact.numerator)
-        else:
-            rendered = formulas.format_2dec(exact)
+        exact = closed(n)
+        rendered = render(exact)
         printed = printed_table.get(n, "")
         status = verify.table_status(exact, rendered, printed) if printed else ""
         rows.append({

@@ -64,6 +64,17 @@ def gutman_class_claims(n: int) -> list[int]:
     ]
 
 
+# Each closed form under the oracle bundle field it predicts, in bundle
+# order.  The proven forms equal the oracle at every n; the claimed
+# polynomials are the disputed ones the verifier records as findings.
+PROVEN = {
+    "kf": kirchhoff_closed,
+    "kf_star": degree_kirchhoff_closed,
+    "tau": spanning_trees_closed,
+}
+CLAIMED = {"wiener": wiener_claim, "gutman": gutman_claim}
+
+
 def limit_ratios(n: int, wiener=None, gutman=None) -> tuple[Fraction, Fraction]:
     """(Kf/W, Kf*/Gut) at parameter n; both tend to 1/4 as n grows.
 
@@ -78,7 +89,13 @@ def limit_ratios(n: int, wiener=None, gutman=None) -> tuple[Fraction, Fraction]:
 
 
 def format_2dec(value: Fraction) -> str:
-    """Render an exact rational with two decimals, rounding halves up."""
+    """Render an exact rational with two decimals, rounding halves up.
+
+    Only int and Fraction are accepted (bool and float raise ValueError):
+    a binary float such as 1.005 would round from its inexact value.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"format_2dec needs an int or Fraction, got {value!r}")
     value = Fraction(value)
     neg = value < 0
     if neg:

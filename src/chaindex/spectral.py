@@ -406,6 +406,7 @@ def _check_residue_class(p: int, q: int) -> None:
 
 def class_pairs(n: int, p: int, q: int) -> Iterator[tuple[int, int]]:
     """All pairs 1 <= i < j <= 4n+1 with i = p and j = q (mod 4)."""
+    check_chain_parameter(n)
     _check_residue_class(p, q)
     m = 4 * n + 1
     return (

@@ -1,9 +1,11 @@
-"""Claim-by-claim verification of every identity, closed form, and table row.
+"""Every published claim, declared once and checked at each chain size.
 
-Each claim produces one record per chain size: the claimed value, the
-independently computed value, and a status.  Statuses are data, not
-errors; a mismatch is a finding about the published formulas, and the
-two distance-index claims are expected to mismatch.
+``verify_one`` computes the per-size artifacts once, then lists its
+claims as data; ``TABLES`` declares the printed tables, which ``chaindex
+table`` also reads.  Each claim gives one record per size: the claimed
+value, the independently computed one, and a status.  Statuses are data,
+not errors; a mismatch is a finding about the published formulas, and
+the two distance-index claims are expected to mismatch.
 
 ``CHAINDEX_THREADS`` caps how many worker processes verify chain sizes in
 parallel; it must be a positive integer.
@@ -100,147 +102,97 @@ def table_status(exact: Fraction, rendered: str, printed: str) -> str:
     return MISMATCH
 
 
+# Each printed table under its claim id: the rows as printed, the exact
+# value at n they print, and how it is printed.  Spanning-tree counts are
+# printed in full, so for them only a verbatim match passes.
+TABLES = {
+    "kf.table": (formulas.TABLE_KF, formulas.kirchhoff_closed, formulas.format_2dec),
+    "kfstar.table": (formulas.TABLE_KF_STAR, formulas.degree_kirchhoff_closed, formulas.format_2dec),
+    "tau.table": (formulas.TABLE_TREES, formulas.spanning_trees_closed, str),
+}
+
+
 def _table_record(claim_id: str, n: int, exact: Fraction, printed: str) -> VerificationRecord:
-    rendered = formulas.format_2dec(exact)
+    rendered = TABLES[claim_id][2](exact)
     return VerificationRecord(claim_id, n, printed, rendered, table_status(exact, rendered, printed))
+
+
+def _disagreements(rows) -> list[str]:
+    """Failure messages for the (label, computed, closed) rows that differ."""
+    return [f"{label}: {value} != {closed}" for label, value, closed in rows if value != closed]
 
 
 def verify_one(n: int) -> list[VerificationRecord]:
     """Run every claim at one chain size and return the records."""
-    records: list[VerificationRecord] = []
     blocks = spectral.mirror_blocks(n)
     g = build_crossed_chain(n)
-
     lap_ok, norm_ok = spectral.factorization_holds(n)
-    failed = ["rail-swap certificate fails against the mirror blocks"]
-    records.append(_family_record("factorization.laplacian", n, [] if lap_ok else failed))
-    records.append(_family_record("factorization.normalized", n, [] if norm_ok else failed))
-
     leading, trailing, interior = spectral.lap_minor_sequences(n)
-    records.append(_family_record(
-        "seq.lap-leading", n,
-        [f"i={i}: {v} != {spectral.lap_leading_closed(i)}"
-         for i, v in enumerate(leading) if v != spectral.lap_leading_closed(i)],
-    ))
-    records.append(_family_record(
-        "seq.lap-trailing", n,
-        [f"i={i}: {v} != {leading[i]}" for i, v in enumerate(trailing) if v != leading[i]],
-    ))
-    records.append(_family_record(
-        "seq.lap-interior", n,
-        [f"i={i}: {v} != {spectral.lap_interior_closed(i)}"
-         for i, v in enumerate(interior) if v != spectral.lap_interior_closed(i)],
-    ))
-
-    x_cont, y_cont = spectral.norm_minor_sequences(n)
-    x_rec, y_rec = spectral.norm_minor_recurrences(n)
-    records.append(_family_record(
-        "seq.norm-leading", n,
-        [f"i={i}: cont {c} rec {r} closed {spectral.norm_leading_closed(i)}"
-         for i, (c, r) in enumerate(zip(x_cont, x_rec))
-         if not (c == r == spectral.norm_leading_closed(i))],
-    ))
-    records.append(_family_record(
-        "seq.norm-trailing", n,
-        [f"i={i}: cont {c} rec {r} closed {spectral.norm_trailing_closed(i)}"
-         for i, (c, r) in enumerate(zip(y_cont, y_rec))
-         if not (c == r == spectral.norm_trailing_closed(i))],
-    ))
-
+    norm_sequences = zip(("leading", "trailing"), spectral.norm_minor_sequences(n),
+                         spectral.norm_minor_recurrences(n),
+                         (spectral.norm_leading_closed, spectral.norm_trailing_closed))
+    lap_closed = spectral.lap_tail_coeffs_closed(n)
     lap_tail = spectral.tail_coeffs(blocks.lap_sum.char_poly())
-    records.append(_value_record(
-        "tail.lap", n, spectral.lap_tail_coeffs_closed(n), lap_tail,
-    ))
     norm_tail = spectral.tail_coeffs(blocks.norm_sum.char_poly())
-    records.append(_value_record(
-        "tail.norm", n, spectral.norm_tail_coeffs_closed(n), norm_tail,
-    ))
-
-    records.append(_value_record(
-        "recip.lap-eigensum", n,
-        spectral.lap_eigen_recip_sum(n), lap_tail.quadratic / lap_tail.linear,
-    ))
-    records.append(_value_record(
-        "recip.lap-diagsum", n,
-        spectral.lap_diag_recip_sum(n),
-        sum(Fraction(1, int(s)) for s in blocks.lap_diff),
-    ))
-    records.append(_value_record(
-        "recip.norm-eigensum", n,
-        spectral.norm_eigen_recip_sum(n), norm_tail.quadratic / norm_tail.linear,
-    ))
-    records.append(_value_record(
-        "recip.norm-diagsum", n,
-        spectral.norm_diag_recip_sum(n),
-        sum(1 / Fraction(s) for s in blocks.norm_diff),
-    ))
-
-    for p in range(4):
-        for q in range(4):
-            failures = []
-            for i, j in spectral.class_pairs(n, p, q):
-                value, closed = blocks.norm_sum.interior_det(i, j), spectral.interior_det_closed(i, j)
-                if value != closed:
-                    failures.append(f"(i={i}, j={j}): {value} != {closed}")
-            records.append(_family_record(f"interior-minor.p{p}q{q}", n, failures))
-
-    for p in range(4):
-        for q in range(4):
-            records.append(_value_record(
-                f"pair-sum.p{p}q{q}", n,
-                spectral.deleted_pair_class_sum_closed(n, p, q),
-                spectral.deleted_pair_class_sum(n, p, q),
-            ))
-
-    records.append(_value_record(
-        "kf.assembly", n,
-        formulas.kirchhoff_closed(n),
-        (8 * n + 2) * (spectral.lap_eigen_recip_sum(n) + spectral.lap_diag_recip_sum(n)),
-    ))
-    records.append(_value_record(
-        "kfstar.assembly", n,
-        formulas.degree_kirchhoff_closed(n),
-        2 * (18 * n + 1) * (spectral.norm_eigen_recip_sum(n) + spectral.norm_diag_recip_sum(n)),
-    ))
-    records.append(_value_record(
-        "tau.assembly", n,
-        formulas.spanning_trees_closed(n),
-        spectral.lap_tail_coeffs_closed(n).linear
-        * Fraction(4) ** (2 * n + 2) * Fraction(6) ** (2 * n - 1) / (8 * n + 2),
-    ))
-
+    lap_recip = spectral.lap_eigen_recip_sum(n), spectral.lap_diag_recip_sum(n)
+    norm_recip = spectral.norm_eigen_recip_sum(n), spectral.norm_diag_recip_sum(n)
     bundle = oracles.index_bundle(g)
-    for claim_id, claimed, computed in (
-        ("kf.closed-vs-oracle", formulas.kirchhoff_closed(n), bundle.kf),
-        ("kfstar.closed-vs-oracle", formulas.degree_kirchhoff_closed(n), bundle.kf_star),
-        ("tau.closed-vs-oracle", formulas.spanning_trees_closed(n), bundle.tau),
-        ("wiener.claim-vs-oracle", formulas.wiener_claim(n), bundle.wiener),
-        ("gutman.claim-vs-oracle", formulas.gutman_claim(n), bundle.gutman),
-    ):
-        records.append(_value_record(claim_id, n, claimed, computed))
-    for name, claimed, computed in zip(
-        WIENER_CLASS_NAMES, formulas.wiener_class_claims(n), oracles.wiener_class_sums(g)
-    ):
-        records.append(_value_record(f"wiener.class.{name}", n, claimed, computed))
-    for name, claimed, computed in zip(
-        GUTMAN_CLASS_NAMES, formulas.gutman_class_claims(n), oracles.gutman_class_sums(g)
-    ):
-        records.append(_value_record(f"gutman.class.{name}", n, claimed, computed))
+    class_sums = (
+        ("wiener", WIENER_CLASS_NAMES, formulas.wiener_class_claims(n), oracles.wiener_class_sums(g)),
+        ("gutman", GUTMAN_CLASS_NAMES, formulas.gutman_class_claims(n), oracles.gutman_class_sums(g)),
+    )
+    classes = [(p, q) for p in range(4) for q in range(4)]
+    failed = ["rail-swap certificate fails against the mirror blocks"]
 
-    if n in formulas.TABLE_KF:
-        records.append(_table_record(
-            "kf.table", n, formulas.kirchhoff_closed(n), formulas.TABLE_KF[n],
-        ))
-    if n in formulas.TABLE_KF_STAR:
-        records.append(_table_record(
-            "kfstar.table", n, formulas.degree_kirchhoff_closed(n), formulas.TABLE_KF_STAR[n],
-        ))
-    if n in formulas.TABLE_TREES:
-        # Spanning-tree counts are printed in full, so the match is verbatim.
-        records.append(_value_record(
-            "tau.table", n, formulas.TABLE_TREES[n], formulas.spanning_trees_closed(n),
-        ))
-    return records
+    families = {
+        "factorization.laplacian": [] if lap_ok else failed,
+        "factorization.normalized": [] if norm_ok else failed,
+        "seq.lap-leading": _disagreements(
+            (f"i={i}", v, spectral.lap_leading_closed(i)) for i, v in enumerate(leading)),
+        "seq.lap-trailing": _disagreements(
+            (f"i={i}", v, leading[i]) for i, v in enumerate(trailing)),
+        "seq.lap-interior": _disagreements(
+            (f"i={i}", v, spectral.lap_interior_closed(i)) for i, v in enumerate(interior)),
+    }
+    for name, cont, rec, closed in norm_sequences:
+        families[f"seq.norm-{name}"] = [
+            f"i={i}: cont {c} rec {r} closed {closed(i)}"
+            for i, (c, r) in enumerate(zip(cont, rec)) if not (c == r == closed(i))
+        ]
+    for p, q in classes:
+        families[f"interior-minor.p{p}q{q}"] = _disagreements(
+            (f"(i={i}, j={j})", blocks.norm_sum.interior_det(i, j),
+             spectral.interior_det_closed(i, j))
+            for i, j in spectral.class_pairs(n, p, q)
+        )
+
+    tree_ratio = Fraction(4) ** (2 * n + 2) * Fraction(6) ** (2 * n - 1) / (8 * n + 2)
+    values = [
+        ("tail.lap", lap_closed, lap_tail),
+        ("tail.norm", spectral.norm_tail_coeffs_closed(n), norm_tail),
+        ("recip.lap-eigensum", lap_recip[0], lap_tail.quadratic / lap_tail.linear),
+        ("recip.lap-diagsum", lap_recip[1], sum(Fraction(1, int(s)) for s in blocks.lap_diff)),
+        ("recip.norm-eigensum", norm_recip[0], norm_tail.quadratic / norm_tail.linear),
+        ("recip.norm-diagsum", norm_recip[1], sum(1 / Fraction(s) for s in blocks.norm_diff)),
+        ("kf.assembly", formulas.kirchhoff_closed(n), (8 * n + 2) * sum(lap_recip)),
+        ("kfstar.assembly", formulas.degree_kirchhoff_closed(n), 2 * (18 * n + 1) * sum(norm_recip)),
+        ("tau.assembly", formulas.spanning_trees_closed(n), lap_closed.linear * tree_ratio),
+        *((f"pair-sum.p{p}q{q}", spectral.deleted_pair_class_sum_closed(n, p, q),
+           spectral.deleted_pair_class_sum(n, p, q)) for p, q in classes),
+        *((f"{field.replace('_', '')}.closed-vs-oracle", closed(n), getattr(bundle, field))
+          for field, closed in formulas.PROVEN.items()),
+        *((f"{field}.claim-vs-oracle", claim(n), getattr(bundle, field))
+          for field, claim in formulas.CLAIMED.items()),
+        *((f"{family}.class.{name}", claimed, computed)
+          for family, names, claims, sums in class_sums
+          for name, claimed, computed in zip(names, claims, sums)),
+    ]
+    return (
+        [_family_record(claim_id, n, failures) for claim_id, failures in families.items()]
+        + [_value_record(claim_id, n, claimed, computed) for claim_id, claimed, computed in values]
+        + [_table_record(claim_id, n, exact(n), rows[n])
+           for claim_id, (rows, exact, _) in TABLES.items() if n in rows]
+    )
 
 
 def thread_budget() -> int:
@@ -265,7 +217,9 @@ def run_verification(start: int, stop: int, threads: int | None = None) -> Verif
     if start > stop:
         raise ValueError("need 1 <= start <= stop")
     sizes = range(start, stop + 1)
-    threads = thread_budget() if threads is None else max(1, threads)
+    threads = thread_budget() if threads is None else threads
+    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
+        raise ValueError(f"threads must be a positive int, got {threads!r}")
     if threads > 1 and len(sizes) > 1:
         with ProcessPoolExecutor(max_workers=min(threads, len(sizes))) as pool:
             batches = list(pool.map(verify_one, sizes))

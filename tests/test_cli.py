@@ -147,6 +147,38 @@ def test_verify_output_pinned(tmp_path, capsys, fmt):
     assert target.read_bytes() == (GOLDEN / f"verify-1-3.{fmt}").read_bytes()
 
 
+@pytest.mark.parametrize("golden, argv", [
+    ("indices-2-crossed.json", []),
+    ("indices-2-crossed.csv", ["--format", "csv"]),
+    ("indices-2-plain.json", ["--kind", "plain"]),
+])
+def test_indices_output_pinned(tmp_path, capsys, golden, argv):
+    # byte-for-byte the oracle bundle and, for the crossed chain, the
+    # closed forms and claims in their published order
+    target = tmp_path / golden
+    code, _, _ = run_cli(capsys, "indices", "--n", "2", *argv, "--out", str(target))
+    assert code == 0
+    assert target.read_bytes() == (GOLDEN / golden).read_bytes()
+
+
+def test_bench_values_pinned(capsys):
+    # every value of the bench output but the timings
+    code, out, _ = run_cli(capsys, "bench", "--n", "1,2")
+    assert code == 0
+    rows = json.loads(out)
+    for row in rows:
+        for part in (row["closed_form"], row["oracle"]):
+            assert part.pop("seconds") >= 0
+    assert json.dumps(rows, indent=2) + "\n" == (GOLDEN / "bench-1-2.json").read_text()
+
+    code, out, _ = run_cli(capsys, "bench", "--n", "1,2", "--format", "csv")
+    assert code == 0
+    untimed = [line.split(",") for line in out.splitlines()]
+    for cells in untimed:
+        del cells[2]
+    assert "\n".join(map(",".join, untimed)) + "\n" == (GOLDEN / "bench-1-2.csv").read_text()
+
+
 def test_verify_matches_benchmark_reference(tmp_path, capsys):
     # the same bytes the benchmark's verify-range workload is checked against
     reference = Path(__file__).parents[1] / "perfbench" / "reference" / "verify-1-10.json"

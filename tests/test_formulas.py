@@ -93,6 +93,11 @@ def test_format_2dec():
     assert fm.format_2dec(Fraction(36572, 3)) == "12190.67"
     assert fm.format_2dec(Fraction(1, 8)) == "0.13"  # halves round up
     assert fm.format_2dec(Fraction(-95, 3)) == "-31.67"
+    assert fm.format_2dec(7) == "7.00"
+    # the float 1.005 is stored just below 1.005 and would render as "1.00"
+    for bad in (1.005, True, "1.005", None):
+        with pytest.raises(ValueError, match="int or Fraction"):
+            fm.format_2dec(bad)
 
 
 def test_table_rows_against_printed_values():

@@ -465,7 +465,8 @@ def test_mirror_blocks_rejects_bad_n(bad):
     for fn in (sp.mirror_blocks, sp.lap_tail_coeffs_closed, sp.norm_tail_coeffs_closed,
                sp.lap_eigen_recip_sum, sp.lap_diag_recip_sum, sp.norm_eigen_recip_sum,
                sp.norm_diag_recip_sum, sp.norm_minor_recurrences,
-               lambda n: sp.deleted_pair_class_sum_closed(n, 0, 0)):
+               lambda n: sp.deleted_pair_class_sum_closed(n, 0, 0),
+               lambda n: sp.class_pairs(n, 1, 2)):
         with pytest.raises(ValueError):
             fn(bad)
 

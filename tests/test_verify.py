@@ -67,6 +67,12 @@ def test_parallel_matches_serial():
     assert serial == parallel
 
 
+@pytest.mark.parametrize("threads", [0, -3, True, 1.5, "2"])
+def test_bad_thread_count_rejected(threads):
+    with pytest.raises(ValueError, match="threads must be a positive int"):
+        vf.run_verification(1, 2, threads=threads)
+
+
 def test_bad_range_rejected():
     with pytest.raises(ValueError):
         vf.run_verification(0, 2)
