@@ -15,14 +15,16 @@ n = 2
 blocks = spectral.mirror_blocks(n)
 
 print(f"sum block of the Laplacian (n={n}): tridiagonal,")
-print("   diagonal    :", [int(d) for d in blocks.lap_sum.diag])
-print("   off-diag^2  :", [int(s) for s in blocks.lap_sum.offdiag_sq])
+print("   diagonal    :", list(blocks.lap_sum.diag))
+print("   off-diag^2  :", list(blocks.lap_sum.offdiag_sq))
 print("difference block (diagonal):", list(blocks.lap_diff))
 
 print("\nnormalized sum block (off-diagonal entries are irrational,")
 print("so only their squares are stored; every minor stays rational):")
 print("   diagonal    :", [str(d) for d in blocks.norm_sum.diag])
 print("   off-diag^2  :", [str(s) for s in blocks.norm_sum.offdiag_sq])
+print("   it is D^-1/2 (Laplacian sum block) D^-1/2, D = rail degrees",
+      list(blocks.degrees))
 
 lap_ok, norm_ok = spectral.factorization_holds(n)
 print(f"\nblock factorization of the characteristic polynomials: "
@@ -37,7 +39,9 @@ x, y = spectral.norm_minor_sequences(n)
 print("\nleading minors of the normalized block  :", [str(v) for v in x])
 print("   (decay by 1/25 every four steps, in four phases)")
 
-tail = spectral.tail_coeffs(blocks.norm_sum.char_poly())
+# det(xI - normalized block) = det(xD - Laplacian sum block) / prod(D):
+# one integer continuant truncated after x^2 gives the two lowest coefficients
+tail = spectral.sum_block_tails(n)[1]
 print("\ntrailing coefficients of the normalized block:",
       f"linear={tail.linear}, quadratic={tail.quadratic}")
 print("reciprocal eigenvalue sum  = quadratic/linear =",

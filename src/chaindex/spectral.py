@@ -11,6 +11,12 @@ continuant recurrences on the tridiagonal data.
 The sum block of the normalized family has irrational off-diagonal
 entries, but a tridiagonal determinant depends on the off-diagonals only
 through their squares; storing the squares keeps everything rational.
+It is also a degree scaling of the integer Laplacian sum block,
+``norm_sum = D^-1/2 · lap_sum · D^-1/2`` with D the rail degrees, which
+``factorization_holds`` certifies as well.  So the tails of both
+characteristic polynomials come from one O(N) integer continuant over
+Z[x]/(x³), and the residue-class sums of two-deleted normalized minors
+from integer Laplacian minors with one division each.
 
 Each size has one ``MirrorBlocks``, shared while anyone holds it, and each
 block memoizes its continuant sweeps, so every function of one size
@@ -23,6 +29,7 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import prod
 from typing import Iterator, NamedTuple
 
 from .graphs import build_crossed_chain, check_chain_parameter, mirror_partition
@@ -38,6 +45,7 @@ class TriDiagSym:
     Exact even when the off-diagonal entries themselves are irrational
     square roots of rationals: determinants, minors, and characteristic
     polynomials all depend on the off-diagonals only through the squares.
+    Entries are ints or Fractions; the minors of an integer block are ints.
     Every minor is read from one memoized continuant sweep per start row;
     returned lists are copies, and the memo leaves ``==`` and ``hash`` alone.
     """
@@ -46,6 +54,9 @@ class TriDiagSym:
     offdiag_sq: tuple
 
     def __post_init__(self) -> None:
+        for entry in (*self.diag, *self.offdiag_sq):
+            if isinstance(entry, bool) or not isinstance(entry, (int, Fraction)):
+                raise ValueError(f"entries must be int or Fraction, got {entry!r}")
         if len(self.offdiag_sq) != max(len(self.diag) - 1, 0):
             raise ValueError("off-diagonal length must be dim - 1")
         if any(s < 0 for s in self.offdiag_sq):
@@ -55,15 +66,15 @@ class TriDiagSym:
     def dim(self) -> int:
         return len(self.diag)
 
-    def leading_minors(self) -> list[Fraction]:
+    def leading_minors(self) -> list[int | Fraction]:
         """Determinants of the leading principal blocks, orders 0..dim."""
         return list(self._sweep(0))
 
-    def trailing_minors(self) -> list[Fraction]:
+    def trailing_minors(self) -> list[int | Fraction]:
         """Determinants of the trailing principal blocks, orders 0..dim."""
         return self._reversed.leading_minors()
 
-    def interior_det(self, i: int, j: int) -> Fraction:
+    def interior_det(self, i: int, j: int) -> int | Fraction:
         """Determinant of the block strictly between rows i and j (1 when j = i+1)."""
         if not (1 <= i < j <= self.dim):
             raise ValueError("need 1 <= i < j <= dim")
@@ -82,7 +93,7 @@ class TriDiagSym:
         """Leading minors of the block after row i, orders 0..dim-i, by the continuant."""
         sweep = self._sweeps.get(i)
         if sweep is None:
-            minors = [Fraction(1)]
+            minors = [1]
             for k in range(i, self.dim):
                 minors.append(
                     self.diag[k] * minors[-1]
@@ -113,9 +124,10 @@ class MirrorBlocks:
     """Sum and difference blocks of both Laplacian families for one chain."""
 
     n: int
+    degrees: tuple                 # rail degrees d_1..d_m, the D of norm_sum
     lap_sum: TriDiagSym            # integer tridiagonal
     lap_diff: tuple                # integer diagonal
-    norm_sum: TriDiagSym           # rational diag, rational squared off-diag
+    norm_sum: TriDiagSym           # D^-1/2 · lap_sum · D^-1/2, rational
     norm_diff: tuple               # rational diagonal
 
 
@@ -142,11 +154,11 @@ def mirror_blocks(n: int) -> MirrorBlocks:
     if blocks is not None:
         return blocks
     m = 4 * n + 1
-    degs = rail_degrees(n)
+    degs = tuple(rail_degrees(n))
     rungs = [i % 4 in (0, 1) for i in range(1, m + 1)]
 
     lap_sum_diag = tuple(d - (1 if r else 0) for d, r in zip(degs, rungs))
-    lap_sum_off = tuple(Fraction(4) for _ in range(m - 1))
+    lap_sum_off = (4,) * (m - 1)
     lap_diff = tuple(d + (1 if r else 0) for d, r in zip(degs, rungs))
 
     norm_sum_diag = tuple(
@@ -161,7 +173,8 @@ def mirror_blocks(n: int) -> MirrorBlocks:
 
     blocks = _live_blocks[n] = MirrorBlocks(
         n=n,
-        lap_sum=TriDiagSym(tuple(map(Fraction, lap_sum_diag)), lap_sum_off),
+        degrees=degs,
+        lap_sum=TriDiagSym(lap_sum_diag, lap_sum_off),
         lap_diff=lap_diff,
         norm_sum=TriDiagSym(norm_sum_diag, norm_sum_off),
         norm_diff=norm_diff,
@@ -174,8 +187,11 @@ def factorization_holds(n: int) -> tuple[bool, bool]:
 
     Builds the Laplacian and the random-walk Laplacian from the crossed
     chain's edges, rows in rail-block order (plain rail, then primed rail),
-    and checks each against ``mirror_blocks(n)`` entry by entry.  Returns
-    (laplacian_ok, normalized_ok); both checks are exact.
+    and checks each against ``mirror_blocks(n)`` entry by entry.  The
+    normalized check also certifies ``norm_sum = D^-1/2 · lap_sum · D^-1/2``
+    entry by entry, with ``degrees`` equal to the graph's rail degrees,
+    since the normalized tails and pair sums are computed from ``lap_sum``
+    and D.  Returns (laplacian_ok, normalized_ok); both checks are exact.
     """
     g = build_crossed_chain(n)
     plain_rail, primed_rail = mirror_partition(g)
@@ -183,7 +199,23 @@ def factorization_holds(n: int) -> tuple[bool, bool]:
     blocks = mirror_blocks(n)
     return (
         _splits_into(laplacian(g, order), blocks.lap_sum, blocks.lap_diff),
-        _splits_into(random_walk_laplacian(g, order), blocks.norm_sum, blocks.norm_diff),
+        _splits_into(random_walk_laplacian(g, order), blocks.norm_sum, blocks.norm_diff)
+        and blocks.degrees == tuple(g.degree(v) for v in plain_rail)
+        and _scales_by_degrees(blocks.norm_sum, blocks.lap_sum, blocks.degrees),
+    )
+
+
+def _scales_by_degrees(norm_sum: TriDiagSym, lap_sum: TriDiagSym, degrees: tuple) -> bool:
+    """Whether norm_sum = D^-1/2 · lap_sum · D^-1/2 with D = diag(degrees):
+    norm diag[k]·d_k = lap diag[k] and norm offdiag_sq[k]·d_k·d_{k+1} =
+    lap offdiag_sq[k], entry by entry."""
+    return (
+        norm_sum.dim == lap_sum.dim == len(degrees)
+        and all(a * d == b for a, d, b in zip(norm_sum.diag, degrees, lap_sum.diag))
+        and all(
+            s * degrees[k] * degrees[k + 1] == t
+            for k, (s, t) in enumerate(zip(norm_sum.offdiag_sq, lap_sum.offdiag_sq))
+        )
     )
 
 
@@ -227,12 +259,12 @@ def lap_minor_sequences(n: int) -> tuple[list, list, list]:
     """(leading, trailing, interior) principal minors of the Laplacian sum block.
 
     Leading/trailing minors are indexed 0..4n; interior minors (all-4
-    diagonal) are indexed 0..4n-1.  All values are exact integers.
+    diagonal) are indexed 0..4n-1.  All values are ints.
     """
     lap_sum = mirror_blocks(n).lap_sum
-    leading = [int(v) for v in lap_sum.leading_minors()[: 4 * n + 1]]
-    trailing = [int(v) for v in lap_sum.trailing_minors()[: 4 * n + 1]]
-    interior = [int(lap_sum.interior_det(1, j)) for j in range(2, 4 * n + 2)]
+    leading = lap_sum.leading_minors()[: 4 * n + 1]
+    trailing = lap_sum.trailing_minors()[: 4 * n + 1]
+    interior = [lap_sum.interior_det(1, j) for j in range(2, 4 * n + 2)]
     return leading, trailing, interior
 
 
@@ -321,6 +353,36 @@ def tail_coeffs(poly: list) -> TailCoeffs:
     if len(poly) < 3:
         raise ValueError("polynomial degree too small")
     return TailCoeffs(abs(poly[1]), abs(poly[2]))
+
+
+def _char_poly_low(block: TriDiagSym, scale) -> tuple:
+    """det(x·diag(scale) - block) mod x³ as ascending (c0, c1, c2).
+
+    The continuant c_k = (s_k x - a_k) c_{k-1} - o_{k-1} c_{k-2} over
+    Z[x]/(x³): O(N) work, in integers for an integer block and scale.
+    """
+    prev, cur = (0, 0, 0), (1, 0, 0)
+    for a, s, o in zip(block.diag, scale, (0,) + block.offdiag_sq):
+        (c0, c1, c2), (p0, p1, p2) = cur, prev
+        prev, cur = cur, (-a * c0 - o * p0, s * c0 - a * c1 - o * p1, s * c1 - a * c2 - o * p2)
+    return cur
+
+
+def sum_block_tails(n: int) -> tuple[TailCoeffs, TailCoeffs]:
+    """(Laplacian, normalized) tails of the two sum blocks' characteristic
+    polynomials, both from the integer Laplacian sum block.
+
+    The Laplacian tail reads det(xI - lap_sum); the normalized one reads
+    det(xI - norm_sum) = det(xD - lap_sum) / ∏d, one division per
+    coefficient.
+    """
+    blocks = mirror_blocks(n)
+    lap_sum, degrees = blocks.lap_sum, blocks.degrees
+    det_d = prod(degrees)
+    return (
+        tail_coeffs([Fraction(c) for c in _char_poly_low(lap_sum, (1,) * lap_sum.dim)]),
+        tail_coeffs([Fraction(c, det_d) for c in _char_poly_low(lap_sum, degrees)]),
+    )
 
 
 def lap_tail_coeffs_closed(n: int) -> TailCoeffs:
@@ -418,28 +480,35 @@ def class_pairs(n: int, p: int, q: int) -> Iterator[tuple[int, int]]:
 
 def deleted_pair_class_sum(n: int, p: int, q: int) -> Fraction:
     """Sum of two-deleted principal minors of the normalized sum block, one
-    residue class at a time, computed from continuant minors only.
+    residue class at a time, computed from integer Laplacian minors.
 
     Deleting rows/columns i and j of a tridiagonal matrix splits it into a
     leading block, an interior block, and a trailing block, so the minor is
-    the exact triple product L[i-1] * I(i, j) * T[m-j].  Interior minors obey
-    I(i, j+1) = d_j I(i, j) - s_{j-1} I(i, j-1) from I(i, i) = 0, I(i, i+1) = 1,
-    so W_j, the sum of L[i-1] * I(i, j) over i < j in class p, obeys the same
-    recurrence plus L[j-1] when j is in class p: one sweep over j.
+    the exact triple product L[i-1] * I(i, j) * T[m-j].  Since
+    norm_sum = D^-1/2 · lap_sum · D^-1/2, each normalized factor is the
+    Laplacian one over the degrees of its rows, so the normalized minor is
+    d_i d_j / ∏d times the Laplacian triple product: the class sum is one
+    integer sum and one division.  Interior minors obey
+    I(i, j+1) = a_j I(i, j) - o_{j-1} I(i, j-1) from I(i, i) = 0,
+    I(i, i+1) = 1, so W_j, the sum of d_i L[i-1] I(i, j) over i < j in
+    class p, obeys the same recurrence plus d_j L[j-1] when j is in class p:
+    one sweep over j.
     """
     _check_residue_class(p, q)
-    norm_sum = mirror_blocks(n).norm_sum
-    leading = norm_sum.leading_minors()
-    trailing = norm_sum.trailing_minors()
-    diag, off_sq = norm_sum.diag, (0,) + norm_sum.offdiag_sq  # d_j, s_{j-1} at index j-1
-    m = norm_sum.dim
-    total = w_prev = w = Fraction(0)  # W_{j-1} and W_j
+    blocks = mirror_blocks(n)
+    lap_sum, degrees = blocks.lap_sum, blocks.degrees
+    leading = lap_sum.leading_minors()
+    trailing = lap_sum.trailing_minors()
+    diag, off_sq = lap_sum.diag, (0,) + lap_sum.offdiag_sq  # a_j, o_{j-1} at index j-1
+    m = lap_sum.dim
+    total = w_prev = w = 0  # W_{j-1} and W_j
     for j in range(1, m + 1):
+        d = degrees[j - 1]
         if j % 4 == q:
-            total += w * trailing[m - j]
-        carry = leading[j - 1] if j % 4 == p else 0
+            total += d * w * trailing[m - j]
+        carry = d * leading[j - 1] if j % 4 == p else 0
         w_prev, w = w, diag[j - 1] * w - off_sq[j - 1] * w_prev + carry
-    return total
+    return Fraction(total, prod(degrees))
 
 
 _PAIR_SUM_POLY = {

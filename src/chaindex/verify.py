@@ -132,8 +132,7 @@ def verify_one(n: int) -> list[VerificationRecord]:
                          spectral.norm_minor_recurrences(n),
                          (spectral.norm_leading_closed, spectral.norm_trailing_closed))
     lap_closed = spectral.lap_tail_coeffs_closed(n)
-    lap_tail = spectral.tail_coeffs(blocks.lap_sum.char_poly())
-    norm_tail = spectral.tail_coeffs(blocks.norm_sum.char_poly())
+    lap_tail, norm_tail = spectral.sum_block_tails(n)
     lap_recip = spectral.lap_eigen_recip_sum(n), spectral.lap_diag_recip_sum(n)
     norm_recip = spectral.norm_eigen_recip_sum(n), spectral.norm_diag_recip_sum(n)
     bundle = oracles.index_bundle(g)
@@ -171,7 +170,7 @@ def verify_one(n: int) -> list[VerificationRecord]:
         ("tail.lap", lap_closed, lap_tail),
         ("tail.norm", spectral.norm_tail_coeffs_closed(n), norm_tail),
         ("recip.lap-eigensum", lap_recip[0], lap_tail.quadratic / lap_tail.linear),
-        ("recip.lap-diagsum", lap_recip[1], sum(Fraction(1, int(s)) for s in blocks.lap_diff)),
+        ("recip.lap-diagsum", lap_recip[1], sum(Fraction(1, s) for s in blocks.lap_diff)),
         ("recip.norm-eigensum", norm_recip[0], norm_tail.quadratic / norm_tail.linear),
         ("recip.norm-diagsum", norm_recip[1], sum(1 / Fraction(s) for s in blocks.norm_diff)),
         ("kf.assembly", formulas.kirchhoff_closed(n), (8 * n + 2) * sum(lap_recip)),

@@ -9,7 +9,9 @@ Newton interpolation.  ``fraction_det``, ``fraction_inverse`` and
 ``leverrier_char_poly`` share no code or method with the package at all.
 ``fresh_interior_det`` and ``pair_class_sum`` are the per-pair routes the
 spectral layer used before it memoized interior sweeps and summed each
-residue class in one recurrence.
+residue class in one recurrence; ``fraction_pair_class_sum`` is that
+recurrence as it ran on the rational normalized block before it moved to
+integer Laplacian minors.
 """
 
 from fractions import Fraction
@@ -212,3 +214,21 @@ def pair_class_sum(n: int, p: int, q: int) -> Fraction:
          for i, j in spectral.class_pairs(n, p, q)),
         Fraction(0),
     )
+
+
+def fraction_pair_class_sum(n: int, p: int, q: int) -> Fraction:
+    """The same residue-class sum by one W-recurrence over the rational
+    normalized block: W_j, the sum of L[i-1] * I(i, j) over i < j in class
+    p, obeys the interior continuant plus L[j-1] when j is in class p."""
+    norm_sum = spectral.mirror_blocks(n).norm_sum
+    leading = norm_sum.leading_minors()
+    trailing = norm_sum.trailing_minors()
+    diag, off_sq = norm_sum.diag, (0,) + norm_sum.offdiag_sq  # d_j, s_{j-1} at index j-1
+    m = norm_sum.dim
+    total = w_prev = w = Fraction(0)  # W_{j-1} and W_j
+    for j in range(1, m + 1):
+        if j % 4 == q:
+            total += w * trailing[m - j]
+        carry = leading[j - 1] if j % 4 == p else 0
+        w_prev, w = w, diag[j - 1] * w - off_sq[j - 1] * w_prev + carry
+    return total

@@ -179,6 +179,27 @@ def test_bench_values_pinned(capsys):
     assert "\n".join(map(",".join, untimed)) + "\n" == (GOLDEN / "bench-1-2.csv").read_text()
 
 
+@pytest.mark.parametrize("argv, file_ends_with_newline", [
+    (("verify", "--from", "1", "--to", "2"), False),
+    (("verify", "--from", "1", "--to", "2", "--format", "csv"), True),
+    (("indices", "--n", "2"), False),
+    (("indices", "--n", "2", "--format", "csv"), False),
+    (("table", "1", "--format", "json"), False),
+    (("table", "1"), True),
+    (("table", "2", "--format", "csv"), True),
+])
+def test_stdout_is_out_file_with_one_final_newline(tmp_path, capsys, argv, file_ends_with_newline):
+    # --out writes the text as built; stdout adds "\n" only where it lacks one
+    target = tmp_path / "out"
+    code, out, _ = run_cli(capsys, *argv, "--out", str(target))
+    assert (code, out) == (0, "")
+    written = target.read_bytes()
+    assert written.endswith(b"\n") == file_ends_with_newline
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out.encode() == (written if file_ends_with_newline else written + b"\n")
+
+
 def test_verify_matches_benchmark_reference(tmp_path, capsys):
     # the same bytes the benchmark's verify-range workload is checked against
     reference = Path(__file__).parents[1] / "perfbench" / "reference" / "verify-1-10.json"

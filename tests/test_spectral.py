@@ -3,7 +3,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from dense_reference import char_poly, fresh_interior_det, pair_class_sum
+from dense_reference import char_poly, fraction_pair_class_sum, fresh_interior_det, pair_class_sum
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex import spectral as sp
@@ -19,6 +19,28 @@ def test_tridiag_validation():
         sp.TriDiagSym((Fraction(1), Fraction(2)), (Fraction(-1),))
 
 
+@pytest.mark.parametrize("diag, offdiag_sq", [
+    ((1.0, 2), (4,)),
+    ((1, 2), (0.25,)),
+    ((True, 2), (4,)),
+    ((1, 2), (False,)),
+    (("1", 2), (4,)),
+    ((1, 2), ("4",)),
+])
+def test_tridiag_rejects_entries_other_than_int_and_fraction(diag, offdiag_sq):
+    with pytest.raises(ValueError, match="int or Fraction"):
+        sp.TriDiagSym(diag, offdiag_sq)
+
+
+def test_integer_block_has_integer_minors():
+    block = sp.TriDiagSym((2, 3, 4), (1, 2))
+    assert block.leading_minors() == [1, 2, 5, 16]
+    assert block.trailing_minors() == [1, 4, 10, 16]
+    assert block.interior_det(1, 3) == 3
+    minors = block.leading_minors() + block.trailing_minors() + [block.interior_det(1, 3)]
+    assert all(type(v) is int for v in minors)
+
+
 def test_interior_det_range_checks():
     t = sp.mirror_blocks(1).norm_sum
     with pytest.raises(ValueError):
@@ -32,8 +54,10 @@ def test_interior_det_range_checks():
 
 def test_blocks_n1_match_displayed_matrices():
     b = sp.mirror_blocks(1)
-    assert [int(d) for d in b.lap_sum.diag] == [2, 4, 4, 4, 2]
-    assert all(s == 4 for s in b.lap_sum.offdiag_sq)
+    assert b.degrees == (3, 4, 4, 5, 3)
+    assert b.lap_sum.diag == (2, 4, 4, 4, 2)
+    assert b.lap_sum.offdiag_sq == (4, 4, 4, 4)
+    assert all(type(v) is int for v in b.lap_sum.diag + b.lap_sum.offdiag_sq)
     assert b.lap_diff == (4, 4, 4, 6, 4)
     assert b.norm_sum.diag == (
         Fraction(2, 3), Fraction(1), Fraction(1), Fraction(4, 5), Fraction(2, 3),
@@ -153,6 +177,44 @@ def test_changed_block_entry_fails_certificate_and_polynomial_route(monkeypatch,
     assert polynomial_route(2) == (False, False)
 
 
+@pytest.mark.parametrize("mutation", ["degrees", "norm-diag", "norm-offdiag_sq"])
+def test_bumped_degree_or_normalized_entry_fails_normalized_certificate(monkeypatch, mutation):
+    # the Laplacian blocks stay intact, so only the normalized check fails
+    mirror_blocks = sp.mirror_blocks
+
+    def bumped(values):
+        return values[:2] + (values[2] + 1,) + values[3:]
+
+    def with_changed_entry(n):
+        b = mirror_blocks(n)
+        if mutation == "degrees":
+            return dataclasses.replace(b, degrees=bumped(b.degrees))
+        field = mutation.removeprefix("norm-")
+        return dataclasses.replace(
+            b, norm_sum=dataclasses.replace(b.norm_sum, **{field: bumped(getattr(b.norm_sum, field))}))
+
+    monkeypatch.setattr(sp, "mirror_blocks", with_changed_entry)
+    assert sp.factorization_holds(2) == (True, False)
+
+
+def test_degree_scaling_check_alone_catches_each_bumped_entry():
+    # the entry-by-entry scaling is checked on its own, not only through
+    # the random-walk Laplacian's split
+    b = sp.mirror_blocks(2)
+    assert sp._scales_by_degrees(b.norm_sum, b.lap_sum, b.degrees)
+    for k in range(len(b.degrees)):
+        degrees = b.degrees[:k] + (b.degrees[k] + 1,) + b.degrees[k + 1:]
+        assert not sp._scales_by_degrees(b.norm_sum, b.lap_sum, degrees), k
+        diag = b.norm_sum.diag[:k] + (b.norm_sum.diag[k] + 1,) + b.norm_sum.diag[k + 1:]
+        norm_sum = dataclasses.replace(b.norm_sum, diag=diag)
+        assert not sp._scales_by_degrees(norm_sum, b.lap_sum, b.degrees), k
+    for k in range(len(b.norm_sum.offdiag_sq)):
+        off = b.norm_sum.offdiag_sq
+        norm_sum = dataclasses.replace(b.norm_sum, offdiag_sq=off[:k] + (off[k] * 2,) + off[k + 1:])
+        assert not sp._scales_by_degrees(norm_sum, b.lap_sum, b.degrees), k
+    assert not sp._scales_by_degrees(b.norm_sum, b.lap_sum, b.degrees[:-1])
+
+
 @pytest.mark.parametrize("rails", [(0, 1), (1,)])
 def test_certificate_rejects_entry_off_the_pattern(monkeypatch, rails):
     # An entry three places off the diagonal on both rails keeps the rail
@@ -224,6 +286,39 @@ def test_lap_tail_vs_char_poly_and_minor_sums(n):
     single = sum(principal_minor({i}) for i in range(m))
     double = sum(principal_minor({i, j}) for i in range(m) for j in range(i + 1, m))
     assert closed == (single, double)
+
+
+def tails_and_pair_sums_match_references(n):
+    # the integer continuant and the integer pair sums against the
+    # Fraction routes they replaced: full continuant polynomials and the
+    # W-recurrence over the rational normalized block
+    blocks = sp.mirror_blocks(n)
+    lap_tail, norm_tail = sp.sum_block_tails(n)
+    assert lap_tail == sp.tail_coeffs(blocks.lap_sum.char_poly())
+    assert norm_tail == sp.tail_coeffs(blocks.norm_sum.char_poly())
+    assert all(type(c) is Fraction for c in lap_tail + norm_tail)
+    for p in range(4):
+        for q in range(4):
+            computed = sp.deleted_pair_class_sum(n, p, q)
+            assert type(computed) is Fraction
+            assert computed == fraction_pair_class_sum(n, p, q), (p, q)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_integer_tails_and_pair_sums_match_fraction_routes(n):
+    tails_and_pair_sums_match_references(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [30, 60, 100])
+def test_integer_tails_and_pair_sums_match_fraction_routes_at_large_n(n):
+    tails_and_pair_sums_match_references(n)
+
+
+def test_tail_records_print_fractions():
+    assert repr(sp.sum_block_tails(1)[0]) == \
+        "TailCoeffs(linear=Fraction(80, 1), quadratic=Fraction(160, 1))"
+    assert sp.sum_block_tails(1)[1] == (Fraction(19, 45), Fraction(134, 45))
 
 
 def test_norm_tail_closed_examples():
