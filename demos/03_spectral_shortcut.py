@@ -8,6 +8,7 @@ without ever computing an eigenvalue.
 """
 
 from fractions import Fraction
+from math import prod
 
 from chaindex import spectral
 
@@ -19,12 +20,11 @@ print("   diagonal    :", list(blocks.lap_sum.diag))
 print("   off-diag^2  :", list(blocks.lap_sum.offdiag_sq))
 print("difference block (diagonal):", list(blocks.lap_diff))
 
-print("\nnormalized sum block (off-diagonal entries are irrational,")
-print("so only their squares are stored; every minor stays rational):")
+print("\nnormalized sum block: a view D^-1/2 (Laplacian sum block) D^-1/2,")
+print("D = rail degrees", list(blocks.degrees), "(off-diagonal entries are")
+print("irrational, so only their squares appear; every minor stays rational):")
 print("   diagonal    :", [str(d) for d in blocks.norm_sum.diag])
 print("   off-diag^2  :", [str(s) for s in blocks.norm_sum.offdiag_sq])
-print("   it is D^-1/2 (Laplacian sum block) D^-1/2, D = rail degrees",
-      list(blocks.degrees))
 
 lap_ok, norm_ok = spectral.factorization_holds(n)
 print(f"\nblock factorization of the characteristic polynomials: "
@@ -48,10 +48,14 @@ print("reciprocal eigenvalue sum  = quadratic/linear =",
       tail.quadratic / tail.linear,
       "== closed form", spectral.norm_eigen_recip_sum(n))
 
-print("\ninterior minors z(i,j) fall into 16 residue cases; each row's")
-print("continuant sweep is computed once and kept on the block. e.g.")
+print("\ninterior minors z(i,j) fall into 16 residue cases. Each is an integer")
+print("Laplacian minor over the degrees strictly between rows i and j, and")
+print("equals the Fraction continuant of the normalized view. e.g.")
 for i, j in [(4, 8), (1, 7), (2, 9)]:
-    print(f"   z({i},{j}) continuant = {blocks.norm_sum.interior_det(i, j)}"
+    between = prod(blocks.degrees[i:j - 1])
+    print(f"   z({i},{j}) = {blocks.lap_sum.interior_det(i, j)}/{between}"
+          f" = {blocks.norm_interior_det(i, j)}"
+          f"   view = {blocks.norm_sum.interior_det(i, j)}"
           f"   closed = {spectral.interior_det_closed(i, j)}")
 
 total = sum(

@@ -8,15 +8,13 @@ For these chains the sum block is symmetric tridiagonal and the
 difference block is diagonal, so every spectral quantity reduces to
 continuant recurrences on the tridiagonal data.
 
-The sum block of the normalized family has irrational off-diagonal
-entries, but a tridiagonal determinant depends on the off-diagonals only
-through their squares; storing the squares keeps everything rational.
-It is also a degree scaling of the integer Laplacian sum block,
-``norm_sum = D^-1/2 · lap_sum · D^-1/2`` with D the rail degrees, which
-``factorization_holds`` certifies as well.  So the tails of both
-characteristic polynomials come from one O(N) integer continuant over
-Z[x]/(x³), and the residue-class sums of two-deleted normalized minors
-from integer Laplacian minors with one division each.
+Only the integer Laplacian blocks are stored.  The normalized blocks are
+their degree scalings, ``norm_sum = D^-1/2 · lap_sum · D^-1/2`` and
+``norm_diff = D^-1 · lap_diff`` with D the rail degrees, read as views;
+the irrational off-diagonals of ``norm_sum`` enter only through their
+squares.  So every normalized minor is an integer Laplacian minor over a
+product of degrees, and the tails of both characteristic polynomials
+come from one O(N) integer continuant over Z[x]/(x³).
 
 Each size has one ``MirrorBlocks``, shared while anyone holds it, and each
 block memoizes its continuant sweeps, so every function of one size
@@ -29,7 +27,8 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import prod
+from itertools import accumulate
+from operator import mul
 from typing import Iterator, NamedTuple
 
 from .graphs import build_crossed_chain, check_chain_parameter, mirror_partition
@@ -121,14 +120,36 @@ class TriDiagSym:
 
 @dataclass(frozen=True)
 class MirrorBlocks:
-    """Sum and difference blocks of both Laplacian families for one chain."""
+    """Sum and difference blocks of both Laplacian families for one chain:
+    the integer Laplacian blocks and the rail degrees D are stored, and the
+    normalized blocks are views of them, each built once on first use."""
 
     n: int
-    degrees: tuple                 # rail degrees d_1..d_m, the D of norm_sum
+    degrees: tuple                 # rail degrees d_1..d_m, the D of the views
     lap_sum: TriDiagSym            # integer tridiagonal
     lap_diff: tuple                # integer diagonal
-    norm_sum: TriDiagSym           # D^-1/2 · lap_sum · D^-1/2, rational
-    norm_diff: tuple               # rational diagonal
+
+    @cached_property
+    def norm_sum(self) -> TriDiagSym:
+        d, lap_sum = self.degrees, self.lap_sum
+        return TriDiagSym(
+            tuple(Fraction(a, dk) for a, dk in zip(lap_sum.diag, d)),
+            tuple(Fraction(o, d[k] * d[k + 1]) for k, o in enumerate(lap_sum.offdiag_sq)),
+        )
+
+    @cached_property
+    def norm_diff(self) -> tuple:
+        return tuple(Fraction(a, d) for a, d in zip(self.lap_diff, self.degrees))
+
+    @cached_property
+    def degree_prefix(self) -> tuple:
+        """p[k] = d_1 ⋯ d_k for k = 0..m."""
+        return tuple(accumulate(self.degrees, mul, initial=1))
+
+    def norm_interior_det(self, i: int, j: int) -> Fraction:
+        """``norm_sum.interior_det(i, j)`` as I_lap(i, j) / (d_{i+1} ⋯ d_{j-1})."""
+        p = self.degree_prefix
+        return Fraction(self.lap_sum.interior_det(i, j), p[j - 1] // p[i])
 
 
 def rail_degrees(n: int) -> list[int]:
@@ -141,7 +162,7 @@ _live_blocks = weakref.WeakValueDictionary()  # n -> MirrorBlocks, while anyone 
 
 
 def mirror_blocks(n: int) -> MirrorBlocks:
-    """Build all four blocks of the crossed chain directly from the rail pattern.
+    """Build the integer blocks of the crossed chain directly from the rail pattern.
 
     Rail vertex i has a rung exactly when i = 0, 1 (mod 4); the sum/difference
     of the two Laplacian rail blocks then depends only on degrees and rungs:
@@ -158,27 +179,10 @@ def mirror_blocks(n: int) -> MirrorBlocks:
     rungs = [i % 4 in (0, 1) for i in range(1, m + 1)]
 
     lap_sum_diag = tuple(d - (1 if r else 0) for d, r in zip(degs, rungs))
-    lap_sum_off = (4,) * (m - 1)
     lap_diff = tuple(d + (1 if r else 0) for d, r in zip(degs, rungs))
 
-    norm_sum_diag = tuple(
-        Fraction(d - 1, d) if r else Fraction(1) for d, r in zip(degs, rungs)
-    )
-    norm_sum_off = tuple(
-        Fraction(4, degs[k] * degs[k + 1]) for k in range(m - 1)
-    )
-    norm_diff = tuple(
-        Fraction(d + 1, d) if r else Fraction(1) for d, r in zip(degs, rungs)
-    )
-
     blocks = _live_blocks[n] = MirrorBlocks(
-        n=n,
-        degrees=degs,
-        lap_sum=TriDiagSym(lap_sum_diag, lap_sum_off),
-        lap_diff=lap_diff,
-        norm_sum=TriDiagSym(norm_sum_diag, norm_sum_off),
-        norm_diff=norm_diff,
-    )
+        n, degs, TriDiagSym(lap_sum_diag, (4,) * (m - 1)), lap_diff)
     return blocks
 
 
@@ -187,11 +191,11 @@ def factorization_holds(n: int) -> tuple[bool, bool]:
 
     Builds the Laplacian and the random-walk Laplacian from the crossed
     chain's edges, rows in rail-block order (plain rail, then primed rail),
-    and checks each against ``mirror_blocks(n)`` entry by entry.  The
-    normalized check also certifies ``norm_sum = D^-1/2 · lap_sum · D^-1/2``
-    entry by entry, with ``degrees`` equal to the graph's rail degrees,
-    since the normalized tails and pair sums are computed from ``lap_sum``
-    and D.  Returns (laplacian_ok, normalized_ok); both checks are exact.
+    and checks each against ``mirror_blocks(n)`` entry by entry: the
+    Laplacian against the integer blocks, the random-walk Laplacian against
+    their degree-scaled views, with ``degrees`` equal to the graph's rail
+    degrees, since every normalized result is computed from ``lap_sum`` and
+    D.  Returns (laplacian_ok, normalized_ok); both checks are exact.
     """
     g = build_crossed_chain(n)
     plain_rail, primed_rail = mirror_partition(g)
@@ -200,22 +204,7 @@ def factorization_holds(n: int) -> tuple[bool, bool]:
     return (
         _splits_into(laplacian(g, order), blocks.lap_sum, blocks.lap_diff),
         _splits_into(random_walk_laplacian(g, order), blocks.norm_sum, blocks.norm_diff)
-        and blocks.degrees == tuple(g.degree(v) for v in plain_rail)
-        and _scales_by_degrees(blocks.norm_sum, blocks.lap_sum, blocks.degrees),
-    )
-
-
-def _scales_by_degrees(norm_sum: TriDiagSym, lap_sum: TriDiagSym, degrees: tuple) -> bool:
-    """Whether norm_sum = D^-1/2 · lap_sum · D^-1/2 with D = diag(degrees):
-    norm diag[k]·d_k = lap diag[k] and norm offdiag_sq[k]·d_k·d_{k+1} =
-    lap offdiag_sq[k], entry by entry."""
-    return (
-        norm_sum.dim == lap_sum.dim == len(degrees)
-        and all(a * d == b for a, d, b in zip(norm_sum.diag, degrees, lap_sum.diag))
-        and all(
-            s * degrees[k] * degrees[k + 1] == t
-            for k, (s, t) in enumerate(zip(norm_sum.offdiag_sq, lap_sum.offdiag_sq))
-        )
+        and blocks.degrees == tuple(g.degree(v) for v in plain_rail),
     )
 
 
@@ -268,11 +257,18 @@ def lap_minor_sequences(n: int) -> tuple[list, list, list]:
     return leading, trailing, interior
 
 
+def _check_index(i: int) -> None:
+    if type(i) is not int or i < 0:
+        raise ValueError(f"index must be an int >= 0, got {i!r}")
+
+
 def lap_leading_closed(i: int) -> int:
+    _check_index(i)
     return 2**i
 
 
 def lap_interior_closed(i: int) -> int:
+    _check_index(i)
     return (i + 1) * 2**i
 
 
@@ -281,11 +277,13 @@ def lap_interior_closed(i: int) -> int:
 
 
 def norm_minor_sequences(n: int) -> tuple[list[Fraction], list[Fraction]]:
-    """(leading, trailing) principal minors of the normalized sum block, 0..4n."""
+    """(leading, trailing) principal minors of the normalized sum block, 0..4n: the
+    Laplacian ones over ``degree_prefix`` p, L[k] / p[k] and T[k] / (p[m] / p[m-k])."""
     blocks = mirror_blocks(n)
-    leading = blocks.norm_sum.leading_minors()[: 4 * n + 1]
-    trailing = blocks.norm_sum.trailing_minors()[: 4 * n + 1]
-    return leading, trailing
+    p, m = blocks.degree_prefix, 4 * n + 1
+    leading, trailing = blocks.lap_sum.leading_minors(), blocks.lap_sum.trailing_minors()
+    return ([Fraction(leading[k], p[k]) for k in range(m)],
+            [Fraction(trailing[k], p[m] // p[m - k]) for k in range(m)])
 
 
 def norm_minor_recurrences(n: int) -> tuple[list[Fraction], list[Fraction]]:
@@ -326,12 +324,14 @@ _NORM_TRAILING_PHASE = {
 
 
 def norm_leading_closed(i: int) -> Fraction:
+    _check_index(i)
     if i == 0:
         return Fraction(1)
     return _NORM_LEADING_PHASE[i % 4] * QUARTER_POW ** (i // 4)
 
 
 def norm_trailing_closed(i: int) -> Fraction:
+    _check_index(i)
     if i == 0:
         return Fraction(1)
     return _NORM_TRAILING_PHASE[i % 4] * QUARTER_POW ** (i // 4)
@@ -377,11 +377,10 @@ def sum_block_tails(n: int) -> tuple[TailCoeffs, TailCoeffs]:
     coefficient.
     """
     blocks = mirror_blocks(n)
-    lap_sum, degrees = blocks.lap_sum, blocks.degrees
-    det_d = prod(degrees)
+    lap_sum, det_d = blocks.lap_sum, blocks.degree_prefix[-1]
     return (
         tail_coeffs([Fraction(c) for c in _char_poly_low(lap_sum, (1,) * lap_sum.dim)]),
-        tail_coeffs([Fraction(c, det_d) for c in _char_poly_low(lap_sum, degrees)]),
+        tail_coeffs([Fraction(c, det_d) for c in _char_poly_low(lap_sum, blocks.degrees)]),
     )
 
 
@@ -454,15 +453,15 @@ def interior_det_closed(i: int, j: int) -> Fraction:
     Every admissible pair 1 <= i < j falls into exactly one of 16 cases;
     for adjacent pairs (j = i+1) each case formula already evaluates to 1.
     """
-    if not (1 <= i < j):
-        raise ValueError("need 1 <= i < j")
+    if type(i) is not int or type(j) is not int or not 1 <= i < j:
+        raise ValueError(f"need ints 1 <= i < j, got ({i!r}, {j!r})")
     d = j // 4 - i // 4
     coefficient, alpha, beta, shift = _INTERIOR_DET_FORM[(i % 4, j % 4)]
     return coefficient * (alpha * d + beta) * QUARTER_POW ** (d + shift)
 
 
 def _check_residue_class(p: int, q: int) -> None:
-    if p not in range(4) or q not in range(4):
+    if type(p) is not int or type(q) is not int or not (0 <= p < 4 and 0 <= q < 4):
         raise ValueError(f"residue classes must lie in 0..3, got ({p!r}, {q!r})")
 
 
@@ -508,7 +507,7 @@ def deleted_pair_class_sum(n: int, p: int, q: int) -> Fraction:
             total += d * w * trailing[m - j]
         carry = d * leading[j - 1] if j % 4 == p else 0
         w_prev, w = w, diag[j - 1] * w - off_sq[j - 1] * w_prev + carry
-    return Fraction(total, prod(degrees))
+    return Fraction(total, blocks.degree_prefix[-1])
 
 
 _PAIR_SUM_POLY = {

@@ -8,7 +8,7 @@ not errors; a mismatch is a finding about the published formulas, and
 the two distance-index claims are expected to mismatch.
 
 ``CHAINDEX_THREADS`` caps how many worker processes verify chain sizes in
-parallel; it must be a positive integer.
+parallel; it must be a positive integer written in ASCII digits.
 """
 
 from __future__ import annotations
@@ -160,7 +160,7 @@ def verify_one(n: int) -> list[VerificationRecord]:
         ]
     for p, q in classes:
         families[f"interior-minor.p{p}q{q}"] = _disagreements(
-            (f"(i={i}, j={j})", blocks.norm_sum.interior_det(i, j),
+            (f"(i={i}, j={j})", blocks.norm_interior_det(i, j),
              spectral.interior_det_closed(i, j))
             for i, j in spectral.class_pairs(n, p, q)
         )
@@ -197,12 +197,13 @@ def verify_one(n: int) -> list[VerificationRecord]:
 def thread_budget() -> int:
     """Worker processes ``run_verification`` may start: ``CHAINDEX_THREADS``, default 1.
 
-    Anything but a positive integer raises ValueError naming the variable.
+    Anything but a positive integer in ASCII digits (no sign, space,
+    underscore or other script's digits) raises ValueError naming the variable.
     """
     raw = os.environ.get("CHAINDEX_THREADS", "1")
     try:
-        budget = int(raw)
-    except ValueError:
+        budget = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than int() converts
         budget = 0
     if budget < 1:
         raise ValueError(f"CHAINDEX_THREADS must be a positive integer, got {raw!r}")

@@ -11,7 +11,9 @@ Newton interpolation.  ``fraction_det``, ``fraction_inverse`` and
 spectral layer used before it memoized interior sweeps and summed each
 residue class in one recurrence; ``fraction_pair_class_sum`` is that
 recurrence as it ran on the rational normalized block before it moved to
-integer Laplacian minors.
+integer Laplacian minors.  ``hand_normalized_blocks`` writes the
+normalized blocks out from the rail pattern, as the package stored them
+before they became degree-scaled views of the Laplacian blocks.
 """
 
 from fractions import Fraction
@@ -232,3 +234,16 @@ def fraction_pair_class_sum(n: int, p: int, q: int) -> Fraction:
         carry = leading[j - 1] if j % 4 == p else 0
         w_prev, w = w, diag[j - 1] * w - off_sq[j - 1] * w_prev + carry
     return total
+
+
+def hand_normalized_blocks(n: int) -> tuple[tuple, tuple, tuple]:
+    """(norm_sum diagonal, norm_sum squared off-diagonal, norm_diff) from the
+    rail pattern: (d-1)/d at a rung and 1 elsewhere, 4/(d_k d_{k+1}), and
+    (d+1)/d at a rung and 1 elsewhere, where d is the rail degree."""
+    m = 4 * n + 1
+    degs = spectral.rail_degrees(n)
+    rungs = [i % 4 in (0, 1) for i in range(1, m + 1)]
+    diag = tuple(Fraction(d - 1, d) if r else Fraction(1) for d, r in zip(degs, rungs))
+    offdiag_sq = tuple(Fraction(4, degs[k] * degs[k + 1]) for k in range(m - 1))
+    diff = tuple(Fraction(d + 1, d) if r else Fraction(1) for d, r in zip(degs, rungs))
+    return diag, offdiag_sq, diff

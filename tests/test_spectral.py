@@ -3,7 +3,9 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from dense_reference import char_poly, fraction_pair_class_sum, fresh_interior_det, pair_class_sum
+from dense_reference import (
+    char_poly, fraction_pair_class_sum, fresh_interior_det, hand_normalized_blocks, pair_class_sum,
+)
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex import spectral as sp
@@ -68,6 +70,14 @@ def test_blocks_n1_match_displayed_matrices():
     assert b.norm_diff == (
         Fraction(4, 3), Fraction(1), Fraction(1), Fraction(6, 5), Fraction(4, 3),
     )
+
+
+@pytest.mark.parametrize("n", range(1, 41))
+def test_normalized_views_match_hand_formulas(n):
+    b = sp.mirror_blocks(n)
+    assert (b.norm_sum.diag, b.norm_sum.offdiag_sq, b.norm_diff) == hand_normalized_blocks(n)
+    assert b.norm_sum is b.norm_sum and b.norm_diff is b.norm_diff
+    assert [f.name for f in dataclasses.fields(b)] == ["n", "degrees", "lap_sum", "lap_diff"]
 
 
 @pytest.mark.parametrize("n", [1, 2, 4])
@@ -162,17 +172,17 @@ def test_changed_block_entry_fails_certificate_and_polynomial_route(monkeypatch,
     def bumped(values):
         return (values[0] + 1,) + values[1:]
 
+    # only the stored integer blocks change; the normalized views follow
     def with_changed_entry(n):
         b = mirror_blocks(n)
         if field == "diff":
-            return dataclasses.replace(b, lap_diff=bumped(b.lap_diff), norm_diff=bumped(b.norm_diff))
+            return dataclasses.replace(b, lap_diff=bumped(b.lap_diff))
         return dataclasses.replace(
-            b,
-            lap_sum=dataclasses.replace(b.lap_sum, **{field: bumped(getattr(b.lap_sum, field))}),
-            norm_sum=dataclasses.replace(b.norm_sum, **{field: bumped(getattr(b.norm_sum, field))}),
-        )
+            b, lap_sum=dataclasses.replace(b.lap_sum, **{field: bumped(getattr(b.lap_sum, field))}))
 
     monkeypatch.setattr(sp, "mirror_blocks", with_changed_entry)
+    view = "norm_diff" if field == "diff" else "norm_sum"
+    assert getattr(sp.mirror_blocks(2), view) != getattr(mirror_blocks(2), view)
     assert sp.factorization_holds(2) == (False, False)
     assert polynomial_route(2) == (False, False)
 
@@ -189,45 +199,35 @@ def test_bumped_degree_or_normalized_entry_fails_normalized_certificate(monkeypa
         b = mirror_blocks(n)
         if mutation == "degrees":
             return dataclasses.replace(b, degrees=bumped(b.degrees))
+        # a copy whose cached view carries the bump, as a wrong view would
         field = mutation.removeprefix("norm-")
-        return dataclasses.replace(
-            b, norm_sum=dataclasses.replace(b.norm_sum, **{field: bumped(getattr(b.norm_sum, field))}))
+        changed = dataclasses.replace(b)
+        vars(changed)["norm_sum"] = dataclasses.replace(
+            b.norm_sum, **{field: bumped(getattr(b.norm_sum, field))})
+        return changed
 
     monkeypatch.setattr(sp, "mirror_blocks", with_changed_entry)
     assert sp.factorization_holds(2) == (True, False)
 
 
-def test_degree_scaling_check_alone_catches_each_bumped_entry():
-    # the entry-by-entry scaling is checked on its own, not only through
-    # the random-walk Laplacian's split
-    b = sp.mirror_blocks(2)
-    assert sp._scales_by_degrees(b.norm_sum, b.lap_sum, b.degrees)
-    for k in range(len(b.degrees)):
-        degrees = b.degrees[:k] + (b.degrees[k] + 1,) + b.degrees[k + 1:]
-        assert not sp._scales_by_degrees(b.norm_sum, b.lap_sum, degrees), k
-        diag = b.norm_sum.diag[:k] + (b.norm_sum.diag[k] + 1,) + b.norm_sum.diag[k + 1:]
-        norm_sum = dataclasses.replace(b.norm_sum, diag=diag)
-        assert not sp._scales_by_degrees(norm_sum, b.lap_sum, b.degrees), k
-    for k in range(len(b.norm_sum.offdiag_sq)):
-        off = b.norm_sum.offdiag_sq
-        norm_sum = dataclasses.replace(b.norm_sum, offdiag_sq=off[:k] + (off[k] * 2,) + off[k + 1:])
-        assert not sp._scales_by_degrees(norm_sum, b.lap_sum, b.degrees), k
-    assert not sp._scales_by_degrees(b.norm_sum, b.lap_sum, b.degrees[:-1])
-
-
-@pytest.mark.parametrize("rails", [(0, 1), (1,)])
-def test_certificate_rejects_entry_off_the_pattern(monkeypatch, rails):
+@pytest.mark.parametrize("builder, rails, expected", [
+    pytest.param(laplacian, (0, 1), (False, True), id="rails0"),
+    pytest.param(laplacian, (1,), (False, True), id="rails1"),
+    pytest.param(random_walk_laplacian, (0, 1), (True, False), id="random-walk-rails0"),
+    pytest.param(random_walk_laplacian, (1,), (True, False), id="random-walk-rails1"),
+])
+def test_certificate_rejects_entry_off_the_pattern(monkeypatch, builder, rails, expected):
     # An entry three places off the diagonal on both rails keeps the rail
     # swap and the diagonals; on the primed rail alone it breaks only the swap.
     def perturbed(g, order):
-        mat = laplacian(g, order)
+        mat = builder(g, order)
         m = len(mat) // 2
         for r in rails:
             mat[r * m][r * m + 3] = mat[r * m + 3][r * m] = -1
         return mat
 
-    monkeypatch.setattr(sp, "laplacian", perturbed)
-    assert sp.factorization_holds(2) == (False, True)
+    monkeypatch.setattr(sp, builder.__name__, perturbed)
+    assert sp.factorization_holds(2) == expected
 
 
 def test_tridiag_char_poly_matches_dense():
@@ -313,6 +313,31 @@ def test_integer_tails_and_pair_sums_match_fraction_routes(n):
 @pytest.mark.parametrize("n", [30, 60, 100])
 def test_integer_tails_and_pair_sums_match_fraction_routes_at_large_n(n):
     tails_and_pair_sums_match_references(n)
+
+
+def normalized_minors_match_fraction_sweeps(n, row_step=1):
+    # the integer Laplacian minors over degree products against the
+    # continuant sweeps of a fresh Fraction block holding the view
+    blocks = sp.mirror_blocks(n)
+    fresh = sp.TriDiagSym(blocks.norm_sum.diag, blocks.norm_sum.offdiag_sq)
+    m = fresh.dim
+    leading, trailing = sp.norm_minor_sequences(n)
+    assert leading == fresh.leading_minors()[:m]
+    assert trailing == fresh.trailing_minors()[:m]
+    for i in range(1, m + 1, row_step):
+        for j in range(i + 1, m + 1):
+            assert blocks.norm_interior_det(i, j) == fresh.interior_det(i, j), (i, j)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_integer_normalized_minors_match_fraction_sweeps(n):
+    normalized_minors_match_fraction_sweeps(n)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n, row_step", [(30, 1), (60, 1), (100, 7)])
+def test_integer_normalized_minors_match_fraction_sweeps_at_large_n(n, row_step):
+    normalized_minors_match_fraction_sweeps(n, row_step)
 
 
 def test_tail_records_print_fractions():
@@ -446,11 +471,22 @@ def count_calls(monkeypatch, owner, name):
 
 
 def test_verify_one_builds_the_blocks_once(monkeypatch):
+    # lap_sum, its reversal for the trailing minors, and the norm_sum view
     builds = count_calls(monkeypatch, sp, "rail_degrees")
     tridiags = count_calls(monkeypatch, sp.TriDiagSym, "__post_init__")
     verify_one(2)
     assert len(builds) == 1
-    assert len(tridiags) <= 4
+    assert len(tridiags) == 3
+
+
+def test_verify_one_sweeps_no_normalized_view():
+    # every normalized minor comes from the integer block, so the view
+    # the certificate reads keeps an empty memo
+    blocks = sp.mirror_blocks(3)
+    view = blocks.norm_sum
+    verify_one(3)
+    assert blocks.norm_sum is view
+    assert view._sweeps == {} and "_reversed" not in vars(view)
 
 
 def test_pair_sums_on_held_blocks_create_no_block(monkeypatch):
@@ -564,6 +600,28 @@ def test_mirror_blocks_rejects_bad_n(bad):
                lambda n: sp.class_pairs(n, 1, 2)):
         with pytest.raises(ValueError):
             fn(bad)
+
+
+@pytest.mark.parametrize("form, args", [
+    (sp.lap_leading_closed, (-1,)),
+    (sp.lap_interior_closed, (-2,)),
+    (sp.norm_leading_closed, (-3,)),
+    (sp.norm_trailing_closed, (-1,)),
+    (sp.lap_leading_closed, (2.0,)),
+    (sp.lap_interior_closed, (True,)),
+    (sp.norm_leading_closed, ("1",)),
+    (sp.norm_trailing_closed, (False,)),
+    (sp.interior_det_closed, (1.0, 2.0)),
+    (sp.interior_det_closed, (True, 3)),
+    (sp.interior_det_closed, (2, Fraction(5))),
+    (sp.interior_det_closed, (-2, 3)),
+    (sp.class_pairs, (1, True, False)),
+    (sp.class_pairs, (1, 1.0, 2)),
+    (sp.deleted_pair_class_sum_closed, (1, 0, True)),
+], ids=lambda v: v.__name__ if callable(v) else repr(v))
+def test_closed_forms_reject_bad_indices(form, args):
+    with pytest.raises(ValueError):
+        form(*args)
 
 
 @pytest.mark.parametrize("p, q", [(5, 0), (0, 4), (-1, 2)])

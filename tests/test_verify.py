@@ -89,7 +89,7 @@ def test_non_int_range_rejected(start, stop):
 def test_thread_budget_env(monkeypatch):
     monkeypatch.setenv("CHAINDEX_THREADS", "5")
     assert vf.thread_budget() == 5
-    for malformed in ("junk", "0", "-2", "1.5", ""):
+    for malformed in ("junk", "0", "-2", "1.5", "", "1_0", " 2 ", "+3", "\u0663", "9" * 5000):
         monkeypatch.setenv("CHAINDEX_THREADS", malformed)
         with pytest.raises(ValueError, match="CHAINDEX_THREADS"):
             vf.thread_budget()
