@@ -33,21 +33,15 @@ def _write_output(text: str, out_path: str | None) -> None:
 
 def _positive(value: str) -> int:
     try:
-        n = int(value)
-    except ValueError:
-        n = 0
-    if n < 1:
-        raise argparse.ArgumentTypeError("must be a positive integer")
-    return n
+        return verify.positive_int(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _size_list(value: str) -> list[int]:
-    try:
-        sizes = [int(part) for part in value.split(",") if part]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("expected a comma-separated integer list") from exc
-    if not sizes or any(n < 1 for n in sizes):
-        raise argparse.ArgumentTypeError("sizes must be positive integers")
+    sizes = [_positive(part) for part in value.split(",") if part]
+    if not sizes:
+        raise argparse.ArgumentTypeError("expected a comma-separated list of positive integers")
     return sizes
 
 
@@ -145,7 +139,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_table = sub.add_parser("table", help="reproduce a printed reference table")
-    p_table.add_argument("which", type=int, choices=(1, 2, 3),
+    p_table.add_argument("which", type=_positive, choices=(1, 2, 3),
                          help="1: Kirchhoff, 2: degree-Kirchhoff, 3: spanning trees")
     p_table.add_argument("--to", dest="stop", type=_positive, default=None,
                          help="last row (default: the printed range)")

@@ -9,7 +9,6 @@ an automorphism, which is what the spectral shortcut exploits.
 
 from __future__ import annotations
 
-from collections import deque
 from functools import cached_property
 from typing import Iterable, NamedTuple
 
@@ -74,14 +73,33 @@ class Graph:
         return len(self._adj[v])
 
     def distances_from(self, source) -> dict:
-        """Breadth-first hop distances from ``source`` to every reachable vertex."""
-        dist = {source: 0}
-        queue = deque([source])
-        while queue:
-            u = queue.popleft()
-            for w in self._adj[u]:
-                if w not in dist:
-                    dist[w] = dist[u] + 1
+        """Breadth-first hop distances from ``source`` to every reachable vertex;
+        ValueError if ``source`` is not a vertex of the graph."""
+        if source not in self._pos:
+            raise ValueError(f"vertex {source!r} is not in the graph")
+        dist = self.hop_distances(self._pos[source])
+        return {v: d for v, d in zip(self.vertices, dist) if d >= 0}
+
+    @cached_property
+    def _index_adjacency(self) -> tuple:
+        """Each vertex's neighbours as positions in the vertex order."""
+        pos = self._pos
+        return tuple(tuple(pos[w] for w in self._adj[v]) for v in self.vertices)
+
+    def hop_distances(self, source: int) -> list[int]:
+        """Breadth-first hop distances from the vertex at position ``source``,
+        as a list in vertex order; -1 marks an unreachable vertex."""
+        adjacency = self._index_adjacency
+        if type(source) is not int or not 0 <= source < len(adjacency):
+            raise ValueError(f"vertex position {source!r} is out of range")
+        dist = [-1] * len(adjacency)
+        dist[source] = 0
+        queue = [source]
+        for u in queue:  # read while it grows
+            step = dist[u] + 1
+            for w in adjacency[u]:
+                if dist[w] < 0:
+                    dist[w] = step
                     queue.append(w)
         return dist
 

@@ -354,20 +354,25 @@ def laplacian(g, order=None) -> list[list[int]]:
     return mat
 
 
-def random_walk_laplacian(g, order=None) -> list[list[Fraction]]:
+def random_walk_laplacian(g, order=None) -> list[list[int | Fraction]]:
     """Degree-scaled Laplacian D^-1 L.
 
     Shares its characteristic polynomial with the symmetric normalized
     Laplacian D^-1/2 L D^-1/2 (they are similar), while keeping every
-    entry rational.  Requires every vertex to have at least one neighbor.
+    entry rational.  Entries on the pattern (the diagonal and each edge)
+    are Fractions; every other entry is the int 0, which compares and
+    tests false like Fraction(0) but costs less to scan.  Requires every
+    vertex to have at least one neighbor.
     """
     vs, pos = _positions(g, order)
-    mat = [[Fraction(0)] * len(vs) for _ in vs]
+    mat = [[0] * len(vs) for _ in vs]
+    one = Fraction(1)
     for i, v in enumerate(vs):
         d = g.degree(v)
         if d == 0:
             raise ValueError(f"vertex {v} is isolated; normalization undefined")
-        mat[i][i] = Fraction(1)
+        row, off = mat[i], Fraction(-1, d)  # immutable: one instance serves the whole row
+        row[i] = one
         for w in g.neighbors(v):
-            mat[i][pos[w]] = Fraction(-1, d)
+            row[pos[w]] = off
     return mat

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import mul
 
 from .graphs import ChainGraph, Graph, Vertex
 from .linalg import (
@@ -72,21 +73,18 @@ def resistance(g: Graph, u, v) -> Fraction:
 @lru_cache(maxsize=1)
 def _pairwise_resistance_sums(g: Graph) -> tuple[Fraction, Fraction]:
     """(plain sum, degree-weighted sum) of resistances over all vertex pairs,
-    kept for the last (immutable) graph; no trailing-coefficient route reads it."""
+    kept for the last (immutable) graph; no trailing-coefficient route reads it.
+
+    With r_ab = (A_aa + A_bb - 2 A_ab) / det for the grounded adjugate A,
+    which is zero on the grounded vertex, the pair sums regroup as
+    N·Σ A_aa − Σ_ab A_ab and 2|E|·Σ d_a A_aa − Σ_a d_a Σ_b d_b A_ab.
+    """
     order, det, adj = _grounded_inverse(g)
-    m = len(order) - 1
-    degs = [g.degree(v) for v in order]
-    plain = 0
-    weighted = 0
-    for a in range(m):
-        a_aa = adj[a][a]
-        # pairs (a, ground)
-        plain += a_aa
-        weighted += degs[a] * degs[m] * a_aa
-        for b in range(a + 1, m):
-            r = a_aa + adj[b][b] - 2 * adj[a][b]
-            plain += r
-            weighted += degs[a] * degs[b] * r
+    degs = [g.degree(v) for v in order[:-1]]
+    diag = [row[a] for a, row in enumerate(adj)]
+    plain = g.vertex_count * sum(diag) - sum(map(sum, adj))
+    weighted = (2 * g.edge_count * sum(map(mul, degs, diag))
+                - sum(d * sum(map(mul, degs, row)) for d, row in zip(degs, adj)))
     return Fraction(plain, det), Fraction(weighted, det)
 
 
@@ -189,24 +187,25 @@ def spanning_tree_count(g: Graph, drop=None) -> int:
 
 @lru_cache(maxsize=1)
 def _distance_totals(g: Graph) -> dict:
-    """v -> (sum of d(v, w), sum of deg(w) * d(v, w)): one BFS per vertex,
-    kept for the last graph so every distance index of it shares them."""
+    """v -> (sum of d(v, w), sum of deg(w) * d(v, w)) over a connected graph:
+    one BFS per vertex, kept for the last graph so every distance index of
+    it shares them."""
+    _require_connected(g)
+    degs = [g.degree(v) for v in g.vertices]
     totals = {}
-    for v in g.vertices:
-        dist = g.distances_from(v)
-        totals[v] = (sum(dist.values()), sum(g.degree(w) * d for w, d in dist.items()))
+    for i, v in enumerate(g.vertices):
+        dist = g.hop_distances(i)
+        totals[v] = (sum(dist), sum(map(mul, degs, dist)))
     return totals
 
 
 def wiener_index(g: Graph) -> int:
     """Sum of shortest-path distances over all unordered vertex pairs."""
-    _require_connected(g)
     return sum(plain for plain, _ in _distance_totals(g).values()) // 2
 
 
 def gutman_index(g: Graph) -> int:
     """Distances weighted by endpoint degree products, over unordered pairs."""
-    _require_connected(g)
     return sum(g.degree(v) * weighted for v, (_, weighted) in _distance_totals(g).items()) // 2
 
 

@@ -227,12 +227,11 @@ def _splits_into(matrix: list, sum_block: TriDiagSym, diff: tuple) -> bool:
             return False
         if a[i] + b[i] != sum_block.diag[i] or a[i] - b[i] != diff[i]:
             return False
-        for j in range(m):
-            if abs(i - j) > 1:
-                if a[j] or b[j]:
-                    return False
-            elif i != j and a[j] != b[j]:
-                return False
+        lo, hi = max(i - 1, 0), i + 2  # the band: columns lo..hi-1
+        if any(a[:lo]) or any(a[hi:]) or any(b[:lo]) or any(b[hi:]):
+            return False
+        if a[lo:i] != b[lo:i] or a[i + 1:hi] != b[i + 1:hi]:
+            return False
     return all(
         (matrix[k][k + 1] + matrix[k][m + k + 1]) * (matrix[k + 1][k] + matrix[k + 1][m + k])
         == sum_block.offdiag_sq[k]
@@ -457,7 +456,9 @@ def interior_det_closed(i: int, j: int) -> Fraction:
         raise ValueError(f"need ints 1 <= i < j, got ({i!r}, {j!r})")
     d = j // 4 - i // 4
     coefficient, alpha, beta, shift = _INTERIOR_DET_FORM[(i % 4, j % 4)]
-    return coefficient * (alpha * d + beta) * QUARTER_POW ** (d + shift)
+    num, den, e = coefficient.numerator * (alpha * d + beta), coefficient.denominator, d + shift
+    base = QUARTER_POW.denominator  # one Fraction from integer parts, QUARTER_POW = 1/base
+    return Fraction(num * base**-e, den) if e < 0 else Fraction(num, den * base**e)
 
 
 def _check_residue_class(p: int, q: int) -> None:

@@ -18,7 +18,7 @@ import io
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import formulas, oracles, spectral
@@ -63,7 +63,7 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(
-            {"records": [asdict(r) for r in self.records], "summary": self.summary},
+            {"records": [vars(r) for r in self.records], "summary": self.summary},
             indent=2,
         )
 
@@ -194,20 +194,30 @@ def verify_one(n: int) -> list[VerificationRecord]:
     )
 
 
+def positive_int(raw: str) -> int:
+    """The positive integer that ``raw`` spells in ASCII digits alone.
+
+    A sign, space, underscore, another script's digits, zero, or more
+    digits than int() converts raise ValueError.
+    """
+    try:
+        value = int(raw) if raw.isascii() and raw.isdigit() else 0
+    except ValueError:  # more digits than int() converts
+        value = 0
+    if value < 1:
+        raise ValueError(f"must be a positive integer, got {raw!r}")
+    return value
+
+
 def thread_budget() -> int:
     """Worker processes ``run_verification`` may start: ``CHAINDEX_THREADS``, default 1.
 
-    Anything but a positive integer in ASCII digits (no sign, space,
-    underscore or other script's digits) raises ValueError naming the variable.
+    Anything ``positive_int`` rejects raises ValueError naming the variable.
     """
-    raw = os.environ.get("CHAINDEX_THREADS", "1")
     try:
-        budget = int(raw) if raw.isascii() and raw.isdigit() else 0
-    except ValueError:  # more digits than int() converts
-        budget = 0
-    if budget < 1:
-        raise ValueError(f"CHAINDEX_THREADS must be a positive integer, got {raw!r}")
-    return budget
+        return positive_int(os.environ.get("CHAINDEX_THREADS", "1"))
+    except ValueError as exc:
+        raise ValueError(f"CHAINDEX_THREADS {exc}") from None
 
 
 def run_verification(start: int, stop: int, threads: int | None = None) -> VerificationReport:

@@ -14,8 +14,14 @@ recurrence as it ran on the rational normalized block before it moved to
 integer Laplacian minors.  ``hand_normalized_blocks`` writes the
 normalized blocks out from the rail pattern, as the package stored them
 before they became degree-scaled views of the Laplacian blocks.
+``dict_bfs`` is the label-keyed breadth-first search the graphs used
+before their search moved onto vertex positions, and
+``fraction_interior_det_closed`` evaluates the 16-case interior table
+with the three ``Fraction`` operations and the ``Fraction`` power it
+used before it built one ``Fraction`` from integer parts.
 """
 
+from collections import deque
 from fractions import Fraction
 from math import lcm, prod
 
@@ -247,3 +253,23 @@ def hand_normalized_blocks(n: int) -> tuple[tuple, tuple, tuple]:
     offdiag_sq = tuple(Fraction(4, degs[k] * degs[k + 1]) for k in range(m - 1))
     diff = tuple(Fraction(d + 1, d) if r else Fraction(1) for d, r in zip(degs, rungs))
     return diag, offdiag_sq, diff
+
+
+def dict_bfs(g, source) -> dict:
+    """Hop distances from ``source`` to every reachable vertex, keyed by label."""
+    dist = {source: 0}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    return dist
+
+
+def fraction_interior_det_closed(i: int, j: int) -> Fraction:
+    """The 16-case interior table as coefficient * (alpha*d + beta) * (1/25)^(d + shift)."""
+    d = j // 4 - i // 4
+    coefficient, alpha, beta, shift = spectral._INTERIOR_DET_FORM[(i % 4, j % 4)]
+    return coefficient * (alpha * d + beta) * spectral.QUARTER_POW ** (d + shift)

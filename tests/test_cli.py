@@ -52,6 +52,24 @@ def test_non_integer_size_is_a_usage_error(capsys, argv):
     assert "_positive" not in err
 
 
+@pytest.mark.parametrize("raw", ["1_0", " 5 ", "+3", "\u0663", "0", "9" * 5000])
+@pytest.mark.parametrize("option, template", [
+    ("indices --n", "{}"),
+    ("verify --from", "{}"),
+    ("verify --to", "{}"),
+    ("bench --oracle-limit", "{}"),
+    ("bench --n", "{}"),
+    ("bench --n", "1,{}"),
+    ("table", "{}"),
+])
+def test_integer_options_take_ascii_digits_only(capsys, option, template, raw):
+    # the rule CHAINDEX_THREADS follows: no separator, space, sign or other script's digits
+    with pytest.raises(SystemExit) as exc:
+        main(option.split() + [template.format(raw)])
+    assert exc.value.code == 2
+    assert "must be a positive integer" in capsys.readouterr().err
+
+
 def test_indices_rejects_bad_kind(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["indices", "--n", "1", "--kind", "mobius"])

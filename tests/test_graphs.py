@@ -202,6 +202,15 @@ def test_connectivity_is_searched_once_per_graph(monkeypatch):
     assert calls == [0]
 
 
+def test_distances_from_an_unknown_vertex_names_it():
+    g = Graph("ab", [("a", "b")])
+    with pytest.raises(ValueError, match="'z' is not in the graph"):
+        g.distances_from("z")
+    for bad in (-1, 2, True, "a"):
+        with pytest.raises(ValueError, match="out of range"):
+            g.hop_distances(bad)
+
+
 def own_order_indices(g):
     """Kf, Kf* and tau from matrices in the graph's own vertex order."""
     lap = laplacian(g, g.vertices)

@@ -1,6 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from dense_reference import dict_bfs
+from hypothesis import example, given
+from hypothesis import strategies as st
+from test_kernel_differential import BOUNDED
 
 from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain
 from chaindex import oracles as oc
@@ -259,15 +263,42 @@ def test_both_resistance_indices_share_one_grounded_inverse(monkeypatch):
 
 def test_verify_one_shares_one_bfs_per_vertex(monkeypatch):
     calls = []
-    inner = Graph.distances_from
+    inner = Graph.hop_distances
 
     def counting(self, source):
         calls.append(source)
         return inner(self, source)
 
-    monkeypatch.setattr(Graph, "distances_from", counting)
+    monkeypatch.setattr(Graph, "hop_distances", counting)
     vf.verify_one(2)
     assert len(calls) <= build_crossed_chain(2).vertex_count + 1
+
+
+@st.composite
+def any_graph(draw, max_size=9):
+    # random edges on shuffled labels: often disconnected, sometimes edgeless
+    size = draw(st.integers(0, max_size))
+    pairs = [(u, v) for v in range(size) for u in range(v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return Graph(draw(st.permutations(range(size))), edges)
+
+
+@BOUNDED
+@given(any_graph())
+@example(Graph((), ()))
+@example(Graph([7], ()))
+@example(Graph("abcd", [("a", "b"), ("c", "d")]))
+def test_bfs_totals_match_a_dict_bfs(g):
+    reference = {v: dict_bfs(g, v) for v in g.vertices}
+    assert {v: g.distances_from(v) for v in g.vertices} == reference
+    if not g.is_connected():
+        with pytest.raises(ValueError, match="not connected"):
+            oc.wiener_index(g)
+        return
+    assert oc._distance_totals(g) == {
+        v: (sum(dist.values()), sum(g.degree(w) * d for w, d in dist.items()))
+        for v, dist in reference.items()
+    }
 
 
 @pytest.mark.parametrize("spectral_route, index", [

@@ -4,7 +4,8 @@ from fractions import Fraction
 
 import pytest
 from dense_reference import (
-    char_poly, fraction_pair_class_sum, fresh_interior_det, hand_normalized_blocks, pair_class_sum,
+    char_poly, fraction_interior_det_closed, fraction_pair_class_sum, fresh_interior_det,
+    hand_normalized_blocks, pair_class_sum,
 )
 
 from chaindex import Vertex, build_crossed_chain
@@ -224,6 +225,30 @@ def test_certificate_rejects_entry_off_the_pattern(monkeypatch, builder, rails, 
         m = len(mat) // 2
         for r in rails:
             mat[r * m][r * m + 3] = mat[r * m + 3][r * m] = -1
+        return mat
+
+    monkeypatch.setattr(sp, builder.__name__, perturbed)
+    assert sp.factorization_holds(2) == expected
+
+
+@pytest.mark.parametrize("builder, expected", [
+    pytest.param(laplacian, (False, True), id="laplacian"),
+    pytest.param(random_walk_laplacian, (True, False), id="random-walk"),
+])
+@pytest.mark.parametrize("block", ["A", "B"])
+@pytest.mark.parametrize("column", [2, 8], ids=["distance-2", "far-corner"])
+def test_certificate_rejects_entry_off_the_band(monkeypatch, builder, expected, block, column):
+    # A symmetric entry in row 0 of block A or B, mirrored onto the primed
+    # rail, keeps [[A, B], [B, A]], the diagonals and the off-diagonal
+    # products: only the band check can reject it.  At n = 2 the blocks
+    # have 9 rows, so column 8 is the far corner.
+    def perturbed(g, order):
+        mat = builder(g, order)
+        m = len(mat) // 2
+        shift = 0 if block == "A" else m
+        for r in (0, m):
+            i, j = r, (r + shift + column) % (2 * m)
+            mat[i][j] = mat[j][i] = -1
         return mat
 
     monkeypatch.setattr(sp, builder.__name__, perturbed)
@@ -536,6 +561,15 @@ def test_interior_det_exhaustive(n):
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             assert blocks.norm_sum.interior_det(i, j) == sp.interior_det_closed(i, j), (i, j)
+
+
+def test_interior_closed_form_matches_fraction_reference():
+    # every pair up to j = 401 (n = 100), value and type
+    for j in range(2, 402):
+        for i in range(1, j):
+            closed = sp.interior_det_closed(i, j)
+            assert type(closed) is Fraction
+            assert closed == fraction_interior_det_closed(i, j), (i, j)
 
 
 def test_adjacent_pairs_give_one():
