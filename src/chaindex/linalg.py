@@ -3,11 +3,14 @@
 Everything here is exact and floating point never appears.  Determinants,
 adjugates and the trailing characteristic coefficients share one
 fraction-free (Bareiss) elimination that touches only each row's span of
-nonzeros, so banded matrices cost O(n * b^2) per determinant.  It runs
-over the integers for determinants and adjugates and over truncated
-integer power series for the trailing coefficients.  No full
-characteristic polynomial is formed here: the mirror-block factorization
-is certified at the matrix level in ``spectral.factorization_holds``.
+nonzeros, so banded matrices cost O(n * b^2) per determinant.  The ring
+it runs over supplies one step function, the Bareiss update
+(p*a - h*b) / q done exactly: plain integer arithmetic for determinants
+and adjugates, and for the trailing coefficients a fused update over
+Z[x]/(x^3), integer power series truncated after x^2, written out
+coefficient by coefficient.  No full characteristic polynomial is formed
+here: the mirror-block factorization is certified at the matrix level in
+``spectral.factorization_holds``.
 """
 
 from __future__ import annotations
@@ -69,16 +72,21 @@ def _permutation_sign(perm: list[int]) -> int:
     return sign
 
 
-def _eliminate(rows: list, lo: list, hi: list, one, unit):
+def _eliminate(rows: list, lo: list, hi: list, one, zero, unit, step):
     """Determinant by fraction-free elimination over an exact ring.
 
     ``rows`` holds n rows whose first n columns are a square matrix; any
     further columns are carried along and rescaled with their row, and
-    pivots are sought only in the first n.  Entries support ``*``, ``-``,
-    unary ``-``, truth testing and exact ``//`` by a divisor for which
-    ``unit`` holds; ``one`` is the ring's identity.  Every nonzero of row i
-    lies in columns lo[i]..hi[i]-1.  ``rows``, ``lo`` and ``hi`` are
-    consumed: on return each pivot row holds its state at its own step.
+    pivots are sought only in the first n.  The ring supplies its
+    identity ``one``, its ``zero``, the test ``unit`` of a usable pivot,
+    and ``step(p, a, h, b, q)``, which returns (p*a - h*b) / q for a
+    divisor q for which ``unit`` holds; the division is exact.  Entries
+    need nothing else but truth testing and unary ``-``.  Entry a of a
+    row is updated against entry b of the pivot row as step(pivot, a,
+    head, b, previous pivot), and a deferred rescale by num/den is
+    step(num, a, zero, zero, den).  Every nonzero of row i lies in
+    columns lo[i]..hi[i]-1.  ``rows``, ``lo`` and ``hi`` are consumed: on
+    return each pivot row holds its state at its own step.
 
     Step c takes its pivot from the rows whose first nonzero is column c,
     preferring the narrowest.  A row skipped by a step is only rescaled by
@@ -109,7 +117,7 @@ def _eliminate(rows: list, lo: list, hi: list, one, unit):
         row = rows[i]
         for j in range(lo[i], hi[i]):
             if row[j]:
-                row[j] = row[j] * num // den
+                row[j] = step(num, row[j], zero, zero, den)
         lag[i] = c
 
     def place(i: int, start: int) -> None:
@@ -182,7 +190,7 @@ def _eliminate(rows: list, lo: list, hi: list, one, unit):
             end = max(hi[i], end_r)
             for j in range(c + 1, end):
                 if row_r[j] or row_i[j]:
-                    row_i[j] = (pivot * row_i[j] - head * row_r[j]) // prev
+                    row_i[j] = step(pivot, row_i[j], head, row_r[j], prev)
             hi[i] = end
             lag[i] = c + 1
             place(i, c + 1)
@@ -196,12 +204,15 @@ def _eliminate(rows: list, lo: list, hi: list, one, unit):
     return (det if sign * _permutation_sign(order) > 0 else -det), order
 
 
-class _Series:
-    """A power series over Z truncated to its first k coefficients.
+def _int_step(p: int, a: int, h: int, b: int, q: int) -> int:
+    return (p * a - h * b) // q
 
-    The scalar ring of the trailing-coefficient elimination: products and
-    differences are truncated, and ``//`` divides exactly by a series
-    whose constant term is nonzero.
+
+class _Series:
+    """An element of Z[x]/(x^3): integer power series truncated after x^2.
+
+    The scalar ring of the trailing-coefficient elimination.  ``c`` holds
+    the three coefficients, ascending; all arithmetic is ``_series_step``.
     """
 
     __slots__ = ("c",)
@@ -210,36 +221,32 @@ class _Series:
         self.c = c
 
     def __bool__(self) -> bool:
-        return any(self.c)
+        return self.c != (0, 0, 0)
 
     def __neg__(self) -> "_Series":
-        return _Series(tuple(-a for a in self.c))
+        a0, a1, a2 = self.c
+        return _Series((-a0, -a1, -a2))
 
-    def __sub__(self, other: "_Series") -> "_Series":
-        return _Series(tuple(a - b for a, b in zip(self.c, other.c)))
 
-    def __mul__(self, other: "_Series") -> "_Series":
-        a, b = self.c, other.c
-        k = len(a)
-        out = [0] * k
-        for i, ai in enumerate(a):
-            if ai:
-                for j in range(k - i):
-                    out[i + j] += ai * b[j]
-        return _Series(tuple(out))
+def _series_step(p: _Series, a: _Series, h: _Series, b: _Series, q: _Series) -> _Series:
+    """(p*a - h*b) / q in Z[x]/(x^3), for q with a nonzero constant term.
 
-    def __floordiv__(self, other: "_Series") -> "_Series":
-        a, b = self.c, other.c
-        q = []
-        for d in range(len(a)):
-            r = a[d]
-            for i in range(d):
-                r -= q[i] * b[d - i]
-            quotient, remainder = divmod(r, b[0])
-            if remainder:
-                raise ArithmeticError("truncated-series division is not exact")
-            q.append(quotient)
-        return _Series(tuple(q))
+    The products and the difference are truncated after x^2 and the
+    quotient is solved one coefficient at a time; a nonzero remainder
+    raises ArithmeticError.
+    """
+    p0, p1, p2 = p.c
+    a0, a1, a2 = a.c
+    h0, h1, h2 = h.c
+    b0, b1, b2 = b.c
+    q0, q1, q2 = q.c
+    t0, r0 = divmod(p0 * a0 - h0 * b0, q0)
+    t1, r1 = divmod(p0 * a1 + p1 * a0 - h0 * b1 - h1 * b0 - t0 * q1, q0)
+    t2, r2 = divmod(p0 * a2 + p1 * a1 + p2 * a0 - h0 * b2 - h1 * b1 - h2 * b0
+                    - t0 * q2 - t1 * q1, q0)
+    if r0 or r1 or r2:
+        raise ArithmeticError("truncated-series division is not exact")
+    return _Series((t0, t1, t2))
 
 
 def _has_constant_term(s: _Series) -> bool:
@@ -256,7 +263,7 @@ def det_bareiss(matrix) -> int:
     scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
     if any(s != 1 for s in scales):
         raise ValueError("det_bareiss requires integer entries")
-    det, _ = _eliminate(rows, lo, hi, 1, bool)
+    det, _ = _eliminate(rows, lo, hi, 1, 0, bool, _int_step)
     return 0 if det is None else det
 
 
@@ -277,7 +284,7 @@ def adjugate(matrix) -> tuple[int, list[list[int]]]:
         row.extend([0] * n)
         row[n + i] = 1
         hi[i] = n + i + 1
-    det, order = _eliminate(rows, lo, hi, 1, bool)
+    det, order = _eliminate(rows, lo, hi, 1, 0, bool, _int_step)
     if not det:
         raise SingularMatrixError("matrix is singular")
     # A nonzero det means no column was swapped, so step k solved for X[k].
@@ -295,30 +302,28 @@ def adjugate(matrix) -> tuple[int, list[list[int]]]:
     return det, adj
 
 
-def char_poly_tail(matrix, k: int) -> list[Fraction]:
-    """Lowest k coefficients of det(xI - M), ascending, for a square rational M.
+def char_poly_tail(matrix) -> list[Fraction]:
+    """Lowest three coefficients of det(xI - M), ascending, for a square rational M.
 
     Rows are scaled to clear denominators and det(xS - T) is eliminated
-    over the integer power series truncated after x^(k-1), so only the
-    wanted coefficients are ever formed.  Every pivot needs a nonzero
-    constant term, which exists at each step but the last exactly when
-    M has rank at least n - 1; otherwise SingularMatrixError is raised.
+    over Z[x]/(x^3), so only the wanted coefficients are ever formed.
+    Every pivot needs a nonzero constant term, which exists at each step
+    but the last exactly when M has rank at least n - 1; otherwise
+    SingularMatrixError is raised.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError("k must be a positive integer")
     scales, rows, lo, hi = _scaled_rows(matrix, diagonal=True)
     n = len(rows)
-    pad = (0,) * (k - 1)
-    zero = _Series((0,) + pad)
+    zero = _Series((0, 0, 0))
     series_rows = []
     for i, row in enumerate(rows):
         series = [zero] * n
         for j in range(lo[i], hi[i]):
             if row[j]:
-                series[j] = _Series((-row[j],) + pad)
-        series[i] = _Series(((-row[i], scales[i]) + pad)[:k])
+                series[j] = _Series((-row[j], 0, 0))
+        series[i] = _Series((-row[i], scales[i], 0))
         series_rows.append(series)
-    det, _ = _eliminate(series_rows, lo, hi, _Series((1,) + pad), _has_constant_term)
+    det, _ = _eliminate(series_rows, lo, hi, _Series((1, 0, 0)), zero,
+                        _has_constant_term, _series_step)
     if det is None:
         raise SingularMatrixError("matrix has rank below n - 1")
     denominator = prod(scales)

@@ -110,7 +110,7 @@ def _trailing_coefficients(matrix) -> tuple[Fraction, Fraction]:
     when the graph is connected, so then c0 = 0 and c1 != 0.
     """
     try:
-        c0, c1, c2 = char_poly_tail(matrix, 3)
+        c0, c1, c2 = char_poly_tail(matrix)
     except SingularMatrixError:
         raise ValueError("graph is not connected") from None
     if c0 != 0 or c1 == 0:

@@ -446,19 +446,24 @@ _INTERIOR_DET_FORM = {
 }
 
 
+def interior_det_parts(i: int, j: int) -> tuple[int, int]:
+    """``interior_det_closed(i, j)`` as integers (num, den) with den > 0, not reduced."""
+    if type(i) is not int or type(j) is not int or not 1 <= i < j:
+        raise ValueError(f"need ints 1 <= i < j, got ({i!r}, {j!r})")
+    d = j // 4 - i // 4
+    coefficient, alpha, beta, shift = _INTERIOR_DET_FORM[(i % 4, j % 4)]
+    num, den, e = coefficient.numerator * (alpha * d + beta), coefficient.denominator, d + shift
+    base = QUARTER_POW.denominator  # QUARTER_POW = 1/base
+    return (num * base**-e, den) if e < 0 else (num, den * base**e)
+
+
 def interior_det_closed(i: int, j: int) -> Fraction:
     """Closed form of the interior minor, dispatched on (i mod 4, j mod 4).
 
     Every admissible pair 1 <= i < j falls into exactly one of 16 cases;
     for adjacent pairs (j = i+1) each case formula already evaluates to 1.
     """
-    if type(i) is not int or type(j) is not int or not 1 <= i < j:
-        raise ValueError(f"need ints 1 <= i < j, got ({i!r}, {j!r})")
-    d = j // 4 - i // 4
-    coefficient, alpha, beta, shift = _INTERIOR_DET_FORM[(i % 4, j % 4)]
-    num, den, e = coefficient.numerator * (alpha * d + beta), coefficient.denominator, d + shift
-    base = QUARTER_POW.denominator  # one Fraction from integer parts, QUARTER_POW = 1/base
-    return Fraction(num * base**-e, den) if e < 0 else Fraction(num, den * base**e)
+    return Fraction(*interior_det_parts(i, j))
 
 
 def _check_residue_class(p: int, q: int) -> None:

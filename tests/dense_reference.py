@@ -19,6 +19,9 @@ before their search moved onto vertex positions, and
 ``fraction_interior_det_closed`` evaluates the 16-case interior table
 with the three ``Fraction`` operations and the ``Fraction`` power it
 used before it built one ``Fraction`` from integer parts.
+``OperatorSeries`` is the truncated power-series ring the trailing
+coefficients were eliminated over before the Bareiss update became one
+fused step: each of ``*``, ``-`` and ``//`` builds its own series.
 """
 
 from collections import deque
@@ -273,3 +276,43 @@ def fraction_interior_det_closed(i: int, j: int) -> Fraction:
     d = j // 4 - i // 4
     coefficient, alpha, beta, shift = spectral._INTERIOR_DET_FORM[(i % 4, j % 4)]
     return coefficient * (alpha * d + beta) * spectral.QUARTER_POW ** (d + shift)
+
+
+class OperatorSeries:
+    """A power series over Z truncated to its first k coefficients.
+
+    Products and differences are truncated, and ``//`` divides exactly by
+    a series whose constant term is nonzero, raising ArithmeticError when
+    the quotient is not integral.
+    """
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: tuple) -> None:
+        self.c = c
+
+    def __sub__(self, other: "OperatorSeries") -> "OperatorSeries":
+        return OperatorSeries(tuple(a - b for a, b in zip(self.c, other.c)))
+
+    def __mul__(self, other: "OperatorSeries") -> "OperatorSeries":
+        a, b = self.c, other.c
+        k = len(a)
+        out = [0] * k
+        for i, ai in enumerate(a):
+            if ai:
+                for j in range(k - i):
+                    out[i + j] += ai * b[j]
+        return OperatorSeries(tuple(out))
+
+    def __floordiv__(self, other: "OperatorSeries") -> "OperatorSeries":
+        a, b = self.c, other.c
+        q = []
+        for d in range(len(a)):
+            r = a[d]
+            for i in range(d):
+                r -= q[i] * b[d - i]
+            quotient, remainder = divmod(r, b[0])
+            if remainder:
+                raise ArithmeticError("truncated-series division is not exact")
+            q.append(quotient)
+        return OperatorSeries(tuple(q))

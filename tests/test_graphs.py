@@ -230,7 +230,7 @@ def own_order_indices(g):
     kf_star = sum(degs[a] * degs[b] * r(a, b) for a, b in pairs)
     for matrix, total in ((lap, kf / g.vertex_count),
                           (random_walk_laplacian(g, g.vertices), kf_star / (2 * g.edge_count))):
-        c0, c1, c2 = char_poly_tail(matrix, 3)
+        c0, c1, c2 = char_poly_tail(matrix)
         assert [c0, c1, c2] == char_poly(matrix)[:3]
         assert abs(Fraction(c2, c1)) == total
     return kf, kf_star, tau

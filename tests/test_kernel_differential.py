@@ -4,6 +4,8 @@
 dense Bareiss copy, Fraction Gaussian and Gauss-Jordan elimination and the
 interpolated characteristic polynomial in ``dense_reference``; that
 polynomial is itself checked against the Faddeev-LeVerrier recurrence.
+The fused Bareiss step over Z[x]/(x^3) is compared with the operator
+series ring it replaced.
 Inputs cover singular matrices, matrices whose leading entry is zero,
 0x0 and 1x1, random banded matrices, low-rank matrices and the
 Laplacians of random connected graphs in shuffled vertex order.
@@ -15,6 +17,7 @@ from fractions import Fraction
 
 import pytest
 from dense_reference import (
+    OperatorSeries,
     char_poly,
     dense_det_bareiss,
     fraction_det,
@@ -22,13 +25,15 @@ from dense_reference import (
     fraction_rank,
     leverrier_char_poly,
 )
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chaindex import Graph
 from chaindex import oracles as oc
 from chaindex.linalg import (
     SingularMatrixError,
+    _Series,
+    _series_step,
     adjugate,
     char_poly_tail,
     det_bareiss,
@@ -137,7 +142,7 @@ def test_det_of_1x1(a):
 def test_empty_matrix():
     assert det_bareiss([]) == 1
     assert char_poly([]) == [Fraction(1)]
-    assert char_poly_tail([], 3) == [Fraction(1), Fraction(0), Fraction(0)]
+    assert char_poly_tail([]) == [Fraction(1), Fraction(0), Fraction(0)]
 
 
 # --- adjugates ----------------------------------------------------------------
@@ -193,45 +198,68 @@ def test_char_poly_matches_leverrier(m):
 
 
 @BOUNDED
-@given(st.one_of(square(sparse_rationals), square(sparse_ints), banded(sparse_rationals)),
-       st.integers(1, 4))
-def test_tail_matches_char_poly(m, k):
+@given(st.one_of(square(sparse_rationals), square(sparse_ints), banded(sparse_rationals)))
+def test_tail_matches_char_poly(m):
     n = len(m)
     if fraction_rank(m) >= n - 1:
-        assert char_poly_tail(m, k) == padded(char_poly(m), k)
+        assert char_poly_tail(m) == padded(char_poly(m), 3)
     else:
         with pytest.raises(SingularMatrixError):
-            char_poly_tail(m, k)
+            char_poly_tail(m)
 
 
 @BOUNDED
-@given(low_rank(), st.integers(1, 4))
-def test_tail_rejects_rank_below_n_minus_1(m, k):
+@given(low_rank())
+def test_tail_rejects_rank_below_n_minus_1(m):
     with pytest.raises(SingularMatrixError):
-        char_poly_tail(m, k)
+        char_poly_tail(m)
 
 
 def test_tail_when_a_column_holds_no_pivot():
     # column 0 of xI - M is (x, 0): no entry with a nonzero constant term
     for m in ([[0, 1], [0, 2]], [[0, 0, 1], [0, 3, 0], [0, 1, 1]]):
         assert fraction_rank(m) == len(m) - 1
-        assert char_poly_tail(m, 3) == padded(char_poly(m), 3)
+        assert char_poly_tail(m) == padded(char_poly(m), 3)
 
 
 def test_tail_when_a_column_vanishes_to_order_k():
-    # det(xI - S) = x^3 for the nilpotent shift S (rank 2 = n - 1); with
-    # k = 2 a column of the eliminated matrix vanishes, and the exact tail
-    # is zero rather than an error
-    shift = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]
-    for k in (1, 2, 3, 4):
-        assert char_poly_tail(shift, k) == padded([0, 0, 0, 1], k)
-    assert det_bareiss(shift) == 0
+    # det(xI - S) = x^n for the nilpotent shift S of order n (rank n - 1);
+    # from n = 4 on a column of the eliminated matrix vanishes modulo x^3,
+    # and the exact tail is zero rather than an error
+    for n in (3, 4, 5):
+        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        assert char_poly_tail(shift) == [0, 0, 0]
+        assert det_bareiss(shift) == 0
 
 
-def test_tail_rejects_bad_k():
-    for k in (0, -1, 2.0, True):
-        with pytest.raises(ValueError):
-            char_poly_tail([[1]], k)
+# --- the fused step over Z[x]/(x^3) ------------------------------------------
+
+coefficients = st.one_of(st.integers(-6, 6), st.integers(-10**30, 10**30))
+series = st.tuples(coefficients, coefficients, coefficients)
+divisors = st.tuples(coefficients.filter(bool), coefficients, coefficients)
+
+
+@BOUNDED
+@given(series, series, series, series, divisors, st.booleans())
+@example((1, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0), (2, 0, 0), False)   # 1/2
+@example((1, 0, 0), (2, 1, 0), (0, 0, 0), (0, 0, 0), (2, 0, 0), False)   # x/2
+@example((1, 0, 0), (0, 0, 1), (0, 0, 0), (0, 0, 0), (2, 0, 0), False)   # x^2/2
+@example((3, 1, 0), (0, 2, 1), (0, 0, 0), (0, 0, 0), (1, 0, 0), False)   # x^3 truncated
+def test_series_step_matches_operator_ring(p, a, h, b, q, exact):
+    # (p*a - h*b) / q against the three operators of the reference ring;
+    # with ``exact`` a and b are multiplied by q first, so q divides
+    ring = [OperatorSeries(c) for c in (p, a, h, b, q)]
+    if exact:
+        ring[1], ring[3] = ring[1] * ring[4], ring[3] * ring[4]
+    P, A, H, B, Q = ring
+    try:
+        expected = ((P * A - H * B) // Q).c
+    except ArithmeticError:
+        assert not exact
+        with pytest.raises(ArithmeticError):
+            _series_step(*(_Series(s.c) for s in ring))
+        return
+    assert _series_step(*(_Series(s.c) for s in ring)).c == expected
 
 
 # --- graph matrices ----------------------------------------------------------
@@ -241,7 +269,7 @@ def test_tail_rejects_bad_k():
 @given(shuffled_connected_graph())
 def test_graph_tails_match_char_poly(g):
     for matrix in (laplacian(g), random_walk_laplacian(g)):
-        assert char_poly_tail(matrix, 3) == char_poly(matrix)[:3]
+        assert char_poly_tail(matrix) == char_poly(matrix)[:3]
     # and the two routes of both resistance indices agree
     assert oc.kirchhoff_from_spectrum(g) == oc.kirchhoff_from_resistances(g)
     assert oc.degree_kirchhoff_from_spectrum(g) == oc.degree_kirchhoff_from_resistances(g)

@@ -1,8 +1,15 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from chaindex import spectral
 from chaindex import verify as vf
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(scope="module")
@@ -59,6 +66,32 @@ def test_csv_shape(report):
     lines = report.to_csv().splitlines()
     assert lines[0] == "claim_id,n,claimed,computed,status"
     assert len(lines) == len(report.records) + 1
+
+
+def test_default_path_leaves_the_process_pool_unloaded():
+    # the pool's modules are imported only when verification runs in parallel
+    code = (
+        "import contextlib, io, sys\n"
+        "import chaindex.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    chaindex.cli.main(['indices', '--n', '1'])\n"
+        "print(sorted({'multiprocessing', 'concurrent.futures'} & set(sys.modules)))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "CHAINDEX_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
+
+
+def test_interior_minor_failure_names_both_fractions(monkeypatch):
+    closed = spectral.interior_det_parts
+    monkeypatch.setattr(spectral, "interior_det_parts",
+                        lambda i, j: (7, 3) if (i, j) == (2, 7) else closed(i, j))
+    record = next(r for r in vf.verify_one(2) if r.claim_id == "interior-minor.p2q3")
+    assert record.status == vf.MISMATCH
+    assert record.computed == f"(i=2, j=7): {spectral.mirror_blocks(2).norm_interior_det(2, 7)} != 7/3"
 
 
 def test_parallel_matches_serial():
