@@ -1,8 +1,10 @@
 """Compute every invariant exactly, straight from the definitions.
 
-All arithmetic is rational or integer: resistances come from grounded
-Laplacian solves, spanning trees from a fraction-free determinant, and
-the distance indices from breadth-first search.  Nothing is rounded.
+All arithmetic is rational or integer: resistances and the spanning-tree
+count come from one fraction-free symmetric factor of the grounded
+Laplacian (its determinant, and the adjugate's diagonal and quadratic
+forms read inside the band), and the distance indices from breadth-first
+search.  Nothing is rounded.
 """
 
 from chaindex import Vertex, build_crossed_chain, build_plain_chain

@@ -1,22 +1,25 @@
 """Exact linear algebra over rationals and arbitrary-precision integers.
 
 Everything here is exact and floating point never appears.  Determinants,
-adjugates and the trailing characteristic coefficients share one
-fraction-free (Bareiss) elimination that touches only each row's span of
-nonzeros, so banded matrices cost O(n * b^2) per determinant.  The ring
-it runs over supplies one step function, the Bareiss update
-(p*a - h*b) / q done exactly: plain integer arithmetic for determinants
-and adjugates, and for the trailing coefficients a fused update over
-Z[x]/(x^3), integer power series truncated after x^2, written out
-coefficient by coefficient.  No full characteristic polynomial is formed
-here: the mirror-block factorization is certified at the matrix level in
-``spectral.factorization_holds``.
+the adjugate's diagonal and quadratic forms, and the trailing
+characteristic coefficients share one fraction-free (Bareiss) elimination
+that touches only each row's span of nonzeros, so banded matrices cost
+O(n * b^2).  The ring it runs over supplies one step function, the
+Bareiss update (p*a - h*b) / q done exactly: plain integer arithmetic for
+determinants and adjugate forms, and for the trailing coefficients a
+fused update over Z[x]/(x^3), integer power series truncated after x^2,
+written out coefficient by coefficient.  The adjugate is never formed:
+``adjugate_forms`` reads the entries it needs inside the band of the
+symmetric factor (selected inversion).  No full characteristic polynomial
+is formed here either: the mirror-block factorization is certified at
+the matrix level in ``spectral.factorization_holds``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm, prod
+from operator import mul
 
 
 class SingularMatrixError(ValueError):
@@ -76,31 +79,35 @@ def _eliminate(rows: list, lo: list, hi: list, one, zero, unit, step):
     """Determinant by fraction-free elimination over an exact ring.
 
     ``rows`` holds n rows whose first n columns are a square matrix; any
-    further columns are carried along and rescaled with their row, and
-    pivots are sought only in the first n.  The ring supplies its
-    identity ``one``, its ``zero``, the test ``unit`` of a usable pivot,
-    and ``step(p, a, h, b, q)``, which returns (p*a - h*b) / q for a
-    divisor q for which ``unit`` holds; the division is exact.  Entries
-    need nothing else but truth testing and unary ``-``.  Entry a of a
-    row is updated against entry b of the pivot row as step(pivot, a,
-    head, b, previous pivot), and a deferred rescale by num/den is
-    step(num, a, zero, zero, den).  Every nonzero of row i lies in
-    columns lo[i]..hi[i]-1.  ``rows``, ``lo`` and ``hi`` are consumed: on
-    return each pivot row holds its state at its own step.
+    further columns are carried: every update and rescale of a row covers
+    all of them, and pivots are sought only in the first n.  The ring
+    supplies its identity ``one``, its ``zero``, the test ``unit`` of a
+    usable pivot, and ``step(p, a, h, b, q)``, which returns
+    (p*a - h*b) / q for a divisor q for which ``unit`` holds; the division
+    is exact.  Entries need nothing else but truth testing and unary
+    ``-``.  Entry a of a row is updated against entry b of the pivot row
+    as step(pivot, a, head, b, previous pivot), and a deferred rescale by
+    num/den is step(num, a, zero, zero, den).  Every nonzero of row i in
+    the first n columns lies in columns lo[i]..hi[i]-1.  ``rows``, ``lo``
+    and ``hi`` are consumed: on return each pivot row holds its state at
+    its own step.
 
-    Step c takes its pivot from the rows whose first nonzero is column c,
-    preferring the narrowest.  A row skipped by a step is only rescaled by
-    the ratio of consecutive pivots, so the rescaling is deferred until the
-    row next takes part.  A column with no nonzero left makes the
-    determinant zero; it is swapped to the end so elimination can go on.
-    A column with nonzeros but no unit swaps in a later column that has
-    one.  Returns (det, order), where order lists the pivot row of each
-    step; det is None when fewer than n - 1 steps find a unit pivot: the
-    remaining block has no unit, or two columns vanished.
+    Step c takes its pivot from the rows whose first nonzero is column c:
+    row c itself when it has a unit there, else the narrowest.  On a
+    symmetric matrix the pivot rows are then its symmetric factor.  A row
+    skipped by a step is only rescaled by the ratio of consecutive pivots,
+    so the rescaling is deferred until the row next takes part.  A column
+    with no nonzero left makes the determinant zero; it is swapped to the
+    end so elimination can go on.  A column with nonzeros but no unit
+    swaps in a later column that has one.  Returns (det, order), where
+    order lists the pivot row of each step; det is None when fewer than
+    n - 1 steps find a unit pivot: the remaining block has no unit, or two
+    columns vanished.
     """
     n = len(rows)
     if n == 0:
         return one, []
+    carried = range(n, len(rows[0]))
     buckets: list[list[int]] = [[] for _ in range(n + 1)]
     for i in range(n):
         buckets[lo[i]].append(i)
@@ -115,9 +122,10 @@ def _eliminate(rows: list, lo: list, hi: list, one, zero, unit, step):
         # Bring row i, last touched before step c, to its state after step c-1.
         num, den = pivots[c], pivots[lag[i]]
         row = rows[i]
-        for j in range(lo[i], hi[i]):
-            if row[j]:
-                row[j] = step(num, row[j], zero, zero, den)
+        for span in (range(lo[i], hi[i]), carried):
+            for j in span:
+                if row[j]:
+                    row[j] = step(num, row[j], zero, zero, den)
         lag[i] = c
 
     def place(i: int, start: int) -> None:
@@ -173,7 +181,7 @@ def _eliminate(rows: list, lo: list, hi: list, one, zero, unit, step):
                 return None, order
             live = swap_columns(c, target)
             candidates = [i for i in live if unit(rows[i][c])]
-        r = min(candidates, key=hi.__getitem__)
+        r = c if c in candidates else min(candidates, key=hi.__getitem__)
         used[r] = True
         order.append(r)
         if lag[r] != c:
@@ -188,9 +196,10 @@ def _eliminate(rows: list, lo: list, hi: list, one, zero, unit, step):
             row_i = rows[i]
             head = row_i[c]
             end = max(hi[i], end_r)
-            for j in range(c + 1, end):
-                if row_r[j] or row_i[j]:
-                    row_i[j] = step(pivot, row_i[j], head, row_r[j], prev)
+            for span in (range(c + 1, end), carried):
+                for j in span:
+                    if row_r[j] or row_i[j]:
+                        row_i[j] = step(pivot, row_i[j], head, row_r[j], prev)
             hi[i] = end
             lag[i] = c + 1
             place(i, c + 1)
@@ -267,39 +276,58 @@ def det_bareiss(matrix) -> int:
     return 0 if det is None else det
 
 
-def adjugate(matrix) -> tuple[int, list[list[int]]]:
-    """(det M, adj M) of a square integer matrix, where adj M = det M * M^-1.
+def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
+    """(det M, diag(adj M), [v·adj(M)·v for v in vectors]) of a symmetric integer M.
 
-    The elimination runs on [M | I], leaving U X = R with U upper
-    triangular and X = M^-1; every entry of adj M = det M * X is an
-    integer, so back substitution divides exactly.  It walks only the
-    nonzeros of U, so a matrix of bandwidth b costs O(n^2 * b).  A
-    singular M raises SingularMatrixError.
+    Every pivot is taken on the diagonal, so row k at its own step is row
+    k of the fraction-free factor M = Uᵀ·diag(1/(p_{k-1}·p_k))·U, with
+    pivot p_k = U_kk (p_{-1} = 1, det = p_{N-1}).  The vectors ride along
+    as carried columns.  Takahashi's recurrences then read A = adj M inside
+    the band b of U, from k = N-1 down:
+    A_kj = -(Σ_l U_kl·A_lj) / p_k for k < j <= k + b and
+    A_kk = (det·p_{k-1} - Σ_l U_kl·A_lk) / p_k, and back substitution
+    gives y = A·v as y_k = (det·ζ_k - Σ_l U_kl·y_l) / p_k, where ζ_k is
+    v's carried entry of row k.  Every division is exact, so a matrix of
+    bandwidth b costs O(N·b²) time and O(N·b) integers besides M.  A
+    vanishing leading principal minor raises SingularMatrixError; for a
+    positive semidefinite M that happens exactly when M is singular.
     """
     scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
     if any(s != 1 for s in scales):
-        raise ValueError("adjugate requires integer entries")
+        raise ValueError("adjugate_forms requires integer entries")
     n = len(rows)
+    if any(rows[j][i] != rows[i][j] for i in range(n) for j in range(lo[i], hi[i])):
+        raise ValueError("matrix is not symmetric")
+    vectors = [list(v) for v in vectors]
+    if any(len(v) != n or not all(isinstance(e, int) for e in v) for v in vectors):
+        raise ValueError("each vector needs one int entry per row")
     for i, row in enumerate(rows):
-        row.extend([0] * n)
-        row[n + i] = 1
-        hi[i] = n + i + 1
+        row.extend(v[i] for v in vectors)
     det, order = _eliminate(rows, lo, hi, 1, 0, bool, _int_step)
-    if not det:
-        raise SingularMatrixError("matrix is singular")
-    # A nonzero det means no column was swapped, so step k solved for X[k].
-    adj = [[0] * n for _ in range(n)]
-    for k in range(n - 1, -1, -1):
-        r = order[k]
-        row = rows[r]
-        upper = [(j, row[j]) for j in range(k + 1, min(hi[r], n)) if row[j]]
-        pivot, out = row[k], adj[k]
-        for col in range(n):
-            acc = det * row[n + col]
-            for j, u in upper:
-                acc -= u * adj[j][col]
-            out[col] = acc // pivot
-    return det, adj
+    if not det or order != list(range(n)):
+        raise SingularMatrixError("matrix has a vanishing leading principal minor")
+    b = 0
+    for k, row in enumerate(rows):
+        j = hi[k] - 1
+        while j > k and not row[j]:
+            j -= 1
+        b = max(b, j - k)
+    near = [[]] * n  # near[k][o] = A[k][k + o] for o = 0..b
+    ys = [[0] * n for _ in vectors]
+    prev = [1] + [rows[k][k] for k in range(n - 1)]
+    for k in reversed(range(n)):
+        row, p = rows[k], rows[k][k]
+        upper = [(l, row[l]) for l in range(k + 1, min(k + b + 1, n)) if row[l]]
+        a = [0] * (b + 1)
+        for j in range(min(k + b, n - 1), k, -1):
+            a[j - k] = -sum(u * (near[l][j - l] if l <= j else near[j][l - j])
+                            for l, u in upper) // p
+        a[0] = (det * prev[k] - sum(u * a[l - k] for l, u in upper)) // p
+        near[k] = a
+        for t, y in enumerate(ys):
+            y[k] = (det * row[n + t] - sum(u * y[l] for l, u in upper)) // p
+    forms = [sum(map(mul, v, y)) for v, y in zip(vectors, ys)]
+    return det, [a[0] for a in near], forms
 
 
 def char_poly_tail(matrix) -> list[Fraction]:

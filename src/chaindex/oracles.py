@@ -6,6 +6,10 @@ straight from the definitions, with no use of the closed forms they are
 later compared against.  The two resistance-based indices are each
 computed along two independent routes (pairwise sums and a trailing
 characteristic-coefficient ratio) and the routes must agree exactly.
+The pairwise sums, single resistances and the default spanning-tree
+count read one symmetric factor of the grounded Laplacian: its
+determinant, its adjugate's diagonal and quadratic forms of that
+adjugate, never the adjugate itself.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from operator import mul
 from .graphs import ChainGraph, Graph, Vertex
 from .linalg import (
     SingularMatrixError,
-    adjugate,
+    adjugate_forms,
     char_poly_tail,
     det_bareiss,
     laplacian,
@@ -35,56 +39,60 @@ def _require_connected(g: Graph) -> None:
 # resistance distances
 
 
-def _grounded_inverse(g: Graph) -> tuple[tuple, int, list[list[int]]]:
-    """(order, det, adj) of the Laplacian with the last band-ordered vertex grounded.
+def _grounded_forms(g: Graph, *weights) -> tuple[tuple, int, list[int], list[int]]:
+    """(order, det, diag, forms) of the adjugate A of the Laplacian whose last
+    band-ordered vertex is grounded: A's diagonal and one form wᵀAw per
+    weight function, with w listing weight(v) for each kept vertex v.
 
-    The grounded inverse is adj / det; keeping it as integers lets every
-    resistance sum stay integral until one final division by det.
+    The grounded inverse is A / det; keeping A's entries as integers lets
+    every resistance sum stay integral until one final division by det.
     """
     order = g.band_order()
+    kept = order[:-1]
+    m = len(kept)
     lap = laplacian(g, order)
-    m = len(order) - 1
     try:
-        det, adj = adjugate([row[:m] for row in lap[:m]])
+        det, diag, forms = adjugate_forms([row[:m] for row in lap[:m]],
+                                          [[weight(v) for v in kept] for weight in weights])
     except SingularMatrixError:
         raise ValueError("graph is not connected") from None
-    return order, det, adj
+    return order, det, diag, forms
+
+
+@lru_cache(maxsize=1)
+def _grounded_factor(g: Graph) -> tuple[tuple, int, list[int], list[int]]:
+    """(order, det, diag, [1ᵀA1, dᵀAd]) of the grounded adjugate A, d the
+    degrees: everything the pairwise resistance sums and the default
+    spanning-tree count read, kept for the last (immutable) graph.  No
+    trailing-coefficient route reads it."""
+    return _grounded_forms(g, lambda v: 1, g.degree)
 
 
 def resistance(g: Graph, u, v) -> Fraction:
     """Effective resistance between u and v with unit resistors on edges.
 
-    Reads r(u, v) = (A[u][u] + A[v][v] - 2 A[u][v]) / det from the
-    grounded adjugate A, which is zero on the grounded vertex.
+    Reads r(u, v) = wᵀAw / det for w = e_u - e_v and the grounded adjugate
+    A, which is zero on the grounded vertex.
     """
     if u == v:
         raise ValueError("resistance requires two distinct vertices")
     if u not in g.vertices or v not in g.vertices:
         raise ValueError("both endpoints must belong to the graph")
-    order, det, adj = _grounded_inverse(g)
-    pos = {w: i for i, w in enumerate(order[:-1])}
-
-    def entry(a, b) -> int:
-        return adj[pos[a]][pos[b]] if a in pos and b in pos else 0
-
-    return Fraction(entry(u, u) + entry(v, v) - 2 * entry(u, v), det)
+    _, det, _, (form,) = _grounded_forms(g, lambda w: (w == u) - (w == v))
+    return Fraction(form, det)
 
 
-@lru_cache(maxsize=1)
 def _pairwise_resistance_sums(g: Graph) -> tuple[Fraction, Fraction]:
-    """(plain sum, degree-weighted sum) of resistances over all vertex pairs,
-    kept for the last (immutable) graph; no trailing-coefficient route reads it.
+    """(plain sum, degree-weighted sum) of resistances over all vertex pairs.
 
     With r_ab = (A_aa + A_bb - 2 A_ab) / det for the grounded adjugate A,
     which is zero on the grounded vertex, the pair sums regroup as
-    N·Σ A_aa − Σ_ab A_ab and 2|E|·Σ d_a A_aa − Σ_a d_a Σ_b d_b A_ab.
+    N·Σ A_aa − 1ᵀA1 and 2|E|·Σ d_a A_aa − dᵀAd.
     """
-    order, det, adj = _grounded_inverse(g)
+    order, det, diag, (ones, degrees) = _grounded_factor(g)
     degs = [g.degree(v) for v in order[:-1]]
-    diag = [row[a] for a, row in enumerate(adj)]
-    plain = g.vertex_count * sum(diag) - sum(map(sum, adj))
-    weighted = (2 * g.edge_count * sum(map(mul, degs, diag))
-                - sum(d * sum(map(mul, degs, row)) for d, row in zip(degs, adj)))
+    plain = g.vertex_count * sum(diag) - ones
+    weighted = 2 * g.edge_count * sum(map(mul, degs, diag)) - degrees
     return Fraction(plain, det), Fraction(weighted, det)
 
 
@@ -163,19 +171,22 @@ def degree_kirchhoff_index(g: Graph) -> Fraction:
 def spanning_tree_count(g: Graph, drop=None) -> int:
     """Number of spanning trees via a reduced-Laplacian determinant.
 
-    The count is independent of which vertex is deleted; ``drop`` selects
-    one explicitly (mainly so tests can confirm the independence).
+    By default the determinant is the grounded factor's, which the
+    resistance sums share.  The count is independent of which vertex is
+    deleted; ``drop`` selects one explicitly and eliminates afresh
+    (mainly so tests can confirm the independence).
     """
     _require_connected(g)
-    band = g.band_order()
     if drop is None:
-        drop = band[-1]
-    elif drop not in band:
-        raise ValueError("drop vertex not in graph")
-    order = [v for v in band if v != drop] + [drop]
-    lap = laplacian(g, order)
-    m = len(order) - 1
-    count = det_bareiss([row[:m] for row in lap[:m]])
+        count = _grounded_factor(g)[1]
+    else:
+        band = g.band_order()
+        if drop not in band:
+            raise ValueError("drop vertex not in graph")
+        order = [v for v in band if v != drop] + [drop]
+        lap = laplacian(g, order)
+        m = len(order) - 1
+        count = det_bareiss([row[:m] for row in lap[:m]])
     if count <= 0:
         raise ArithmeticError("matrix-tree determinant must be positive here")
     return count

@@ -22,6 +22,10 @@ used before it built one ``Fraction`` from integer parts.
 ``OperatorSeries`` is the truncated power-series ring the trailing
 coefficients were eliminated over before the Bareiss update became one
 fused step: each of ``*``, ``-`` and ``//`` builds its own series.
+``adjugate`` is the full adjugate the resistance sums read before they
+moved to selected inversion: [M | I] carried through the package's
+elimination and N columns of back substitution, O(N^2 * b) time and
+O(N^2) integers; it is itself checked against Gauss-Jordan elimination.
 """
 
 from collections import deque
@@ -29,7 +33,13 @@ from fractions import Fraction
 from math import lcm, prod
 
 from chaindex import spectral
-from chaindex.linalg import det_bareiss
+from chaindex.linalg import (
+    SingularMatrixError,
+    _eliminate,
+    _int_step,
+    _scaled_rows,
+    det_bareiss,
+)
 
 
 def dense_det_bareiss(matrix) -> int:
@@ -76,6 +86,39 @@ def dense_det_bareiss(matrix) -> int:
             lag[i] = c + 1
         pivot_hist.append(pivot)
     return sign * pivot_hist[n]
+
+
+def adjugate(matrix) -> tuple[int, list[list[int]]]:
+    """(det M, adj M) of a square integer matrix, where adj M = det M * M^-1.
+
+    The elimination runs on [M | I], leaving U X = R with U upper
+    triangular and X = M^-1; every entry of adj M = det M * X is an
+    integer, so back substitution divides exactly.  A singular M raises
+    SingularMatrixError.
+    """
+    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
+    if any(s != 1 for s in scales):
+        raise ValueError("adjugate requires integer entries")
+    n = len(rows)
+    for i, row in enumerate(rows):
+        row.extend([0] * n)
+        row[n + i] = 1
+    det, order = _eliminate(rows, lo, hi, 1, 0, bool, _int_step)
+    if not det:
+        raise SingularMatrixError("matrix is singular")
+    # A nonzero det means no column was swapped, so step k solved for X[k].
+    adj = [[0] * n for _ in range(n)]
+    for k in range(n - 1, -1, -1):
+        r = order[k]
+        row = rows[r]
+        upper = [(j, row[j]) for j in range(k + 1, hi[r]) if row[j]]
+        pivot, out = row[k], adj[k]
+        for col in range(n):
+            acc = det * row[n + col]
+            for j, u in upper:
+                acc -= u * adj[j][col]
+            out[col] = acc // pivot
+    return det, adj
 
 
 def fraction_det(matrix) -> Fraction:

@@ -1,9 +1,13 @@
 """Differential tests of the band-aware exact kernel against naive references.
 
-``det_bareiss``, ``adjugate`` and ``char_poly_tail`` are compared with the
-dense Bareiss copy, Fraction Gaussian and Gauss-Jordan elimination and the
-interpolated characteristic polynomial in ``dense_reference``; that
-polynomial is itself checked against the Faddeev-LeVerrier recurrence.
+``det_bareiss`` and ``char_poly_tail`` are compared with the dense
+Bareiss copy, Fraction Gaussian elimination and the interpolated
+characteristic polynomial in ``dense_reference``; that polynomial is
+itself checked against the Faddeev-LeVerrier recurrence.  The reference
+full ``adjugate`` is checked against Gauss-Jordan elimination, and
+``adjugate_forms`` (selected inversion) against that adjugate on
+symmetric diagonally dominant matrices, singular ones included, and on
+grounded graph Laplacians.
 The fused Bareiss step over Z[x]/(x^3) is compared with the operator
 series ring it replaced.
 Inputs cover singular matrices, matrices whose leading entry is zero,
@@ -18,6 +22,7 @@ from fractions import Fraction
 import pytest
 from dense_reference import (
     OperatorSeries,
+    adjugate,
     char_poly,
     dense_det_bareiss,
     fraction_det,
@@ -28,13 +33,16 @@ from dense_reference import (
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaindex import Graph
+from chaindex import Graph, build_crossed_chain
 from chaindex import oracles as oc
 from chaindex.linalg import (
     SingularMatrixError,
+    _eliminate,
+    _int_step,
+    _scaled_rows,
     _Series,
     _series_step,
-    adjugate,
+    adjugate_forms,
     char_poly_tail,
     det_bareiss,
     laplacian,
@@ -188,6 +196,116 @@ def test_adjugate_of_1x1_and_0x0(a):
             adjugate([[a]])
 
 
+# --- selected inversion ------------------------------------------------------
+
+
+@st.composite
+def dominant_symmetric(draw, max_n=12):
+    # symmetric with each diagonal entry at least its row's absolute
+    # off-diagonal sum, so positive semidefinite; zero slack makes some
+    # of them singular.  Returns the matrix and up to three vectors.
+    n = draw(st.integers(0, max_n))
+    entries = draw(st.sampled_from([small_ints, sparse_ints,
+                                    st.one_of(st.just(0), st.just(0), st.just(0), small_ints)]))
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            m[i][j] = m[j][i] = draw(entries)
+    for i in range(n):
+        m[i][i] = sum(abs(e) for e in m[i]) + draw(st.sampled_from([0, 0, 1, 3]))
+    vectors = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), max_size=3))
+    return m, vectors
+
+
+def reference_forms(m, vectors):
+    det, adj = adjugate(m)
+    n = len(m)
+    return det, [adj[i][i] for i in range(n)], [
+        sum(v[i] * adj[i][j] * v[j] for i in range(n) for j in range(n)) for v in vectors]
+
+
+def check_forms(m, vectors) -> bool:
+    """adjugate_forms equals the reference, or both raise SingularMatrixError;
+    True when the matrix is nonsingular."""
+    try:
+        expected = reference_forms(m, vectors)
+    except SingularMatrixError:
+        with pytest.raises(SingularMatrixError):
+            adjugate_forms(m, vectors)
+        return False
+    assert adjugate_forms(m, vectors) == expected
+    return True
+
+
+def grounded(matrix):
+    m = len(matrix) - 1
+    return [row[:m] for row in matrix[:m]]
+
+
+@BOUNDED
+@given(dominant_symmetric())
+@example(([[2, -1, -1], [-1, 2, -1], [-1, -1, 2]], [[1, 1, 1]]))    # singular, zero slack
+@example(([[1, 1, 0], [1, 2, 1], [0, 1, 1]], [[1, -1, 1]]))         # singular, mixed signs
+@example(([[2, 1, 0], [1, 2, 1], [0, 1, 2]], [[0, 0, 0]]))          # a zero vector
+def test_adjugate_forms_match_the_adjugate(case):
+    check_forms(*case)
+
+
+@BOUNDED
+@given(shuffled_connected_graph(max_size=12), st.lists(small_ints, min_size=11, max_size=11))
+def test_adjugate_forms_on_grounded_laplacians(g, extra):
+    # grounded at the last vertex of the shuffled order, not the band order
+    matrix = grounded(laplacian(g))
+    kept = g.vertices[:-1]
+    vectors = [[1] * len(kept), [g.degree(v) for v in kept], extra[:len(kept)]]
+    assert check_forms(matrix, vectors)
+
+
+def test_adjugate_forms_explicit_cases():
+    assert adjugate_forms([]) == (1, [], [])
+    assert adjugate_forms([], [[]]) == (1, [], [0])
+    assert adjugate_forms([[5]], [[2], [0]]) == (5, [1], [4, 0])
+    with pytest.raises(SingularMatrixError):
+        adjugate_forms([[0]], [[1]])
+    path = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+    assert adjugate_forms(path, [[0, 0, 0], [1, 1, 1]]) == (4, [3, 4, 3], [0, 20])
+    # a disconnected graph's grounded Laplacian is singular for both routes
+    apart = grounded(laplacian(Graph(range(5), [(0, 1), (1, 2), (3, 4)])))
+    assert not check_forms(apart, [[1] * 4])
+    # rows that vanish during elimination, as for the reference
+    for m in ([[1, 1], [1, 1]], [[1, 0, 0], [0, 1, 1], [0, 1, 1]]):
+        assert not check_forms(m, [])
+
+
+def test_adjugate_forms_rejects_bad_input():
+    with pytest.raises(ValueError, match="not symmetric"):
+        adjugate_forms([[2, 1], [0, 2]])
+    with pytest.raises(ValueError, match="one int entry per row"):
+        adjugate_forms([[2, 1], [1, 2]], [[1]])
+    with pytest.raises(ValueError, match="one int entry per row"):
+        adjugate_forms([[2, 1], [1, 2]], [[1, Fraction(1, 2)]])
+    with pytest.raises(ValueError, match="integer entries"):
+        adjugate_forms([[Fraction(1, 2)]])
+
+
+def diagonal_pivots(matrix) -> bool:
+    _, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
+    return _eliminate(rows, lo, hi, 1, 0, bool, _int_step)[1] == list(range(len(matrix)))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_chain_eliminations_take_diagonal_pivots(n):
+    g = build_crossed_chain(n)
+    assert diagonal_pivots(grounded(laplacian(g, g.band_order())))
+
+
+@BOUNDED
+@given(shuffled_connected_graph(max_size=12))
+def test_graph_eliminations_take_diagonal_pivots(g):
+    for order in (g.vertices, g.band_order()):
+        assert diagonal_pivots(grounded(laplacian(g, order)))
+
+
 # --- characteristic polynomials ----------------------------------------------
 
 
@@ -273,6 +391,23 @@ def test_graph_tails_match_char_poly(g):
     # and the two routes of both resistance indices agree
     assert oc.kirchhoff_from_spectrum(g) == oc.kirchhoff_from_resistances(g)
     assert oc.degree_kirchhoff_from_spectrum(g) == oc.degree_kirchhoff_from_resistances(g)
+
+
+@BOUNDED
+@given(shuffled_connected_graph(), st.data())
+def test_resistance_matches_a_grounded_inverse(g, data):
+    # the inverse of the Laplacian grounded at the last vertex of the
+    # graph's own order, by Gauss-Jordan elimination over Fraction
+    vs = g.vertices
+    u, v = data.draw(st.sampled_from([(a, b) for a in vs for b in vs if a != b]))
+    m = len(vs) - 1
+    inverse = fraction_inverse(grounded(laplacian(g)))
+
+    def entry(i, j):
+        return inverse[i][j] if i < m and j < m else 0
+
+    i, j = g.position(u), g.position(v)
+    assert oc.resistance(g, u, v) == entry(i, i) + entry(j, j) - 2 * entry(i, j)
 
 
 def test_disconnected_graph_spectral_route_raises():

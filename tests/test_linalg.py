@@ -2,12 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import char_poly
+from dense_reference import adjugate, char_poly
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex.linalg import (
     SingularMatrixError,
-    adjugate,
+    adjugate_forms,
     char_poly_tail,
     det_bareiss,
     laplacian,
@@ -82,7 +82,7 @@ def test_det_rejects_non_integer():
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None])
 def test_entries_other_than_int_or_fraction_rejected(bad):
     text = f"matrix entries must be int or Fraction, got {bad!r}"
-    for kernel in (det_bareiss, adjugate, char_poly_tail):
+    for kernel in (det_bareiss, adjugate, adjugate_forms, char_poly_tail):
         with pytest.raises(ValueError) as err:
             kernel([[1, 0, 0], [0, Fraction(1), bad], [bad, 0, 1]])
         assert str(err.value) == text
@@ -95,6 +95,10 @@ def test_bool_entries_count_as_ints():
         assert kernel(m) == kernel(ints)
     assert type(det_bareiss([[True]])) is int
     assert type(adjugate([[True, False], [False, True]])[1][0][0]) is int
+    symmetric = [[True, False, True], [False, True, True], [1, True, Fraction(5)]]
+    assert adjugate_forms(symmetric, [[True, 2, 0]]) == \
+        adjugate_forms([[int(e) for e in row] for row in symmetric], [[1, 2, 0]]) == (3, [4, 4, 1], [24])
+    assert all(type(e) is int for e in adjugate_forms(symmetric, [[True, 0, 0]])[1])
 
 
 # --- characteristic polynomials -------------------------------------------

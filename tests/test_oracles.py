@@ -1,7 +1,9 @@
+import tracemalloc
 from fractions import Fraction
+from operator import mul
 
 import pytest
-from dense_reference import dict_bfs
+from dense_reference import adjugate, dict_bfs
 from hypothesis import example, given
 from hypothesis import strategies as st
 from test_kernel_differential import BOUNDED
@@ -153,6 +155,37 @@ def test_spanning_trees_independent_of_dropped_vertex():
     assert counts == {113246208}
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [40, 60])
+def test_pair_sums_match_the_adjugate_reference(n):
+    # the pair sums read off the full reference adjugate of the same
+    # grounded Laplacian, as they were before selected inversion
+    g = build_crossed_chain(n)
+    order = g.band_order()
+    m = len(order) - 1
+    det, adj = adjugate([row[:m] for row in laplacian(g, order)[:m]])
+    degs = [g.degree(v) for v in order[:m]]
+    diag = [row[a] for a, row in enumerate(adj)]
+    plain = g.vertex_count * sum(diag) - sum(map(sum, adj))
+    weighted = (2 * g.edge_count * sum(map(mul, degs, diag))
+                - sum(d * sum(map(mul, degs, row)) for d, row in zip(degs, adj)))
+    assert oc._pairwise_resistance_sums(g) == (Fraction(plain, det), Fraction(weighted, det))
+
+
+@pytest.mark.slow
+def test_pair_sums_memory_stays_banded():
+    # the full adjugate of n=60 peaked near 49 MiB; the banded factor
+    # keeps about 5 MiB, most of it the dense grounded Laplacian
+    g = build_crossed_chain(60)
+    tracemalloc.start()
+    try:
+        oc._pairwise_resistance_sums(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+
+
 @pytest.mark.parametrize("n", [5, 6])
 def test_spanning_trees_larger_sizes(n):
     # the power-product form continues to hold past the printed check range
@@ -230,14 +263,15 @@ def test_bundle_json_dict():
 
 
 def count_grounded_inverses(monkeypatch) -> list:
+    # one adjugate_forms call is one elimination of a grounded Laplacian
     calls = []
-    inner = oc._grounded_inverse
+    inner = oc.adjugate_forms
 
-    def counting(g):
-        calls.append(g)
-        return inner(g)
+    def counting(matrix, vectors=()):
+        calls.append(len(matrix))
+        return inner(matrix, vectors)
 
-    monkeypatch.setattr(oc, "_grounded_inverse", counting)
+    monkeypatch.setattr(oc, "adjugate_forms", counting)
     return calls
 
 
@@ -259,6 +293,25 @@ def test_both_resistance_indices_share_one_grounded_inverse(monkeypatch):
     oc.kirchhoff_index(g)
     oc.degree_kirchhoff_index(g)
     assert len(calls) == 1
+
+
+def test_tree_count_reads_the_grounded_factor(monkeypatch):
+    # the default count is the factor's determinant; only an explicit
+    # drop vertex runs a determinant of its own
+    calls = []
+    inner = oc.det_bareiss
+
+    def counting(matrix):
+        calls.append(len(matrix))
+        return inner(matrix)
+
+    monkeypatch.setattr(oc, "det_bareiss", counting)
+    oc.index_bundle(build_crossed_chain(2))
+    vf.verify_one(1)
+    assert calls == []
+    g = build_crossed_chain(1)
+    assert oc.spanning_tree_count(g, drop=g.vertices[3]) == oc.spanning_tree_count(g) == 12288
+    assert calls == [9]
 
 
 def test_verify_one_shares_one_bfs_per_vertex(monkeypatch):
