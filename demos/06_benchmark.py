@@ -1,9 +1,9 @@
 """Closed forms against brute force: the payoff of the spectral analysis.
 
 Each closed form is a cubic (or a power product) in n and evaluates in
-microseconds at any size.  The oracles factor dense rational matrices
-and run all-pairs searches, so they scale like n^3 — fine at desk scale,
-hopeless beyond it.
+microseconds at any size.  The oracles eliminate banded integer
+matrices and run a breadth-first search from every vertex, so they
+scale like n^2 — fine at desk scale, hopeless beyond it.
 """
 
 from chaindex import bench
@@ -19,5 +19,5 @@ for row in rows:
 
 big = bench.run_bench([1000], oracle_limit=0)[0]
 print(f"\nclosed forms at n=1000: {big.closed_seconds * 1e6:.1f} us "
-      f"(the oracle would need a 8002-vertex exact inverse)")
+      f"(the oracle would need exact eliminations on 8002 vertices)")
 print("kf(Q_1000) =", big.closed["kf"])

@@ -1,4 +1,4 @@
-"""Timing harness: O(1) closed forms against the O(n^3) exact oracles.
+"""Timing harness: O(1) closed forms against the O(n^2) exact oracles.
 
 For each requested chain size the harness times the three proven closed
 forms and, up to ``oracle_limit``, the full definition-level oracle

@@ -1,24 +1,24 @@
-"""Exact linear algebra over rationals and arbitrary-precision integers.
+"""Exact linear algebra over arbitrary-precision integers.
 
-Everything here is exact and floating point never appears.  Determinants,
-the adjugate's diagonal and quadratic forms, and the trailing
-characteristic coefficients share one fraction-free (Bareiss) elimination
-that touches only each row's span of nonzeros, so banded matrices cost
-O(n * b^2).  The ring it runs over supplies one step function, the
-Bareiss update (p*a - h*b) / q done exactly: plain integer arithmetic for
-determinants and adjugate forms, and for the trailing coefficients a
-fused update over Z[x]/(x^3), integer power series truncated after x^2,
-written out coefficient by coefficient.  The adjugate is never formed:
-``adjugate_forms`` reads the entries it needs inside the band of the
-symmetric factor (selected inversion).  No full characteristic polynomial
-is formed here either: the mirror-block factorization is certified at
-the matrix level in ``spectral.factorization_holds``.
+Every kernel takes integer matrices only, and floating point never
+appears.  Determinants, the adjugate's diagonal and quadratic forms, and
+the trailing coefficients of the pencil det(x*diag(s) - M) share one
+fraction-free (Bareiss) elimination that touches only each row's span of
+nonzeros, so banded matrices cost O(n * b^2).  The ring it runs over
+supplies one step function, the Bareiss update (p*a - h*b) / q done
+exactly: plain integer arithmetic for determinants and adjugate forms,
+and for the pencil a fused update over Z[x]/(x^3), integer power series
+truncated after x^2, written out coefficient by coefficient.  The
+adjugate is never formed: ``adjugate_forms`` reads the entries it needs
+inside the band of the symmetric factor (selected inversion).  No full
+characteristic polynomial is formed here either: the mirror-block
+factorization is certified at the matrix level in
+``spectral.factorization_holds``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
 from operator import mul
 
 
@@ -34,33 +34,30 @@ def _require_square(matrix) -> int:
     return n
 
 
-def _scaled_rows(matrix, diagonal: bool) -> tuple[list, list, list, list]:
-    """Validate a square rational matrix once and clear each row's denominators.
+def _int_rows(matrix, diagonal: bool) -> tuple[list, list, list]:
+    """Validate a square integer matrix once and copy its rows.
 
-    Returns (scales, rows, lo, hi): ``rows[i]`` is ``scales[i]`` times row i
-    as integers, and every nonzero of row i lies in columns lo[i]..hi[i]-1
-    (lo[i] = n for a zero row).  With ``diagonal`` the span also covers
-    column i, where a characteristic matrix adds its x term.
+    Returns (rows, lo, hi): ``rows[i]`` is row i as plain ints (a bool
+    becomes 0 or 1), and every nonzero of row i lies in columns
+    lo[i]..hi[i]-1 (lo[i] = n for a zero row).  With ``diagonal`` the span
+    also covers column i, where a pencil adds its x term.
     """
     n = _require_square(matrix)
-    scales, rows, lo, hi = [], [], [], []
+    rows, lo, hi = [], [], []
     for i, row in enumerate(matrix):
-        types = set(map(type, row))
-        if not types <= {int, Fraction}:  # subclasses such as bool pass here
+        if not set(map(type, row)) <= {int}:
             for entry in row:
-                if not isinstance(entry, (int, Fraction)):
-                    raise ValueError(f"matrix entries must be int or Fraction, got {entry!r}")
-        ints = types <= {int}  # exactly int: no denominators to clear
-        s = 1 if ints else lcm(*(e.denominator for e in row))
-        scaled = list(row) if ints else [e.numerator * (s // e.denominator) for e in row]
-        nonzero = [j for j, e in enumerate(scaled) if e]
+                if not isinstance(entry, int):
+                    raise ValueError(f"matrix entries must be int, got {entry!r}")
+            row = map(int, row)
+        row = list(row)
+        nonzero = [j for j, e in enumerate(row) if e]
         if diagonal:
             nonzero.append(i)
-        scales.append(s)
-        rows.append(scaled)
+        rows.append(row)
         lo.append(min(nonzero, default=n))
         hi.append(max(nonzero, default=-1) + 1)
-    return scales, rows, lo, hi
+    return rows, lo, hi
 
 
 def _permutation_sign(perm: list[int]) -> int:
@@ -265,13 +262,10 @@ def _has_constant_term(s: _Series) -> bool:
 def det_bareiss(matrix) -> int:
     """Exact determinant of a square integer matrix.
 
-    Entries are int or Fraction with denominator 1.  Fraction-free
-    (Bareiss) elimination that works only inside each row's span of
-    nonzeros, so a matrix of bandwidth b costs O(n * b^2).
+    Fraction-free (Bareiss) elimination that works only inside each
+    row's span of nonzeros, so a matrix of bandwidth b costs O(n * b^2).
     """
-    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
-    if any(s != 1 for s in scales):
-        raise ValueError("det_bareiss requires integer entries")
+    rows, lo, hi = _int_rows(matrix, diagonal=False)
     det, _ = _eliminate(rows, lo, hi, 1, 0, bool, _int_step)
     return 0 if det is None else det
 
@@ -292,9 +286,7 @@ def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
     vanishing leading principal minor raises SingularMatrixError; for a
     positive semidefinite M that happens exactly when M is singular.
     """
-    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
-    if any(s != 1 for s in scales):
-        raise ValueError("adjugate_forms requires integer entries")
+    rows, lo, hi = _int_rows(matrix, diagonal=False)
     n = len(rows)
     if any(rows[j][i] != rows[i][j] for i in range(n) for j in range(lo[i], hi[i])):
         raise ValueError("matrix is not symmetric")
@@ -330,17 +322,20 @@ def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
     return det, [a[0] for a in near], forms
 
 
-def char_poly_tail(matrix) -> list[Fraction]:
-    """Lowest three coefficients of det(xI - M), ascending, for a square rational M.
+def char_poly_tail(matrix, scale) -> tuple[int, int, int]:
+    """Lowest three coefficients of det(x*diag(scale) - M), ascending.
 
-    Rows are scaled to clear denominators and det(xS - T) is eliminated
-    over Z[x]/(x^3), so only the wanted coefficients are ever formed.
-    Every pivot needs a nonzero constant term, which exists at each step
-    but the last exactly when M has rank at least n - 1; otherwise
-    SingularMatrixError is raised.
+    M is a square integer matrix and ``scale`` holds one positive int per
+    row.  The pencil is eliminated over Z[x]/(x^3), so only the wanted
+    coefficients are ever formed.  Every pivot needs a nonzero constant
+    term, which exists at each step but the last exactly when M has rank
+    at least n - 1; otherwise SingularMatrixError is raised.
     """
-    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=True)
+    rows, lo, hi = _int_rows(matrix, diagonal=True)
     n = len(rows)
+    scale = tuple(scale)
+    if len(scale) != n or not all(type(s) is int and s > 0 for s in scale):
+        raise ValueError(f"scale needs one positive int for each of the {n} rows")
     zero = _Series((0, 0, 0))
     series_rows = []
     for i, row in enumerate(rows):
@@ -348,14 +343,13 @@ def char_poly_tail(matrix) -> list[Fraction]:
         for j in range(lo[i], hi[i]):
             if row[j]:
                 series[j] = _Series((-row[j], 0, 0))
-        series[i] = _Series((-row[i], scales[i], 0))
+        series[i] = _Series((-row[i], scale[i], 0))
         series_rows.append(series)
     det, _ = _eliminate(series_rows, lo, hi, _Series((1, 0, 0)), zero,
                         _has_constant_term, _series_step)
     if det is None:
         raise SingularMatrixError("matrix has rank below n - 1")
-    denominator = prod(scales)
-    return [Fraction(c, denominator) for c in det.c]
+    return det.c
 
 
 # ---------------------------------------------------------------------------
@@ -388,14 +382,15 @@ def laplacian(g, order=None) -> list[list[int]]:
 
 
 def random_walk_laplacian(g, order=None) -> list[list[int | Fraction]]:
-    """Degree-scaled Laplacian D^-1 L.
+    """Degree-scaled Laplacian D^-1 L, read by the rail-swap certificate.
 
     Shares its characteristic polynomial with the symmetric normalized
     Laplacian D^-1/2 L D^-1/2 (they are similar), while keeping every
-    entry rational.  Entries on the pattern (the diagonal and each edge)
-    are Fractions; every other entry is the int 0, which compares and
-    tests false like Fraction(0) but costs less to scan.  Requires every
-    vertex to have at least one neighbor.
+    entry rational; no kernel takes it, as that polynomial is
+    det(xD - L) / ∏d.  Entries on the pattern (the diagonal and each
+    edge) are Fractions; every other entry is the int 0, which compares
+    and tests false like Fraction(0) but costs less to scan.  Requires
+    every vertex to have at least one neighbor.
     """
     vs, pos = _positions(g, order)
     mat = [[0] * len(vs) for _ in vs]

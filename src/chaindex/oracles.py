@@ -6,6 +6,8 @@ straight from the definitions, with no use of the closed forms they are
 later compared against.  The two resistance-based indices are each
 computed along two independent routes (pairwise sums and a trailing
 characteristic-coefficient ratio) and the routes must agree exactly.
+The trailing route reads the integer pencil det(x·diag(s) − L), s = 1
+for Kf and s the degrees for Kf*: det(xD − L) = ∏d · det(xI − D⁻¹L).
 The pairwise sums, single resistances and the default spanning-tree
 count read one symmetric factor of the grounded Laplacian: its
 determinant, its adjugate's diagonal and quadratic forms of that
@@ -26,7 +28,6 @@ from .linalg import (
     char_poly_tail,
     det_bareiss,
     laplacian,
-    random_walk_laplacian,
 )
 
 
@@ -111,14 +112,16 @@ def kirchhoff_from_resistances(g: Graph) -> Fraction:
     return _pairwise_resistance_sums(g)[0]
 
 
-def _trailing_coefficients(matrix) -> tuple[Fraction, Fraction]:
-    """(c1, c2) of det(xI - M) for a combinatorial or random-walk Laplacian M.
+def _trailing_coefficients(g: Graph, scale) -> tuple[int, int]:
+    """(c1, c2) of det(x·diag(s) − L), L the band-ordered Laplacian and s
+    listing scale(v) for each vertex v in that order.
 
-    Either Laplacian has a zero eigenvalue of multiplicity one exactly
+    For positive s the pencil has a zero root of multiplicity one exactly
     when the graph is connected, so then c0 = 0 and c1 != 0.
     """
+    order = g.band_order()
     try:
-        c0, c1, c2 = char_poly_tail(matrix)
+        c0, c1, c2 = char_poly_tail(laplacian(g, order), [scale(v) for v in order])
     except SingularMatrixError:
         raise ValueError("graph is not connected") from None
     if c0 != 0 or c1 == 0:
@@ -134,8 +137,8 @@ def kirchhoff_from_spectrum(g: Graph) -> Fraction:
     the exact trailing coefficients provide without ever computing an
     eigenvalue.
     """
-    c1, c2 = _trailing_coefficients(laplacian(g, g.band_order()))
-    return g.vertex_count * abs(c2 / c1)
+    c1, c2 = _trailing_coefficients(g, lambda v: 1)
+    return g.vertex_count * abs(Fraction(c2, c1))
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
@@ -150,9 +153,10 @@ def degree_kirchhoff_from_resistances(g: Graph) -> Fraction:
 
 
 def degree_kirchhoff_from_spectrum(g: Graph) -> Fraction:
-    """Degree-Kirchhoff index as 2|E| times the normalized reciprocal sum."""
-    c1, c2 = _trailing_coefficients(random_walk_laplacian(g, g.band_order()))
-    return 2 * g.edge_count * abs(c2 / c1)
+    """Degree-Kirchhoff index as 2|E| times the normalized reciprocal sum,
+    read from the pencil det(xD − L) with D the degrees."""
+    c1, c2 = _trailing_coefficients(g, g.degree)
+    return 2 * g.edge_count * abs(Fraction(c2, c1))
 
 
 def degree_kirchhoff_index(g: Graph) -> Fraction:

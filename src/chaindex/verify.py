@@ -184,7 +184,7 @@ def verify_one(n: int) -> list[VerificationRecord]:
         ("recip.lap-eigensum", lap_recip[0], lap_tail.quadratic / lap_tail.linear),
         ("recip.lap-diagsum", lap_recip[1], sum(Fraction(1, s) for s in blocks.lap_diff)),
         ("recip.norm-eigensum", norm_recip[0], norm_tail.quadratic / norm_tail.linear),
-        ("recip.norm-diagsum", norm_recip[1], sum(1 / Fraction(s) for s in blocks.norm_diff)),
+        ("recip.norm-diagsum", norm_recip[1], sum(map(Fraction, blocks.degrees, blocks.lap_diff))),
         ("kf.assembly", formulas.kirchhoff_closed(n), (8 * n + 2) * sum(lap_recip)),
         ("kfstar.assembly", formulas.degree_kirchhoff_closed(n), 2 * (18 * n + 1) * sum(norm_recip)),
         ("tau.assembly", formulas.spanning_trees_closed(n), lap_closed.linear * tree_ratio),

@@ -2,11 +2,15 @@
 
 ``dense_det_bareiss`` is the dense fraction-free elimination the package
 used before its kernel became band-aware: row pivoting on the first
-nonzero entry, every column swept at every step.  ``char_poly`` is the
-polynomial route the package used to check the mirror-block
+nonzero entry, every column swept at every step.  ``pencil_char_poly``
+is the polynomial route the package used to check the mirror-block
 factorization: integer evaluations of the public ``det_bareiss`` plus
-Newton interpolation.  ``fraction_det``, ``fraction_inverse`` and
-``leverrier_char_poly`` share no code or method with the package at all.
+Newton interpolation, here of the whole pencil det(x*diag(s) - M).
+``char_poly`` reads det(xI - M) of a rational M from it after
+``cleared_rows`` scales each row by the lcm of its denominators, as the
+package's kernels did before they became integer-only.
+``fraction_det``, ``fraction_inverse`` and ``leverrier_char_poly``
+share no code or method with the package at all.
 ``fresh_interior_det`` and ``pair_class_sum`` are the per-pair routes the
 spectral layer used before it memoized interior sweeps and summed each
 residue class in one recurrence; ``fraction_pair_class_sum`` is that
@@ -37,7 +41,7 @@ from chaindex.linalg import (
     SingularMatrixError,
     _eliminate,
     _int_step,
-    _scaled_rows,
+    _int_rows,
     det_bareiss,
 )
 
@@ -96,9 +100,7 @@ def adjugate(matrix) -> tuple[int, list[list[int]]]:
     integer, so back substitution divides exactly.  A singular M raises
     SingularMatrixError.
     """
-    scales, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
-    if any(s != 1 for s in scales):
-        raise ValueError("adjugate requires integer entries")
+    rows, lo, hi = _int_rows(matrix, diagonal=False)
     n = len(rows)
     for i, row in enumerate(rows):
         row.extend([0] * n)
@@ -218,20 +220,16 @@ def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
     return poly
 
 
-def char_poly(matrix) -> list[Fraction]:
-    """det(xI - M), ascending and monic, for a square int or Fraction matrix.
+def pencil_char_poly(matrix, scale) -> list[int]:
+    """det(x*diag(scale) - M), ascending, for a square integer M.
 
-    Row i is scaled by the lcm s_i of its denominators, so det(xS - T) has
-    integer coefficients; it is evaluated by ``det_bareiss`` at n+1 integer
-    nodes, recovered by Newton interpolation and divided by det S.
+    The pencil is evaluated by ``det_bareiss`` at n+1 integer nodes and
+    recovered by Newton interpolation; its leading coefficient is the
+    product of the scales.
     """
     n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    if n == 0:
-        return [Fraction(1)]
-    scales = [lcm(*(e.denominator for e in row)) for row in matrix]
-    scaled = [[e.numerator * (s // e.denominator) for e in row] for row, s in zip(matrix, scales)]
+    if any(len(row) != n for row in matrix) or len(scale) != n:
+        raise ValueError("matrix is not square or scale has the wrong length")
 
     # Evaluation nodes 0, 1, -1, 2, -2, ... keep entry growth small.
     nodes = [0]
@@ -240,14 +238,30 @@ def char_poly(matrix) -> list[Fraction]:
         nodes.append(k if len(nodes) % 2 == 1 else -k)
 
     values = [
-        det_bareiss([[(x * scales[i] if i == j else 0) - e for j, e in enumerate(row)]
-                     for i, row in enumerate(scaled)])
+        det_bareiss([[(x * scale[i] if i == j else 0) - e for j, e in enumerate(row)]
+                     for i, row in enumerate(matrix)])
         for x in nodes
     ]
-    poly = [Fraction(c, prod(scales)) for c in _newton_interpolate(nodes, values)]
-    if poly[-1] != 1:
-        raise ArithmeticError("characteristic polynomial is not monic; interpolation bug")
+    poly = _newton_interpolate(nodes, values)
+    if poly[-1] != prod(scale):
+        raise ArithmeticError("leading coefficient is not det S; interpolation bug")
     return poly
+
+
+def cleared_rows(matrix) -> tuple[list[list[int]], list[int]]:
+    """(S*M, s): row i of a rational M times the lcm s_i of its denominators."""
+    scales = [lcm(*(Fraction(e).denominator for e in row)) for row in matrix]
+    rows = [[int(e * s) for e in row] for row, s in zip(matrix, scales)]
+    return rows, scales
+
+
+def char_poly(matrix) -> list[Fraction]:
+    """det(xI - M), ascending and monic, for a square int or Fraction matrix:
+    det(xS - S*M) / det S with S the row scales of ``cleared_rows``."""
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix is not square")
+    rows, scales = cleared_rows(matrix)
+    return [Fraction(c, prod(scales)) for c in pencil_char_poly(rows, scales)]
 
 
 def fresh_interior_det(tridiag, i: int, j: int) -> Fraction:

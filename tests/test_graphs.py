@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from dense_reference import char_poly, fraction_inverse
@@ -228,10 +229,12 @@ def own_order_indices(g):
     degs = [g.degree(v) for v in g.vertices]
     kf = sum(r(a, b) for a, b in pairs)
     kf_star = sum(degs[a] * degs[b] * r(a, b) for a, b in pairs)
-    for matrix, total in ((lap, kf / g.vertex_count),
-                          (random_walk_laplacian(g, g.vertices), kf_star / (2 * g.edge_count))):
-        c0, c1, c2 = char_poly_tail(matrix)
-        assert [c0, c1, c2] == char_poly(matrix)[:3]
+    # det(xI - L), and det(xD - L) = det D * det(xI - D^-1 L)
+    for scale, matrix, total in (([1] * len(lap), lap, kf / g.vertex_count),
+                                 (degs, random_walk_laplacian(g, g.vertices),
+                                  kf_star / (2 * g.edge_count))):
+        c0, c1, c2 = char_poly_tail(lap, scale)
+        assert [c0, c1, c2] == [prod(scale) * c for c in char_poly(matrix)[:3]]
         assert abs(Fraction(c2, c1)) == total
     return kf, kf_star, tau
 

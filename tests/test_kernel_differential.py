@@ -1,10 +1,12 @@
 """Differential tests of the band-aware exact kernel against naive references.
 
 ``det_bareiss`` and ``char_poly_tail`` are compared with the dense
-Bareiss copy, Fraction Gaussian elimination and the interpolated
-characteristic polynomial in ``dense_reference``; that polynomial is
-itself checked against the Faddeev-LeVerrier recurrence.  The reference
-full ``adjugate`` is checked against Gauss-Jordan elimination, and
+Bareiss copy, Fraction Gaussian elimination and the interpolated pencil
+det(x*diag(s) - M) in ``dense_reference``; that pencil is itself checked
+against the Faddeev-LeVerrier recurrence.  A rational M enters the tail
+kernel as the integer pencil of S*M and its row scales S, whose tail is
+det S times that of det(xI - M).  The reference full ``adjugate`` is
+checked against Gauss-Jordan elimination, and
 ``adjugate_forms`` (selected inversion) against that adjugate on
 symmetric diagonally dominant matrices, singular ones included, and on
 grounded graph Laplacians.
@@ -18,17 +20,20 @@ of the tier-1 run.
 """
 
 from fractions import Fraction
+from math import prod
 
 import pytest
 from dense_reference import (
     OperatorSeries,
     adjugate,
     char_poly,
+    cleared_rows,
     dense_det_bareiss,
     fraction_det,
     fraction_inverse,
     fraction_rank,
     leverrier_char_poly,
+    pencil_char_poly,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -39,7 +44,7 @@ from chaindex.linalg import (
     SingularMatrixError,
     _eliminate,
     _int_step,
-    _scaled_rows,
+    _int_rows,
     _Series,
     _series_step,
     adjugate_forms,
@@ -98,8 +103,7 @@ def low_rank(draw, entries=rationals):
     r = draw(st.integers(0, n - 2))
     u = [[draw(entries) for _ in range(r)] for _ in range(n)]
     v = [[draw(entries) for _ in range(n)] for _ in range(r)]
-    return [[sum((u[i][t] * v[t][j] for t in range(r)), Fraction(0)) for j in range(n)]
-            for i in range(n)]
+    return [[sum(u[i][t] * v[t][j] for t in range(r)) for j in range(n)] for i in range(n)]
 
 
 @st.composite
@@ -150,7 +154,7 @@ def test_det_of_1x1(a):
 def test_empty_matrix():
     assert det_bareiss([]) == 1
     assert char_poly([]) == [Fraction(1)]
-    assert char_poly_tail([]) == [Fraction(1), Fraction(0), Fraction(0)]
+    assert char_poly_tail([], []) == (1, 0, 0)
 
 
 # --- adjugates ----------------------------------------------------------------
@@ -284,12 +288,12 @@ def test_adjugate_forms_rejects_bad_input():
         adjugate_forms([[2, 1], [1, 2]], [[1]])
     with pytest.raises(ValueError, match="one int entry per row"):
         adjugate_forms([[2, 1], [1, 2]], [[1, Fraction(1, 2)]])
-    with pytest.raises(ValueError, match="integer entries"):
+    with pytest.raises(ValueError, match="must be int"):
         adjugate_forms([[Fraction(1, 2)]])
 
 
 def diagonal_pivots(matrix) -> bool:
-    _, rows, lo, hi = _scaled_rows(matrix, diagonal=False)
+    rows, lo, hi = _int_rows(matrix, diagonal=False)
     return _eliminate(rows, lo, hi, 1, 0, bool, _int_step)[1] == list(range(len(matrix)))
 
 
@@ -315,39 +319,108 @@ def test_char_poly_matches_leverrier(m):
     assert char_poly(m) == leverrier_char_poly(m)
 
 
+def rational_tail(m) -> tuple:
+    """char_poly_tail of the pencil det(xS - S*M), S the row scales that clear M."""
+    rows, scales = cleared_rows(m)
+    return char_poly_tail(rows, scales)
+
+
+def scaled_tail(m) -> tuple:
+    """The tail of det(xI - M) times det S, for S the row scales that clear M."""
+    _, scales = cleared_rows(m)
+    return tuple(prod(scales) * c for c in padded(char_poly(m), 3))
+
+
 @BOUNDED
 @given(st.one_of(square(sparse_rationals), square(sparse_ints), banded(sparse_rationals)))
 def test_tail_matches_char_poly(m):
     n = len(m)
     if fraction_rank(m) >= n - 1:
-        assert char_poly_tail(m) == padded(char_poly(m), 3)
+        assert rational_tail(m) == scaled_tail(m)
     else:
         with pytest.raises(SingularMatrixError):
-            char_poly_tail(m)
+            rational_tail(m)
 
 
 @BOUNDED
 @given(low_rank())
 def test_tail_rejects_rank_below_n_minus_1(m):
     with pytest.raises(SingularMatrixError):
-        char_poly_tail(m)
+        rational_tail(m)
 
 
 def test_tail_when_a_column_holds_no_pivot():
-    # column 0 of xI - M is (x, 0): no entry with a nonzero constant term
+    # column 0 of xS - M is (s_0 x, 0): no entry with a nonzero constant term
     for m in ([[0, 1], [0, 2]], [[0, 0, 1], [0, 3, 0], [0, 1, 1]]):
-        assert fraction_rank(m) == len(m) - 1
-        assert char_poly_tail(m) == padded(char_poly(m), 3)
+        n = len(m)
+        assert fraction_rank(m) == n - 1
+        assert char_poly_tail(m, [1] * n) == tuple(padded(char_poly(m), 3))
+        s = range(2, n + 2)
+        assert char_poly_tail(m, s) == tuple(padded(pencil_char_poly(m, s), 3))
 
 
 def test_tail_when_a_column_vanishes_to_order_k():
-    # det(xI - S) = x^n for the nilpotent shift S of order n (rank n - 1);
-    # from n = 4 on a column of the eliminated matrix vanishes modulo x^3,
-    # and the exact tail is zero rather than an error
+    # det(xS - N) = det S * x^n for the nilpotent shift N of order n (rank
+    # n - 1); from n = 4 on a column of the eliminated matrix vanishes
+    # modulo x^3, and the exact tail is zero rather than an error
     for n in (3, 4, 5):
         shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
-        assert char_poly_tail(shift) == [0, 0, 0]
+        for s in ([1] * n, range(2, n + 2)):
+            assert char_poly_tail(shift, s) == (0, 0, 0)
         assert det_bareiss(shift) == 0
+
+
+# --- the pencil det(x*diag(s) - M) -------------------------------------------
+
+scales = st.integers(1, 5)
+
+
+@st.composite
+def with_scales(draw, matrices):
+    m = draw(matrices)
+    return m, draw(st.lists(scales, min_size=len(m), max_size=len(m)))
+
+
+@BOUNDED
+@given(with_scales(st.one_of(square(small_ints), banded(sparse_ints, max_n=6))))
+def test_pencil_reference_matches_leverrier(case):
+    # det(x*S - M) = det S * det(xI - S^-1 M), the latter over Fraction
+    m, s = case
+    rational = [[Fraction(e, si) for e in row] for row, si in zip(m, s)]
+    assert pencil_char_poly(m, s) == [prod(s) * c for c in leverrier_char_poly(rational)]
+
+
+@BOUNDED
+@given(with_scales(st.one_of(square(sparse_ints), square(small_ints), banded(sparse_ints),
+                             singular(), zero_leading(), low_rank(small_ints))))
+def test_pencil_tail_matches_dense_reference(case):
+    m, s = case
+    if fraction_rank(m) >= len(m) - 1:
+        assert char_poly_tail(m, s) == tuple(padded(pencil_char_poly(m, s), 3))
+    else:
+        with pytest.raises(SingularMatrixError):
+            char_poly_tail(m, s)
+
+
+def test_pencil_of_a_2x2_by_hand():
+    # (2x - 1)(3x - 4) - 2 * 3 = 6x^2 - 11x - 2
+    assert char_poly_tail([[1, 2], [3, 4]], [2, 3]) == (-2, -11, 6)
+
+
+@pytest.mark.parametrize("scale", [
+    pytest.param([1], id="short"),
+    pytest.param([1, 1, 1], id="long"),
+    pytest.param([1, 0], id="zero"),
+    pytest.param([2, -1], id="negative"),
+    pytest.param([True, 1], id="bool"),
+    pytest.param([Fraction(1), 1], id="fraction"),
+    pytest.param([1, Fraction(3, 2)], id="proper-fraction"),
+    pytest.param([1, 2.0], id="float"),
+])
+def test_pencil_rejects_bad_scale(scale):
+    with pytest.raises(ValueError, match="scale needs one positive int") as err:
+        char_poly_tail([[1, 2], [3, 4]], scale)
+    assert not isinstance(err.value, SingularMatrixError)
 
 
 # --- the fused step over Z[x]/(x^3) ------------------------------------------
@@ -386,8 +459,11 @@ def test_series_step_matches_operator_ring(p, a, h, b, q, exact):
 @BOUNDED
 @given(shuffled_connected_graph())
 def test_graph_tails_match_char_poly(g):
-    for matrix in (laplacian(g), random_walk_laplacian(g)):
-        assert char_poly_tail(matrix) == char_poly(matrix)[:3]
+    # det(xI - L) and det(xD - L) = det D * det(xI - D^-1 L)
+    lap, degrees = laplacian(g), [g.degree(v) for v in g.vertices]
+    assert char_poly_tail(lap, [1] * len(lap)) == tuple(char_poly(lap)[:3])
+    assert char_poly_tail(lap, degrees) == \
+        tuple(prod(degrees) * c for c in char_poly(random_walk_laplacian(g))[:3])
     # and the two routes of both resistance indices agree
     assert oc.kirchhoff_from_spectrum(g) == oc.kirchhoff_from_resistances(g)
     assert oc.degree_kirchhoff_from_spectrum(g) == oc.degree_kirchhoff_from_resistances(g)
