@@ -13,12 +13,13 @@ adjugate is never formed: ``adjugate_forms`` reads the entries it needs
 inside the band of the symmetric factor (selected inversion).  No full
 characteristic polynomial is formed here either: the mirror-block
 factorization is certified at the matrix level in
-``spectral.factorization_holds``.
+``spectral.factorization_holds``.  The one graph matrix built here is
+the integer Laplacian; its degree-scaled forms are read as the pencil
+det(xD - L), never as a rational matrix.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 
@@ -262,8 +263,8 @@ def _has_constant_term(s: _Series) -> bool:
 def det_bareiss(matrix) -> int:
     """Exact determinant of a square integer matrix.
 
-    Fraction-free (Bareiss) elimination that works only inside each
-    row's span of nonzeros, so a matrix of bandwidth b costs O(n * b^2).
+    Bareiss's fraction-free elimination works only inside each row's
+    span of nonzeros, so a matrix of bandwidth b costs O(n * b^2).
     """
     rows, lo, hi = _int_rows(matrix, diagonal=False)
     det, _ = _eliminate(rows, lo, hi, 1, 0, bool, _int_step)
@@ -356,51 +357,21 @@ def char_poly_tail(matrix, scale) -> tuple[int, int, int]:
 # graph matrices
 
 
-def _positions(g, order) -> tuple[tuple, dict]:
-    """Row order (default: the graph's own) and each vertex's row in it."""
-    vs = tuple(order) if order is not None else g.vertices
-    pos = {v: i for i, v in enumerate(vs)}
-    if len(pos) != len(vs) or pos.keys() != set(g.vertices):
-        raise ValueError("order must be a permutation of the graph's vertices")
-    return vs, pos
-
-
 def laplacian(g, order=None) -> list[list[int]]:
     """Combinatorial Laplacian (degree matrix minus adjacency), integer entries.
 
     ``order`` selects the vertex order of rows/columns (default: the
-    graph's own order).  Any order gives a similar matrix with the same
-    spectrum, so callers may pick one that concentrates the nonzeros.
+    graph's own order) and must be a permutation of the vertices.  Any
+    order gives a similar matrix with the same spectrum, so callers may
+    pick one that concentrates the nonzeros.
     """
-    vs, pos = _positions(g, order)
+    vs = tuple(order) if order is not None else g.vertices
+    pos = {v: i for i, v in enumerate(vs)}
+    if len(pos) != len(vs) or pos.keys() != set(g.vertices):
+        raise ValueError("order must be a permutation of the graph's vertices")
     mat = [[0] * len(vs) for _ in vs]
     for i, v in enumerate(vs):
         mat[i][i] = g.degree(v)
         for w in g.neighbors(v):
             mat[i][pos[w]] = -1
-    return mat
-
-
-def random_walk_laplacian(g, order=None) -> list[list[int | Fraction]]:
-    """Degree-scaled Laplacian D^-1 L, read by the rail-swap certificate.
-
-    Shares its characteristic polynomial with the symmetric normalized
-    Laplacian D^-1/2 L D^-1/2 (they are similar), while keeping every
-    entry rational; no kernel takes it, as that polynomial is
-    det(xD - L) / ∏d.  Entries on the pattern (the diagonal and each
-    edge) are Fractions; every other entry is the int 0, which compares
-    and tests false like Fraction(0) but costs less to scan.  Requires
-    every vertex to have at least one neighbor.
-    """
-    vs, pos = _positions(g, order)
-    mat = [[0] * len(vs) for _ in vs]
-    one = Fraction(1)
-    for i, v in enumerate(vs):
-        d = g.degree(v)
-        if d == 0:
-            raise ValueError(f"vertex {v} is isolated; normalization undefined")
-        row, off = mat[i], Fraction(-1, d)  # immutable: one instance serves the whole row
-        row[i] = one
-        for w in g.neighbors(v):
-            row[pos[w]] = off
     return mat

@@ -155,6 +155,7 @@ def degree_kirchhoff_from_resistances(g: Graph) -> Fraction:
 def degree_kirchhoff_from_spectrum(g: Graph) -> Fraction:
     """Degree-Kirchhoff index as 2|E| times the normalized reciprocal sum,
     read from the pencil det(xD − L) with D the degrees."""
+    _require_connected(g)
     c1, c2 = _trailing_coefficients(g, g.degree)
     return 2 * g.edge_count * abs(Fraction(c2, c1))
 

@@ -30,6 +30,9 @@ fused step: each of ``*``, ``-`` and ``//`` builds its own series.
 moved to selected inversion: [M | I] carried through the package's
 elimination and N columns of back substitution, O(N^2 * b) time and
 O(N^2) integers; it is itself checked against Gauss-Jordan elimination.
+``random_walk_laplacian`` is the rational matrix D^-1 L the package built
+to certify the normalized mirror split before that split was derived
+from the integer Laplacian split and the rail degrees.
 """
 
 from collections import deque
@@ -43,6 +46,7 @@ from chaindex.linalg import (
     _int_step,
     _int_rows,
     det_bareiss,
+    laplacian,
 )
 
 
@@ -262,6 +266,16 @@ def char_poly(matrix) -> list[Fraction]:
         raise ValueError("matrix is not square")
     rows, scales = cleared_rows(matrix)
     return [Fraction(c, prod(scales)) for c in pencil_char_poly(rows, scales)]
+
+
+def random_walk_laplacian(g, order=None) -> list[list[Fraction]]:
+    """D^-1 L: each row of ``laplacian(g, order)`` over its diagonal entry,
+    the vertex's degree.  Similar to the normalized Laplacian
+    D^-1/2 L D^-1/2; an isolated vertex raises ValueError."""
+    rows = laplacian(g, order)
+    if any(row[i] == 0 for i, row in enumerate(rows)):
+        raise ValueError("a vertex is isolated; normalization undefined")
+    return [[Fraction(e, row[i]) for e in row] for i, row in enumerate(rows)]
 
 
 def fresh_interior_det(tridiag, i: int, j: int) -> Fraction:

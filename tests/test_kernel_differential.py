@@ -34,6 +34,7 @@ from dense_reference import (
     fraction_rank,
     leverrier_char_poly,
     pencil_char_poly,
+    random_walk_laplacian,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -51,7 +52,6 @@ from chaindex.linalg import (
     char_poly_tail,
     det_bareiss,
     laplacian,
-    random_walk_laplacian,
 )
 
 BOUNDED = settings(max_examples=80, deadline=None, database=None, derandomize=True)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import adjugate, char_poly
+from dense_reference import adjugate, char_poly, random_walk_laplacian
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex.linalg import (
@@ -11,7 +11,6 @@ from chaindex.linalg import (
     char_poly_tail,
     det_bareiss,
     laplacian,
-    random_walk_laplacian,
 )
 
 

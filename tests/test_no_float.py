@@ -3,8 +3,10 @@
 Every module under ``src/chaindex`` is parsed, and the guard fails on a
 float or complex literal, on a call to ``float``, ``round`` or
 ``complex``, and on any ``math`` import other than its exact integer
-functions.  Timings read from ``time.perf_counter`` are floats the
-guard cannot see and does not need to: they never enter a computed value.
+functions.  ``linalg`` is held to integers: it may not import
+``fractions`` at all.  Timings read from ``time.perf_counter`` are
+floats the guard cannot see and does not need to: they never enter a
+computed value.
 """
 
 import ast
@@ -62,3 +64,25 @@ def test_guard_rejects_each_floating_point_construct(snippet):
 
 def test_guard_accepts_exact_math():
     assert float_uses(ast.parse("from math import lcm, gcd, prod, comb, isqrt")) == []
+
+
+def fraction_imports(tree: ast.AST) -> list[str]:
+    """Line-tagged descriptions of every import of the ``fractions`` module."""
+    return [f"line {node.lineno}: import fractions" for node in ast.walk(tree)
+            if (isinstance(node, ast.ImportFrom) and node.module == "fractions")
+            or (isinstance(node, ast.Import) and any(a.name == "fractions" for a in node.names))]
+
+
+def test_linalg_kernels_are_integer_only():
+    module = SOURCE / "linalg.py"
+    assert fraction_imports(ast.parse(module.read_text(), str(module))) == []
+
+
+@pytest.mark.parametrize("snippet", [
+    "from fractions import Fraction",
+    "import fractions",
+    "import os, fractions",
+    "def f():\n    from fractions import Fraction",
+])
+def test_fraction_guard_rejects_each_import(snippet):
+    assert fraction_imports(ast.parse(snippet))

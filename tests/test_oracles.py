@@ -134,6 +134,23 @@ def test_disconnected_rejected():
             fn(g)
 
 
+@pytest.mark.parametrize("fn", [
+    oc.kirchhoff_from_resistances, oc.kirchhoff_from_spectrum,
+    oc.degree_kirchhoff_from_resistances, oc.degree_kirchhoff_from_spectrum,
+], ids=lambda fn: fn.__name__)
+def test_isolated_vertex_is_not_connected_on_every_route(fn):
+    # a vertex of degree 0 would also be an invalid scale of the pencil
+    # det(xD - L), but connectivity is checked first
+    with pytest.raises(ValueError, match="not connected"):
+        fn(Graph("abc", [("a", "b")]))
+
+
+def test_one_vertex_has_no_degree_kirchhoff_spectrum():
+    # one vertex is connected, but its degree 0 is no scale of the pencil
+    with pytest.raises(ValueError, match="positive int"):
+        oc.degree_kirchhoff_from_spectrum(Graph([7], ()))
+
+
 # --- spanning trees ---------------------------------------------------------------
 
 

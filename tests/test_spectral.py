@@ -5,13 +5,13 @@ from fractions import Fraction
 import pytest
 from dense_reference import (
     char_poly, fraction_interior_det_closed, fraction_pair_class_sum, fresh_interior_det,
-    hand_normalized_blocks, pair_class_sum,
+    hand_normalized_blocks, pair_class_sum, random_walk_laplacian,
 )
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex import spectral as sp
 from chaindex.graphs import ChainGraph
-from chaindex.linalg import det_bareiss, laplacian, random_walk_laplacian
+from chaindex.linalg import det_bareiss, laplacian
 from chaindex.verify import verify_one
 
 
@@ -188,56 +188,46 @@ def test_changed_block_entry_fails_certificate_and_polynomial_route(monkeypatch,
     assert polynomial_route(2) == (False, False)
 
 
-@pytest.mark.parametrize("mutation", ["degrees", "norm-diag", "norm-offdiag_sq"])
+@pytest.mark.parametrize("mutation", ["degrees"])
 def test_bumped_degree_or_normalized_entry_fails_normalized_certificate(monkeypatch, mutation):
-    # the Laplacian blocks stay intact, so only the normalized check fails
+    # The Laplacian blocks stay intact, so only the normalized check fails.
+    # No certificate reads the normalized views; their entries are checked
+    # against hand_normalized_blocks and polynomial_route.
     mirror_blocks = sp.mirror_blocks
-
-    def bumped(values):
-        return values[:2] + (values[2] + 1,) + values[3:]
 
     def with_changed_entry(n):
         b = mirror_blocks(n)
-        if mutation == "degrees":
-            return dataclasses.replace(b, degrees=bumped(b.degrees))
-        # a copy whose cached view carries the bump, as a wrong view would
-        field = mutation.removeprefix("norm-")
-        changed = dataclasses.replace(b)
-        vars(changed)["norm_sum"] = dataclasses.replace(
-            b.norm_sum, **{field: bumped(getattr(b.norm_sum, field))})
-        return changed
+        values = getattr(b, mutation)
+        return dataclasses.replace(b, **{mutation: values[:2] + (values[2] + 1,) + values[3:]})
 
     monkeypatch.setattr(sp, "mirror_blocks", with_changed_entry)
     assert sp.factorization_holds(2) == (True, False)
 
 
-@pytest.mark.parametrize("builder, rails, expected", [
-    pytest.param(laplacian, (0, 1), (False, True), id="rails0"),
-    pytest.param(laplacian, (1,), (False, True), id="rails1"),
-    pytest.param(random_walk_laplacian, (0, 1), (True, False), id="random-walk-rails0"),
-    pytest.param(random_walk_laplacian, (1,), (True, False), id="random-walk-rails1"),
+@pytest.mark.parametrize("rails", [
+    pytest.param((0, 1), id="rails0"),
+    pytest.param((1,), id="rails1"),
 ])
-def test_certificate_rejects_entry_off_the_pattern(monkeypatch, builder, rails, expected):
+def test_certificate_rejects_entry_off_the_pattern(monkeypatch, rails):
     # An entry three places off the diagonal on both rails keeps the rail
-    # swap and the diagonals; on the primed rail alone it breaks only the swap.
+    # swap and the diagonals; on the primed rail alone it breaks only the
+    # swap.  The normalized split is derived from the Laplacian one, so
+    # both checks fail.
     def perturbed(g, order):
-        mat = builder(g, order)
+        mat = laplacian(g, order)
         m = len(mat) // 2
         for r in rails:
             mat[r * m][r * m + 3] = mat[r * m + 3][r * m] = -1
         return mat
 
-    monkeypatch.setattr(sp, builder.__name__, perturbed)
-    assert sp.factorization_holds(2) == expected
+    monkeypatch.setattr(sp, "laplacian", perturbed)
+    assert sp.factorization_holds(2) == (False, False)
 
 
-@pytest.mark.parametrize("builder, expected", [
-    pytest.param(laplacian, (False, True), id="laplacian"),
-    pytest.param(random_walk_laplacian, (True, False), id="random-walk"),
-])
+@pytest.mark.parametrize("builder", [laplacian])
 @pytest.mark.parametrize("block", ["A", "B"])
 @pytest.mark.parametrize("column", [2, 8], ids=["distance-2", "far-corner"])
-def test_certificate_rejects_entry_off_the_band(monkeypatch, builder, expected, block, column):
+def test_certificate_rejects_entry_off_the_band(monkeypatch, builder, block, column):
     # A symmetric entry in row 0 of block A or B, mirrored onto the primed
     # rail, keeps [[A, B], [B, A]], the diagonals and the off-diagonal
     # products: only the band check can reject it.  At n = 2 the blocks
@@ -252,7 +242,7 @@ def test_certificate_rejects_entry_off_the_band(monkeypatch, builder, expected, 
         return mat
 
     monkeypatch.setattr(sp, builder.__name__, perturbed)
-    assert sp.factorization_holds(2) == expected
+    assert sp.factorization_holds(2) == (False, False)
 
 
 def test_tridiag_char_poly_matches_dense():
@@ -496,22 +486,21 @@ def count_calls(monkeypatch, owner, name):
 
 
 def test_verify_one_builds_the_blocks_once(monkeypatch):
-    # lap_sum, its reversal for the trailing minors, and the norm_sum view
+    # lap_sum and its reversal for the trailing minors
     builds = count_calls(monkeypatch, sp, "rail_degrees")
     tridiags = count_calls(monkeypatch, sp.TriDiagSym, "__post_init__")
     verify_one(2)
     assert len(builds) == 1
-    assert len(tridiags) == 3
+    assert len(tridiags) == 2
 
 
 def test_verify_one_sweeps_no_normalized_view():
-    # every normalized minor comes from the integer block, so the view
-    # the certificate reads keeps an empty memo
+    # every normalized claim reads the integer blocks and the degrees, so
+    # verify_one builds neither rational view
     blocks = sp.mirror_blocks(3)
-    view = blocks.norm_sum
     verify_one(3)
-    assert blocks.norm_sum is view
-    assert view._sweeps == {} and "_reversed" not in vars(view)
+    assert sp.mirror_blocks(3) is blocks
+    assert "norm_sum" not in vars(blocks) and "norm_diff" not in vars(blocks)
 
 
 def test_pair_sums_on_held_blocks_create_no_block(monkeypatch):
