@@ -8,10 +8,17 @@ computed along two independent routes (pairwise sums and a trailing
 characteristic-coefficient ratio) and the routes must agree exactly.
 The trailing route reads the integer pencil det(x·diag(s) − L), s = 1
 for Kf and s the degrees for Kf*: det(xD − L) = ∏d · det(xI − D⁻¹L).
-The pairwise sums, single resistances and the default spanning-tree
-count read one symmetric factor of the grounded Laplacian: its
+The pairwise sums, single resistances and the spanning-tree count read
+the grounded Laplacian; the sums read one symmetric factor of it: its
 determinant, its adjugate's diagonal and quadratic forms of that
 adjugate, never the adjugate itself.
+
+Every oracle takes a connected graph with at least one vertex (K1 has
+every resistance index 0 and one spanning tree): ``_require_connected``
+is the one rule, run by the three helpers that reach a kernel or a BFS.
+No kernel error is translated: past the gate the grounded Laplacian is
+positive definite and every proper leading minor of L is nonzero, so
+neither ``adjugate_forms`` nor ``char_poly_tail`` can raise.
 """
 
 from __future__ import annotations
@@ -22,16 +29,13 @@ from functools import lru_cache
 from operator import mul
 
 from .graphs import ChainGraph, Graph, Vertex
-from .linalg import (
-    SingularMatrixError,
-    adjugate_forms,
-    char_poly_tail,
-    det_bareiss,
-    laplacian,
-)
+from .linalg import adjugate_forms, char_poly_tail, det_bareiss, laplacian
 
 
 def _require_connected(g: Graph) -> None:
+    """The oracles' one acceptance rule: at least one vertex, all connected."""
+    if not g.vertices:
+        raise ValueError("graph has no vertices")
     if not g.is_connected():
         raise ValueError("graph is not connected")
 
@@ -40,29 +44,34 @@ def _require_connected(g: Graph) -> None:
 # resistance distances
 
 
-def _grounded_forms(g: Graph, *weights) -> tuple[tuple, int, list[int], list[int]]:
-    """(order, det, diag, forms) of the adjugate A of the Laplacian whose last
-    band-ordered vertex is grounded: A's diagonal and one form wᵀAw per
-    weight function, with w listing weight(v) for each kept vertex v.
+def _grounded_laplacian(g: Graph, ground=None) -> tuple[list, list[list[int]]]:
+    """(kept, M): every vertex but ``ground`` in band order, and the
+    Laplacian without ground's row and column, rows in that order.  The
+    default ground is the last band-ordered vertex."""
+    _require_connected(g)
+    band = g.band_order()
+    ground = band[-1] if ground is None else ground
+    kept = [v for v in band if v != ground]
+    lap = laplacian(g, kept + [ground])
+    return kept, [row[:-1] for row in lap[:-1]]
+
+
+def _grounded_forms(g: Graph, *weights) -> tuple[list, int, list[int], list[int]]:
+    """(kept, det, diag, forms) of the adjugate A of the default grounded
+    Laplacian: A's diagonal and one form wᵀAw per weight function, with w
+    listing weight(v) for each kept vertex v.
 
     The grounded inverse is A / det; keeping A's entries as integers lets
     every resistance sum stay integral until one final division by det.
     """
-    order = g.band_order()
-    kept = order[:-1]
-    m = len(kept)
-    lap = laplacian(g, order)
-    try:
-        det, diag, forms = adjugate_forms([row[:m] for row in lap[:m]],
-                                          [[weight(v) for v in kept] for weight in weights])
-    except SingularMatrixError:
-        raise ValueError("graph is not connected") from None
-    return order, det, diag, forms
+    kept, grounded = _grounded_laplacian(g)
+    det, diag, forms = adjugate_forms(grounded, [[weight(v) for v in kept] for weight in weights])
+    return kept, det, diag, forms
 
 
 @lru_cache(maxsize=1)
-def _grounded_factor(g: Graph) -> tuple[tuple, int, list[int], list[int]]:
-    """(order, det, diag, [1ᵀA1, dᵀAd]) of the grounded adjugate A, d the
+def _grounded_factor(g: Graph) -> tuple[list, int, list[int], list[int]]:
+    """(kept, det, diag, [1ᵀA1, dᵀAd]) of the grounded adjugate A, d the
     degrees: everything the pairwise resistance sums and the default
     spanning-tree count read, kept for the last (immutable) graph.  No
     trailing-coefficient route reads it."""
@@ -90,8 +99,8 @@ def _pairwise_resistance_sums(g: Graph) -> tuple[Fraction, Fraction]:
     which is zero on the grounded vertex, the pair sums regroup as
     N·Σ A_aa − 1ᵀA1 and 2|E|·Σ d_a A_aa − dᵀAd.
     """
-    order, det, diag, (ones, degrees) = _grounded_factor(g)
-    degs = [g.degree(v) for v in order[:-1]]
+    kept, det, diag, (ones, degrees) = _grounded_factor(g)
+    degs = [g.degree(v) for v in kept]
     plain = g.vertex_count * sum(diag) - ones
     weighted = 2 * g.edge_count * sum(map(mul, degs, diag)) - degrees
     return Fraction(plain, det), Fraction(weighted, det)
@@ -108,37 +117,29 @@ def _agree(name: str, pairwise: Fraction, spectral: Fraction) -> Fraction:
 
 def kirchhoff_from_resistances(g: Graph) -> Fraction:
     """Kirchhoff index as the plain sum of all pairwise resistances."""
-    _require_connected(g)
     return _pairwise_resistance_sums(g)[0]
 
 
-def _trailing_coefficients(g: Graph, scale) -> tuple[int, int]:
-    """(c1, c2) of det(x·diag(s) − L), L the band-ordered Laplacian and s
-    listing scale(v) for each vertex v in that order.
-
-    For positive s the pencil has a zero root of multiplicity one exactly
-    when the graph is connected, so then c0 = 0 and c1 != 0.
-    """
+def _reciprocal_sum(g: Graph, scale) -> Fraction:
+    """Σ 1/μ over the nonzero roots μ of det(x·diag(s) − L), s listing
+    scale(v) in band order: |c2/c1| of the trailing coefficients, 0 for K1.
+    Past the gate the pencil has a simple zero root (c0 = 0, c1 != 0);
+    any other tail is a kernel fault."""
+    _require_connected(g)
+    if g.vertex_count == 1:
+        return Fraction(0)
     order = g.band_order()
-    try:
-        c0, c1, c2 = char_poly_tail(laplacian(g, order), [scale(v) for v in order])
-    except SingularMatrixError:
-        raise ValueError("graph is not connected") from None
+    c0, c1, c2 = char_poly_tail(laplacian(g, order), [scale(v) for v in order])
     if c0 != 0 or c1 == 0:
-        raise ValueError("graph is not connected")
-    return c1, c2
+        raise ArithmeticError(f"pencil tail ({c0}, {c1}, {c2}) lacks a simple zero root")
+    return abs(Fraction(c2, c1))
 
 
 def kirchhoff_from_spectrum(g: Graph) -> Fraction:
-    """Kirchhoff index as |V| times the reciprocal-eigenvalue sum.
-
-    The sum of reciprocals of the nonzero Laplacian eigenvalues equals the
-    ratio of the degree-2 to degree-1 characteristic coefficients, which
-    the exact trailing coefficients provide without ever computing an
-    eigenvalue.
-    """
-    c1, c2 = _trailing_coefficients(g, lambda v: 1)
-    return g.vertex_count * abs(Fraction(c2, c1))
+    """Kirchhoff index as |V| times the reciprocal sum of the nonzero
+    Laplacian eigenvalues, read from the exact trailing coefficients of
+    the characteristic polynomial without computing an eigenvalue."""
+    return g.vertex_count * _reciprocal_sum(g, lambda v: 1)
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
@@ -148,16 +149,13 @@ def kirchhoff_index(g: Graph) -> Fraction:
 
 def degree_kirchhoff_from_resistances(g: Graph) -> Fraction:
     """Degree-Kirchhoff index as the degree-weighted pairwise resistance sum."""
-    _require_connected(g)
     return _pairwise_resistance_sums(g)[1]
 
 
 def degree_kirchhoff_from_spectrum(g: Graph) -> Fraction:
     """Degree-Kirchhoff index as 2|E| times the normalized reciprocal sum,
     read from the pencil det(xD − L) with D the degrees."""
-    _require_connected(g)
-    c1, c2 = _trailing_coefficients(g, g.degree)
-    return 2 * g.edge_count * abs(Fraction(c2, c1))
+    return 2 * g.edge_count * _reciprocal_sum(g, g.degree)
 
 
 def degree_kirchhoff_index(g: Graph) -> Fraction:
@@ -181,17 +179,12 @@ def spanning_tree_count(g: Graph, drop=None) -> int:
     deleted; ``drop`` selects one explicitly and eliminates afresh
     (mainly so tests can confirm the independence).
     """
-    _require_connected(g)
     if drop is None:
         count = _grounded_factor(g)[1]
+    elif drop not in g.vertices:
+        raise ValueError("drop vertex not in graph")
     else:
-        band = g.band_order()
-        if drop not in band:
-            raise ValueError("drop vertex not in graph")
-        order = [v for v in band if v != drop] + [drop]
-        lap = laplacian(g, order)
-        m = len(order) - 1
-        count = det_bareiss([row[:m] for row in lap[:m]])
+        count = det_bareiss(_grounded_laplacian(g, drop)[1])
     if count <= 0:
         raise ArithmeticError("matrix-tree determinant must be positive here")
     return count

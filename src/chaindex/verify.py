@@ -232,16 +232,14 @@ def thread_budget() -> int:
         raise ValueError(f"CHAINDEX_THREADS {exc}") from None
 
 
-def run_verification(start: int, stop: int, threads: int | None = None) -> VerificationReport:
+def run_verification(start: int, stop: int) -> VerificationReport:
     """Verify every claim for each n in start..stop (inclusive)."""
     check_chain_parameter(start)
     check_chain_parameter(stop)
     if start > stop:
         raise ValueError("need 1 <= start <= stop")
     sizes = range(start, stop + 1)
-    threads = thread_budget() if threads is None else threads
-    if isinstance(threads, bool) or not isinstance(threads, int) or threads < 1:
-        raise ValueError(f"threads must be a positive int, got {threads!r}")
+    threads = thread_budget()
     if threads > 1 and len(sizes) > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: it loads multiprocessing
 

@@ -1,5 +1,6 @@
 import tracemalloc
 from fractions import Fraction
+from functools import partial
 from operator import mul
 
 import pytest
@@ -146,9 +147,9 @@ def test_isolated_vertex_is_not_connected_on_every_route(fn):
 
 
 def test_one_vertex_has_no_degree_kirchhoff_spectrum():
-    # one vertex is connected, but its degree 0 is no scale of the pencil
-    with pytest.raises(ValueError, match="positive int"):
-        oc.degree_kirchhoff_from_spectrum(Graph([7], ()))
+    # one vertex is connected and its pencil has no nonzero root, so the
+    # reciprocal sum is empty: the kernel never sees the degree 0
+    assert oc.degree_kirchhoff_from_spectrum(Graph([7], ())) == 0
 
 
 # --- spanning trees ---------------------------------------------------------------
@@ -361,6 +362,10 @@ def any_graph(draw, max_size=9):
 def test_bfs_totals_match_a_dict_bfs(g):
     reference = {v: dict_bfs(g, v) for v in g.vertices}
     assert {v: g.distances_from(v) for v in g.vertices} == reference
+    if not g.vertices:
+        with pytest.raises(ValueError, match="no vertices"):
+            oc.wiener_index(g)
+        return
     if not g.is_connected():
         with pytest.raises(ValueError, match="not connected"):
             oc.wiener_index(g)
@@ -386,3 +391,48 @@ def test_route_disagreement_raises(monkeypatch, spectral_route, index):
             oc.index_bundle(g)
         with pytest.raises(ArithmeticError, match="routes disagree"):
             index(g)
+
+
+def _outcome(route, g):
+    try:
+        return route(g)
+    except ValueError as exc:
+        return ("raises", str(exc))
+
+
+@BOUNDED
+@given(any_graph())
+@example(Graph((), ()))
+@example(Graph([7], ()))
+def test_every_route_accepts_the_same_graphs(g):
+    # either the two Kf routes agree, the two Kf* routes agree and the tree
+    # count is the same whichever vertex is deleted, or every route raises
+    # the same ValueError
+    groups = {
+        "kf": [oc.kirchhoff_from_resistances, oc.kirchhoff_from_spectrum, oc.kirchhoff_index],
+        "kf*": [oc.degree_kirchhoff_from_resistances, oc.degree_kirchhoff_from_spectrum,
+                oc.degree_kirchhoff_index],
+        "tau": [oc.spanning_tree_count,
+                *(partial(oc.spanning_tree_count, drop=v) for v in g.vertices)],
+        "wiener": [oc.wiener_index],
+        "gutman": [oc.gutman_index],
+    }
+    outcomes = {name: {_outcome(route, g) for route in routes} for name, routes in groups.items()}
+    assert all(len(found) == 1 for found in outcomes.values()), outcomes
+    results = [found for (found,) in outcomes.values()]
+    raised = [r for r in results if isinstance(r, tuple)]
+    assert raised in ([], results[:1] * len(results)), outcomes
+    assert (not raised) == (g.vertex_count > 0 and g.is_connected())
+    if g.vertex_count == 1:
+        assert results == [0, 0, 1, 0, 0]
+
+
+@pytest.mark.parametrize("tail", [(1, 0, 0), (0, 0, 5)])
+@pytest.mark.parametrize("route", [oc.kirchhoff_from_spectrum, oc.degree_kirchhoff_from_spectrum],
+                         ids=lambda fn: fn.__name__)
+def test_a_pencil_without_a_simple_zero_root_is_a_kernel_fault(monkeypatch, tail, route):
+    # a connected graph's pencil always has one; a tail without it is no
+    # statement about the graph
+    monkeypatch.setattr(oc, "char_poly_tail", lambda matrix, scale: tail)
+    with pytest.raises(ArithmeticError, match="simple zero root"):
+        route(build_crossed_chain(1))

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import weakref
 from fractions import Fraction
 
@@ -527,9 +528,11 @@ def test_returned_minor_lists_do_not_alias_the_memo():
 
 
 def test_blocks_are_freed_with_their_last_holder():
-    blocks = sp.mirror_blocks(3)
-    blocks.norm_sum.interior_det(1, 9)
-    assert sp.mirror_blocks(3) is blocks
+    # a size nobody holds yet: an earlier failure's traceback may keep one alive
+    n = next(k for k in itertools.count(1) if k not in sp._live_blocks)
+    blocks = sp.mirror_blocks(n)
+    blocks.norm_sum.interior_det(1, 4 * n + 1)
+    assert sp.mirror_blocks(n) is blocks
     ref = weakref.ref(blocks)
     del blocks
     assert ref() is None
