@@ -118,8 +118,13 @@ class Graph:
         by ascending degree, ties by the graph's own order, one component
         after another; the whole list reversed.  Spectra and determinants
         do not depend on the order, and this one concentrates the nonzeros
-        near the diagonal (bandwidth 3 for the chains).
+        near the diagonal (bandwidth 3 for the chains).  One sort per
+        (immutable) graph.
         """
+        return self._band_order
+
+    @cached_property
+    def _band_order(self) -> tuple:
         order, seen = [], set()
         for root in sorted(self.vertices, key=self.degree):
             if root not in seen:

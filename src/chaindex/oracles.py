@@ -29,7 +29,7 @@ from functools import lru_cache
 from operator import mul
 
 from .graphs import ChainGraph, Graph, Vertex
-from .linalg import adjugate_forms, char_poly_tail, det_bareiss, laplacian
+from .linalg import Envelope, adjugate_forms, char_poly_tail, det_bareiss, laplacian_rows
 
 
 def _require_connected(g: Graph) -> None:
@@ -44,16 +44,16 @@ def _require_connected(g: Graph) -> None:
 # resistance distances
 
 
-def _grounded_laplacian(g: Graph, ground=None) -> tuple[list, list[list[int]]]:
+def _grounded_laplacian(g: Graph, ground=None) -> tuple[list, Envelope]:
     """(kept, M): every vertex but ``ground`` in band order, and the
-    Laplacian without ground's row and column, rows in that order.  The
-    default ground is the last band-ordered vertex."""
+    Laplacian without ground's row and column, rows in that order, built
+    from adjacency in envelope form.  The default ground is the last
+    band-ordered vertex."""
     _require_connected(g)
     band = g.band_order()
     ground = band[-1] if ground is None else ground
     kept = [v for v in band if v != ground]
-    lap = laplacian(g, kept + [ground])
-    return kept, [row[:-1] for row in lap[:-1]]
+    return kept, laplacian_rows(g, kept)
 
 
 def _grounded_forms(g: Graph, *weights) -> tuple[list, int, list[int], list[int]]:
@@ -129,7 +129,7 @@ def _reciprocal_sum(g: Graph, scale) -> Fraction:
     if g.vertex_count == 1:
         return Fraction(0)
     order = g.band_order()
-    c0, c1, c2 = char_poly_tail(laplacian(g, order), [scale(v) for v in order])
+    c0, c1, c2 = char_poly_tail(laplacian_rows(g, order), [scale(v) for v in order])
     if c0 != 0 or c1 == 0:
         raise ArithmeticError(f"pencil tail ({c0}, {c1}, {c2}) lacks a simple zero root")
     return abs(Fraction(c2, c1))

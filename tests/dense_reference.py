@@ -104,23 +104,21 @@ def adjugate(matrix) -> tuple[int, list[list[int]]]:
     integer, so back substitution divides exactly.  A singular M raises
     SingularMatrixError.
     """
-    rows, lo, hi = _int_rows(matrix, diagonal=False)
+    offsets, rows = _int_rows(matrix)
     n = len(rows)
-    for i, row in enumerate(rows):
-        row.extend([0] * n)
-        row[n + i] = 1
-    det, order = _eliminate(rows, lo, hi, 1, 0, bool, _int_step)
+    identity = [[int(i == j) for j in range(n)] for i in range(n)]
+    det, order = _eliminate(offsets, rows, 1, 0, bool, _int_step, identity)
     if not det:
         raise SingularMatrixError("matrix is singular")
     # A nonzero det means no column was swapped, so step k solved for X[k].
     adj = [[0] * n for _ in range(n)]
     for k in range(n - 1, -1, -1):
         r = order[k]
-        row = rows[r]
-        upper = [(j, row[j]) for j in range(k + 1, hi[r]) if row[j]]
-        pivot, out = row[k], adj[k]
+        row, o = rows[r], offsets[r]
+        upper = [(j, row[j - o]) for j in range(k + 1, o + len(row)) if row[j - o]]
+        pivot, out = row[k - o], adj[k]
         for col in range(n):
-            acc = det * row[n + col]
+            acc = det * identity[r][col]
             for j, u in upper:
                 acc -= u * adj[j][col]
             out[col] = acc // pivot

@@ -11,7 +11,10 @@ checked against Gauss-Jordan elimination, and
 symmetric diagonally dominant matrices, singular ones included, and on
 grounded graph Laplacians.
 The fused Bareiss step over Z[x]/(x^3) is compared with the operator
-series ring it replaced.
+series ring it replaced.  Staggered matrices, whose rows start right of
+earlier pivots and hold runs of zeros, make rows sit out steps, so the
+update of a stale row, which divides by the pivot of its own last
+update, is checked against the dense references that rescale explicitly.
 Inputs cover singular matrices, matrices whose leading entry is zero,
 0x0 and 1x1, random banded matrices, low-rank matrices and the
 Laplacians of random connected graphs in shuffled vertex order.
@@ -293,8 +296,7 @@ def test_adjugate_forms_rejects_bad_input():
 
 
 def diagonal_pivots(matrix) -> bool:
-    rows, lo, hi = _int_rows(matrix, diagonal=False)
-    return _eliminate(rows, lo, hi, 1, 0, bool, _int_step)[1] == list(range(len(matrix)))
+    return _eliminate(*_int_rows(matrix), 1, 0, bool, _int_step)[1] == list(range(len(matrix)))
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -308,6 +310,76 @@ def test_chain_eliminations_take_diagonal_pivots(n):
 def test_graph_eliminations_take_diagonal_pivots(g):
     for order in (g.vertices, g.band_order()):
         assert diagonal_pivots(grounded(laplacian(g, order)))
+
+
+# --- stale rows ----------------------------------------------------------------
+
+
+@st.composite
+def staggered(draw, max_n=7):
+    # each row starts at a drawn column and holds runs of zeros, so rows
+    # sit out steps between updates (and a pivot row or the last row can
+    # be stale when its turn comes); up to two columns are zeroed, which
+    # vanishes them for det_bareiss and leaves the pencil's column with no
+    # unit pivot
+    n = draw(st.integers(2, max_n))
+    gaps = st.one_of(st.just(0), st.just(0), st.just(0), small_ints)
+    m = []
+    for _ in range(n):
+        first = draw(st.integers(0, n - 1))
+        m.append([0] * first + [draw(small_ints.filter(bool))]
+                 + [draw(gaps) for _ in range(n - first - 1)])
+    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
+        for row in m:
+            row[j] = 0
+    return m
+
+
+@st.composite
+def staggered_symmetric(draw):
+    # the lower triangle of a staggered matrix mirrored and made diagonally
+    # dominant, so positive semidefinite; zero slack makes some singular
+    m = draw(staggered())
+    n = len(m)
+    sym = [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+    for i, row in enumerate(sym):
+        row[i] = sum(abs(e) for j, e in enumerate(row) if j != i) + draw(st.integers(0, 2))
+    vectors = draw(st.lists(st.lists(small_ints, min_size=n, max_size=n), max_size=2))
+    return sym, vectors
+
+
+# row 4 is updated at step 0, sits out steps 1 and 2 and is updated again
+# at step 3; row 5 sits out steps 1 to 3; row 3 is a stale pivot row
+STALE = [[2, 0, 0, 0, 1, 1],
+         [0, 3, 0, 0, 0, 0],
+         [0, 0, 2, 0, 0, 0],
+         [0, 0, 0, 3, 1, 0],
+         [1, 0, 0, 1, 4, 0],
+         [1, 0, 0, 0, 0, 3]]
+
+
+@BOUNDED
+@given(staggered(), st.lists(st.integers(1, 5), min_size=7, max_size=7))
+@example(STALE, [1] * 7)
+@example([[0, 1, 0], [0, 0, 2], [0, 3, 1]], [1] * 7)           # a vanished first column
+@example([[1, 0, 2, 0], [0, 0, 0, 1], [3, 0, 1, 0], [0, 2, 0, 1]], [2] * 7)
+def test_stale_rows_match_the_dense_references(m, scale):
+    assert det_bareiss(m) == dense_det_bareiss(m)
+    n = len(m)
+    s = scale[:n]
+    if fraction_rank(m) >= n - 1:
+        assert char_poly_tail(m, s) == tuple(padded(pencil_char_poly(m, s), 3))
+    else:
+        with pytest.raises(SingularMatrixError):
+            char_poly_tail(m, s)
+
+
+@BOUNDED
+@given(staggered_symmetric())
+@example((STALE, [[1, 1, 1, 1, 1, 1]]))
+def test_stale_rows_in_the_symmetric_factor(case):
+    if check_forms(*case):
+        assert adjugate_forms(case[0])[0] == dense_det_bareiss(case[0])
 
 
 # --- characteristic polynomials ----------------------------------------------

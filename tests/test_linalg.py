@@ -4,14 +4,18 @@ from fractions import Fraction
 import pytest
 from dense_reference import adjugate, char_poly, random_walk_laplacian
 
-from chaindex import Vertex, build_crossed_chain
+from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain, linalg
+from chaindex import oracles as oc
 from chaindex.linalg import (
+    Envelope,
     SingularMatrixError,
     adjugate_forms,
     char_poly_tail,
     det_bareiss,
     laplacian,
+    laplacian_rows,
 )
+from chaindex.verify import run_verification
 
 
 def naive_det(m):
@@ -269,3 +273,92 @@ def test_char_poly_vs_bareiss_on_mirror_blocks():
             shifted = [[(x if i == j else 0) - source[i][j] for j in range(m)]
                        for i in range(m)]
             assert horner(p, x) == det_bareiss(shifted)
+
+
+# --- envelope rows -----------------------------------------------------------
+
+
+def edge_laplacian(g, order):
+    # the Laplacian written out from the edge set, independent of the builder
+    pos = {v: i for i, v in enumerate(order)}
+    mat = [[0] * len(order) for _ in order]
+    for e in g.edges:
+        u, v = tuple(e)
+        for a, b in ((u, v), (v, u)):
+            if a in pos:
+                mat[pos[a]][pos[a]] += 1
+                if b in pos:
+                    mat[pos[a]][pos[b]] = -1
+    return mat
+
+
+@pytest.mark.parametrize("g", [build_crossed_chain(2), build_plain_chain(2),
+                               Graph("abcde", [("a", "c"), ("b", "e"), ("c", "e"), ("d", "a")])])
+def test_laplacian_rows_are_tight_envelopes_of_the_laplacian(g):
+    order = g.band_order()
+    for kept in (order, order[:-1], order[1:]):
+        rows = laplacian_rows(g, kept)
+        assert len(rows) == len(kept)
+        assert rows.dense() == edge_laplacian(g, kept)
+        for i, (o, e) in enumerate(zip(rows.offsets, rows.entries)):
+            assert e[0] and e[-1] and o <= i < o + len(e)
+        # every kernel reads the envelope as it reads its dense expansion,
+        # and leaves it as it was
+        dense, ones, twos = rows.dense(), [[1] * len(kept)], [2] * len(kept)
+        assert det_bareiss(rows) == det_bareiss(dense)
+        assert char_poly_tail(rows, twos) == char_poly_tail(dense, twos)
+        if kept != order:  # the full Laplacian is singular
+            assert adjugate_forms(rows, ones) == adjugate_forms(dense, ones)
+        assert rows.dense() == dense
+
+
+@pytest.mark.parametrize("order", [[0, 0], [0, 7], [5]])
+def test_laplacian_rows_need_distinct_vertices_of_the_graph(order):
+    with pytest.raises(ValueError, match="distinct vertices of the graph"):
+        laplacian_rows(Graph([0, 1, 2], [(0, 1), (1, 2)]), order)
+
+
+def test_envelope_expands_zero_rows():
+    assert Envelope((0, 1, 2), ([1, 2], [], [3])).dense() == [[1, 2, 0], [0, 0, 0], [0, 0, 3]]
+
+
+# --- ring steps ----------------------------------------------------------------
+
+
+@pytest.fixture
+def ring_steps(monkeypatch):
+    """Counts [steps, rescale-only steps] per ring of every elimination run
+    after the fixture starts; a rescale-only step has a zero head."""
+    counts = {"series": [0, 0], "int": [0, 0]}
+
+    def counting(ring, inner):
+        def step(p, a, h, b, q):
+            counts[ring][0] += 1
+            counts[ring][1] += not h
+            return inner(p, a, h, b, q)
+        return step
+
+    monkeypatch.setattr(linalg, "_series_step", counting("series", linalg._series_step))
+    monkeypatch.setattr(linalg, "_int_step", counting("int", linalg._int_step))
+    monkeypatch.delenv("CHAINDEX_THREADS", raising=False)
+    oc._grounded_factor.cache_clear()
+    return counts
+
+
+@pytest.mark.parametrize("builder", [build_crossed_chain, build_plain_chain])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_chain_eliminations_make_no_rescale_only_step(ring_steps, builder, n):
+    oc.index_bundle(builder(n))
+    assert ring_steps["series"][0] > 0 and ring_steps["int"][0] > 0
+    assert ring_steps["series"][1] == ring_steps["int"][1] == 0
+
+
+def test_verify_pass_step_counts_repeat_exactly(ring_steps):
+    # a stale row's update divides out its stale factor; rescaling it
+    # first took 13620 series and 9590 integer steps
+    for _ in range(2):
+        oc._grounded_factor.cache_clear()
+        for tally in ring_steps.values():
+            tally[:] = [0, 0]
+        run_verification(1, 10)
+        assert ring_steps == {"series": [9100, 0], "int": [6580, 0]}

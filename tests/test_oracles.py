@@ -192,8 +192,9 @@ def test_pair_sums_match_the_adjugate_reference(n):
 
 @pytest.mark.slow
 def test_pair_sums_memory_stays_banded():
-    # the full adjugate of n=60 peaked near 49 MiB; the banded factor
-    # keeps about 5 MiB, most of it the dense grounded Laplacian
+    # the full adjugate of n=60 peaked near 49 MiB and the banded factor
+    # of a dense grounded Laplacian near 5 MiB; with the Laplacian built in
+    # envelope form the factor peaks near 1 MiB
     g = build_crossed_chain(60)
     tracemalloc.start()
     try:
@@ -202,6 +203,20 @@ def test_pair_sums_memory_stays_banded():
     finally:
         tracemalloc.stop()
     assert peak < 12 * 2**20
+
+
+@pytest.mark.slow
+def test_bundle_memory_stays_banded():
+    # N = 1602 vertices: dense N x N Laplacians made the bundle peak at
+    # 67 MiB; envelope rows from adjacency keep about 7 MiB
+    g = build_crossed_chain(200)
+    tracemalloc.start()
+    try:
+        oc.index_bundle(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("n", [5, 6])

@@ -3,7 +3,7 @@
 Seeded generators only, so failures are reproducible.  These tests tie
 the independent computation routes to each other on inputs with no chain
 structure at all: random spanning trees plus random extra edges, and
-sparse random matrices that force the pivoting and lazy-rescaling paths.
+sparse random matrices that force the pivoting and stale-row paths.
 """
 
 import random
