@@ -6,15 +6,20 @@ the trailing coefficients of the pencil det(x*diag(s) - M) share one
 fraction-free (Bareiss) elimination on rows in envelope form (George &
 Liu, 1981): each row stores only its columns from its first to its last
 nonzero, so a matrix of bandwidth b costs O(n * b^2) time and O(n * b)
-entries.  The ring it runs over supplies one step function, the Bareiss
-update (p*a - h*b) / q done exactly: plain integer arithmetic for
-determinants and adjugate forms, and for the pencil a fused update over
-Z[x]/(x^3), integer power series truncated after x^2, written out
-coefficient by coefficient.  A row that sat out steps is updated with
-its stale factor divided out in that same step, so no step only
-rescales a row that is about to be updated.  The adjugate is never
-formed: ``adjugate_forms`` reads the entries it needs inside the band of
-the symmetric factor (selected inversion).  No full characteristic
+entries.  Step c pivots on row c, so the pivots are the leading
+principal minors, and the pivot contract is that every proper one is
+usable: nonzero, and for the pencil of nonzero constant term.  One that
+is not raises SingularMatrixError.  Every matrix the oracles pass meets
+the contract, since each proper principal submatrix of a connected
+graph's Laplacian is positive definite.  The ring supplies one step
+function, the Bareiss update (p*a - h*b) / q done exactly: plain
+integer arithmetic for determinants and adjugate forms, and for the
+pencil a fused update over Z[x]/(x^3), integer power series truncated
+after x^2, written out coefficient by coefficient.  A row that sat out
+steps is updated with its stale factor divided out in that same step,
+so no step only rescales a row that is about to be updated.  The
+adjugate is never formed: ``adjugate_forms`` reads the entries it needs
+inside the band of the symmetric factor (selected inversion).  No full characteristic
 polynomial is formed here either: the mirror-block factorization is
 certified at the matrix level in ``spectral.factorization_holds``.  The
 one graph matrix built here is the integer Laplacian, row by row from
@@ -35,14 +40,6 @@ class SingularMatrixError(ValueError):
     """Raised when an operation requires a nonsingular matrix."""
 
 
-def _require_square(matrix) -> int:
-    n = len(matrix)
-    for row in matrix:
-        if len(row) != n:
-            raise ValueError("matrix is not square")
-    return n
-
-
 @dataclass(frozen=True)
 class Envelope:
     """A square integer matrix stored by rows in envelope form.
@@ -50,10 +47,21 @@ class Envelope:
     Row i is ``entries[i]`` from column ``offsets[i]`` on and zero outside
     it, so a matrix of bandwidth b takes O(n * b) integers.  Built by
     ``laplacian_rows``; every kernel takes it in place of a dense matrix.
+    Each row must lie inside the n columns and hold ints only, as a dense
+    matrix must; a bool becomes 0 or 1.  Both fields are stored as
+    tuples, so they stay as validated.
     """
 
     offsets: tuple
     entries: tuple
+
+    def __post_init__(self) -> None:
+        offsets, entries = tuple(self.offsets), tuple(tuple(_int_row(e)) for e in self.entries)
+        if len(offsets) != len(entries) or any(type(o) is not int or o < 0 or o + len(e) > len(entries)
+                                               for o, e in zip(offsets, entries)):
+            raise ValueError("matrix is not square")
+        object.__setattr__(self, "offsets", offsets)
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -67,6 +75,17 @@ class Envelope:
         return mat
 
 
+def _int_row(row):
+    """``row`` itself when every entry is an int, else a copy with each bool
+    made 0 or 1; any other entry raises ValueError."""
+    if set(map(type, row)) <= {int}:
+        return row
+    for entry in row:
+        if not isinstance(entry, int):
+            raise ValueError(f"matrix entries must be int, got {entry!r}")
+    return list(map(int, row))
+
+
 def _int_rows(matrix) -> tuple[list[int], list[list]]:
     """(offsets, rows): a square integer matrix as fresh envelope rows.
 
@@ -77,31 +96,15 @@ def _int_rows(matrix) -> tuple[list[int], list[list]]:
     """
     if isinstance(matrix, Envelope):
         return list(matrix.offsets), [list(e) for e in matrix.entries]
-    _require_square(matrix)
+    if any(len(row) != len(matrix) for row in matrix):
+        raise ValueError("matrix is not square")
     offsets, rows = [], []
-    for i, row in enumerate(matrix):
-        if not set(map(type, row)) <= {int}:
-            for entry in row:
-                if not isinstance(entry, int):
-                    raise ValueError(f"matrix entries must be int, got {entry!r}")
-            row = list(map(int, row))
+    for i, row in enumerate(map(_int_row, matrix)):
         nonzero = [j for j, e in enumerate(row) if e]
         first, end = (nonzero[0], nonzero[-1] + 1) if nonzero else (i, i)
         offsets.append(first)
         rows.append(list(row[first:end]))
     return offsets, rows
-
-
-def _permutation_sign(perm: list[int]) -> int:
-    sign, seen = 1, [False] * len(perm)
-    for start in range(len(perm)):
-        j = start
-        while not seen[j]:
-            seen[j] = True
-            j = perm[j]
-            if j != start:
-                sign = -sign
-    return sign
 
 
 def _eliminate(offsets: list, rows: list, one, zero, unit, step, carried=None):
@@ -110,132 +113,65 @@ def _eliminate(offsets: list, rows: list, one, zero, unit, step, carried=None):
     ``rows`` holds the n rows of a square matrix in envelope form: row i
     covers columns offsets[i] .. offsets[i] + len(rows[i]) - 1 and is zero
     outside them.  ``carried``, if given, holds further columns per row:
-    every update of a row covers them, but no pivot is sought there.  The
-    ring supplies its identity ``one``, its ``zero``, the test ``unit`` of
-    a usable pivot, and ``step(p, a, h, b, q)``, which returns
-    (p*a - h*b) / q for a divisor q for which ``unit`` holds; the division
-    is exact.  Entries need nothing else but truth testing and unary
-    ``-``.  ``offsets``, ``rows`` and ``carried`` are consumed: on return
-    each pivot row holds its state at its own step, from column
-    offsets[i] on.
+    every update of a row covers them.  The ring supplies its identity
+    ``one``, its ``zero``, the test ``unit`` of a usable pivot, and
+    ``step(p, a, h, b, q)``, which returns (p*a - h*b) / q for a divisor q
+    for which ``unit`` holds; the division is exact.  Entries need nothing
+    else but truth testing.  ``offsets``, ``rows`` and ``carried`` are
+    consumed: on return row i holds its state at step i, from column
+    offsets[i] on, so on a symmetric matrix the rows are its symmetric
+    factor.
 
-    Step c takes its pivot from the rows whose first nonzero is column c:
-    row c itself when it has a unit there, else the narrowest.  On a
-    symmetric matrix the pivot rows are then its symmetric factor.  With
-    p_k the pivot of step k - 1 (p_0 = one), a row last updated by step
-    L - 1 and left out of steps L .. c - 1 holds its state after step
-    c - 1 times p_L / p_c, so its update by the pivot row's true entries
-    is step(pivot, a, head, b, p_L): Bareiss's update with the stale
-    factor divided out, exact, and for a row updated by step c - 1 the
-    usual division by p_c.  Only a stale pivot row and the last row are
-    rescaled, by step(p_c, a, zero, zero, p_L).  A column with no nonzero
-    left makes the determinant zero; it is swapped to the end so
-    elimination can go on.  A column with nonzeros but no unit swaps in a
-    later column that has one; stale rows may be permuted as they are,
-    since their factor is common to all their entries.  Returns
-    (det, order), where order lists the pivot row of each step; det is
-    None when fewer than n - 1 steps find a unit pivot: the remaining
-    block has no unit, or two columns vanished.
+    Step c pivots on row c, so its pivot is the leading principal minor
+    of order c + 1.  The pivot contract is that ``unit`` holds for every
+    proper leading principal minor: a pivot before the last for which it
+    fails raises SingularMatrixError.  Returns the last pivot, the
+    determinant.  Step c updates only the rows whose first nonzero is
+    column c.  With p_k the pivot of step k - 1 (p_0 = one), a row last
+    updated by step L - 1 and left out of steps L .. c - 1 holds its state
+    after step c - 1 times p_L / p_c, so its update by the pivot row's
+    true entries is step(pivot, a, head, b, p_L): Bareiss's update with
+    the stale factor divided out, exact, and for a row updated by step
+    c - 1 the usual division by p_c.  Only a stale pivot row and
+    the last row are rescaled, by step(p_c, a, zero, zero, p_L).
     """
     n = len(rows)
     if n == 0:
-        return one, []
+        return one
     if carried is None:
         carried = [()] * n
-    lo = [n] * n          # lo[i]: the first nonzero column of row i, n if none
     buckets: list[list[int]] = [[] for _ in range(n + 1)]
     pivots = [one]        # pivots[c]: the pivot of step c-1, a minor of order c
     lag = [0] * n         # row i holds its state after step lag[i]-1, unscaled since
-    used = [False] * n
-    order = []            # pivot row of each step
-    sign = 1
-    vanished = False      # a zero column has been moved to the end
 
-    def end(i: int) -> int:
-        return offsets[i] + len(rows[i])
-
-    def entry(i: int, j: int):
-        k = j - offsets[i]
-        return rows[i][k] if 0 <= k < len(rows[i]) else zero
-
-    def rescale(i: int, c: int) -> None:
-        # Bring row i, last touched before step c, to its state after step c-1.
-        num, den = pivots[c], pivots[lag[i]]
-        rows[i] = [step(num, a, zero, zero, den) if a else a for a in rows[i]]
-        carried[i] = [step(num, a, zero, zero, den) if a else a for a in carried[i]]
-        lag[i] = c
+    def diagonal(c: int):
+        # Row c's entry in column c, brought to its state after step c-1.
+        if lag[c] != c:
+            num, den = pivots[c], pivots[lag[c]]
+            rows[c] = [step(num, a, zero, zero, den) if a else a for a in rows[c]]
+            carried[c] = [step(num, a, zero, zero, den) if a else a for a in carried[c]]
+            lag[c] = c
+        k = c - offsets[c]
+        return rows[c][k] if 0 <= k < len(rows[c]) else zero
 
     def place(i: int, start: int) -> None:
         # File row i under its first nonzero column at or after ``start``.
         row, o = rows[i], offsets[i]
-        j, stop = max(start, o), end(i)
+        j, stop = max(start, o), o + len(row)
         while j < stop and not row[j - o]:
             j += 1
-        lo[i] = j if j < stop else n
-        buckets[lo[i]].append(i)
-
-    def gather(c: int) -> list[int]:
-        # The remaining rows with a nonzero in column c.
-        live = []
-        for i in buckets[c]:
-            if rows[i][c - offsets[i]]:
-                live.append(i)
-            else:
-                place(i, c + 1)
-        buckets[c] = []
-        return live
-
-    def swap_columns(c: int, target: int) -> list[int]:
-        # Swap two columns of the remaining rows, widening a row's envelope
-        # where a nonzero moves out of it, then gather column c.
-        nonlocal sign
-        sign = -sign
-        for k in range(c, n + 1):
-            buckets[k] = []
-        for i in range(n):
-            if not used[i]:
-                a, b = entry(i, c), entry(i, target)
-                if b and c < offsets[i]:
-                    rows[i][:0] = [zero] * (offsets[i] - c)
-                    offsets[i] = c
-                if a and target >= end(i):
-                    rows[i] += [zero] * (target + 1 - end(i))
-                if a or b:
-                    row, o = rows[i], offsets[i]
-                    row[c - o], row[target - o] = b, a
-                place(i, c)
-        return gather(c)
+        buckets[j if j < stop else n].append(i)
 
     for i in range(n):
         place(i, 0)
     for c in range(n - 1):
-        live = gather(c)
-        candidates = [i for i in live if unit(rows[i][c - offsets[i]])]
-        while not candidates:
-            if live:
-                target = min(
-                    (j for i in range(n) if not used[i]
-                     for j in range(max(lo[i], c + 1), end(i)) if unit(entry(i, j))),
-                    default=None,
-                )
-            elif not vanished:
-                vanished, target = True, n - 1
-            else:
-                target = None
-            if target is None:
-                return None, order
-            live = swap_columns(c, target)
-            candidates = [i for i in live if unit(rows[i][c - offsets[i]])]
-        r = c if c in candidates else min(candidates, key=end)
-        used[r] = True
-        order.append(r)
-        if lag[r] != c:
-            rescale(r, c)
-        row_r, carried_r = rows[r], carried[r]
-        pivot = row_r[c - offsets[r]]
-        tail_r = row_r[c + 1 - offsets[r]:]
-        for i in live:
-            if i == r:
+        pivot = diagonal(c)
+        if not unit(pivot):
+            raise SingularMatrixError("matrix has a vanishing leading principal minor")
+        carried_r = carried[c]
+        tail_r = rows[c][c + 1 - offsets[c]:]
+        for i in buckets[c]:
+            if i == c:
                 continue
             row_i, prev = rows[i], pivots[lag[i]]
             head = row_i[c - offsets[i]]
@@ -248,13 +184,7 @@ def _eliminate(offsets: list, rows: list, one, zero, unit, step, carried=None):
             lag[i] = c + 1
             place(i, c + 1)
         pivots.append(pivot)
-
-    last = used.index(False)
-    order.append(last)
-    if lag[last] != n - 1:
-        rescale(last, n - 1)
-    det = entry(last, n - 1)
-    return (det if sign * _permutation_sign(order) > 0 else -det), order
+    return diagonal(n - 1)
 
 
 def _int_step(p: int, a: int, h: int, b: int, q: int) -> int:
@@ -275,10 +205,6 @@ class _Series:
 
     def __bool__(self) -> bool:
         return self.c != (0, 0, 0)
-
-    def __neg__(self) -> "_Series":
-        a0, a1, a2 = self.c
-        return _Series((-a0, -a1, -a2))
 
 
 def _series_step(p: _Series, a: _Series, h: _Series, b: _Series, q: _Series) -> _Series:
@@ -302,18 +228,15 @@ def _series_step(p: _Series, a: _Series, h: _Series, b: _Series, q: _Series) -> 
     return _Series((t0, t1, t2))
 
 
-def _has_constant_term(s: _Series) -> bool:
-    return s.c[0] != 0
-
-
 def det_bareiss(matrix) -> int:
     """Exact determinant of a square integer matrix, dense or ``Envelope``.
 
-    Bareiss's fraction-free elimination works only inside each row's
-    envelope, so a matrix of bandwidth b costs O(n * b^2).
+    Bareiss's fraction-free elimination pivots on the diagonal and works
+    only inside each row's envelope, so a matrix of bandwidth b costs
+    O(n * b^2).  A vanishing proper leading principal minor raises
+    SingularMatrixError: det([[0, 1], [1, 0]]) raises, det([[1, 1], [1, 1]]) is 0.
     """
-    det, _ = _eliminate(*_int_rows(matrix), 1, 0, bool, _int_step)
-    return 0 if det is None else det
+    return _eliminate(*_int_rows(matrix), 1, 0, bool, _int_step)
 
 
 def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
@@ -329,9 +252,10 @@ def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
     A_kk = (det·p_{k-1} - Σ_l U_kl·A_lk) / p_k, and back substitution
     gives y = A·v as y_k = (det·ζ_k - Σ_l U_kl·y_l) / p_k, where ζ_k is
     v's carried entry of row k.  Every division is exact, so a matrix of
-    bandwidth b costs O(N·b²) time and O(N·b) integers.  A vanishing
-    leading principal minor raises SingularMatrixError; for a positive
-    semidefinite M that happens exactly when M is singular.
+    bandwidth b costs O(N·b²) time and O(N·b) integers.  Every leading
+    principal minor, det M included, must be nonzero; one that vanishes
+    raises SingularMatrixError.  For a positive semidefinite M that
+    happens exactly when M is singular.
     """
     offsets, rows = _int_rows(matrix)
     n = len(rows)
@@ -343,15 +267,10 @@ def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
     if any(len(v) != n or not all(isinstance(e, int) for e in v) for v in vectors):
         raise ValueError("each vector needs one int entry per row")
     carried = [[v[i] for v in vectors] for i in range(n)]
-    det, order = _eliminate(offsets, rows, 1, 0, bool, _int_step, carried)
-    if not det or order != list(range(n)):
+    det = _eliminate(offsets, rows, 1, 0, bool, _int_step, carried)
+    if not det:
         raise SingularMatrixError("matrix has a vanishing leading principal minor")
-    b = 0
-    for k, (o, row) in enumerate(zip(offsets, rows)):
-        j = o + len(row) - 1
-        while j > k and not row[j - o]:
-            j -= 1
-        b = max(b, j - k)
+    b = max((o + len(row) - 1 - k for k, (o, row) in enumerate(zip(offsets, rows))), default=0)
     near = [[]] * n  # near[k][o] = A[k][k + o] for o = 0..b
     ys = [[0] * n for _ in vectors]
     diagonal = [row[k - o] for k, (o, row) in enumerate(zip(offsets, rows))]
@@ -377,10 +296,10 @@ def char_poly_tail(matrix, scale) -> tuple[int, int, int]:
 
     M is a square integer matrix, dense or an ``Envelope``, and ``scale``
     holds one positive int per row.  The pencil is eliminated over
-    Z[x]/(x^3), so only the wanted coefficients are ever formed.  Every
-    pivot needs a nonzero constant term, which exists at each step but the
-    last exactly when M has rank at least n - 1; otherwise
-    SingularMatrixError is raised.
+    Z[x]/(x^3), so only the wanted coefficients are ever formed.  Pivots
+    are taken on the diagonal, and each but the last needs a nonzero
+    constant term, ± a proper leading principal minor of M.  One that
+    vanishes raises SingularMatrixError, as does any M of rank below n - 1.
     """
     offsets, rows = _int_rows(matrix)
     n = len(rows)
@@ -399,11 +318,8 @@ def char_poly_tail(matrix, scale) -> tuple[int, int, int]:
         series[i - start] = _Series((series[i - start].c[0], scale[i], 0))
         offsets[i] = start
         series_rows.append(series)
-    det, _ = _eliminate(offsets, series_rows, _Series((1, 0, 0)), zero,
-                        _has_constant_term, _series_step)
-    if det is None:
-        raise SingularMatrixError("matrix has rank below n - 1")
-    return det.c
+    return _eliminate(offsets, series_rows, _Series((1, 0, 0)), zero,
+                      lambda s: s.c[0] != 0, _series_step).c
 
 
 # ---------------------------------------------------------------------------

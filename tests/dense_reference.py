@@ -4,13 +4,15 @@
 used before its kernel became band-aware: row pivoting on the first
 nonzero entry, every column swept at every step.  ``pencil_char_poly``
 is the polynomial route the package used to check the mirror-block
-factorization: integer evaluations of the public ``det_bareiss`` plus
-Newton interpolation, here of the whole pencil det(x*diag(s) - M).
+factorization: integer evaluations of ``dense_det_bareiss`` plus Newton
+interpolation, here of the whole pencil det(x*diag(s) - M).
 ``char_poly`` reads det(xI - M) of a rational M from it after
 ``cleared_rows`` scales each row by the lcm of its denominators, as the
 package's kernels did before they became integer-only.
 ``fraction_det``, ``fraction_inverse`` and ``leverrier_char_poly``
-share no code or method with the package at all.
+share no code or method with the package at all;
+``proper_leading_minor_vanishes`` reads the package's pivot contract
+from ``fraction_det`` of the leading blocks.
 ``fresh_interior_det`` and ``pair_class_sum`` are the per-pair routes the
 spectral layer used before it memoized interior sweeps and summed each
 residue class in one recurrence; ``fraction_pair_class_sum`` is that
@@ -27,9 +29,12 @@ used before it built one ``Fraction`` from integer parts.
 coefficients were eliminated over before the Bareiss update became one
 fused step: each of ``*``, ``-`` and ``//`` builds its own series.
 ``adjugate`` is the full adjugate the resistance sums read before they
-moved to selected inversion: [M | I] carried through the package's
-elimination and N columns of back substitution, O(N^2 * b) time and
-O(N^2) integers; it is itself checked against Gauss-Jordan elimination.
+moved to selected inversion: [M | I] through a dense fraction-free
+elimination with row pivoting and N columns of back substitution.  It
+no longer rides the package's elimination, and it is itself checked
+against Gauss-Jordan elimination.  No reference here calls a kernel of
+``chaindex.linalg`` it is compared with; ``test_reference_independence``
+guards that.
 ``random_walk_laplacian`` is the rational matrix D^-1 L the package built
 to certify the normalized mirror split before that split was derived
 from the integer Laplacian split and the rail degrees.
@@ -40,14 +45,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from chaindex import spectral
-from chaindex.linalg import (
-    SingularMatrixError,
-    _eliminate,
-    _int_step,
-    _int_rows,
-    det_bareiss,
-    laplacian,
-)
+from chaindex.linalg import Envelope, SingularMatrixError, _int_rows, laplacian
 
 
 def dense_det_bareiss(matrix) -> int:
@@ -99,29 +97,36 @@ def dense_det_bareiss(matrix) -> int:
 def adjugate(matrix) -> tuple[int, list[list[int]]]:
     """(det M, adj M) of a square integer matrix, where adj M = det M * M^-1.
 
-    The elimination runs on [M | I], leaving U X = R with U upper
-    triangular and X = M^-1; every entry of adj M = det M * X is an
-    integer, so back substitution divides exactly.  A singular M raises
-    SingularMatrixError.
+    Dense Bareiss elimination with row pivoting on the first nonzero runs
+    on [M | I], every row below the pivot updated at every step, leaving
+    U X = R with U upper triangular and X = M^-1; every entry of
+    adj M = det M * X is an integer, so back substitution divides
+    exactly.  Entries are validated as the package's kernels validate
+    them.  A singular M raises SingularMatrixError.
     """
-    offsets, rows = _int_rows(matrix)
+    rows = Envelope(*_int_rows(matrix)).dense()
     n = len(rows)
-    identity = [[int(i == j) for j in range(n)] for i in range(n)]
-    det, order = _eliminate(offsets, rows, 1, 0, bool, _int_step, identity)
-    if not det:
-        raise SingularMatrixError("matrix is singular")
-    # A nonzero det means no column was swapped, so step k solved for X[k].
+    aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    sign, prev = 1, 1
+    for c in range(n):
+        p = next((i for i in range(c, n) if aug[i][c]), None)
+        if p is None:
+            raise SingularMatrixError("matrix is singular")
+        if p != c:
+            aug[c], aug[p] = aug[p], aug[c]
+            sign = -sign
+        pivot, row_c = aug[c][c], aug[c]
+        for i in range(c + 1, n):
+            head = aug[i][c]
+            aug[i] = [(pivot * a - head * b) // prev for a, b in zip(aug[i], row_c)]
+        prev = pivot
+    det = sign * prev
     adj = [[0] * n for _ in range(n)]
-    for k in range(n - 1, -1, -1):
-        r = order[k]
-        row, o = rows[r], offsets[r]
-        upper = [(j, row[j - o]) for j in range(k + 1, o + len(row)) if row[j - o]]
-        pivot, out = row[k - o], adj[k]
+    for k in reversed(range(n)):
+        row = aug[k]
         for col in range(n):
-            acc = det * identity[r][col]
-            for j, u in upper:
-                acc -= u * adj[j][col]
-            out[col] = acc // pivot
+            acc = det * row[n + col] - sum(row[j] * adj[j][col] for j in range(k + 1, n))
+            adj[k][col] = acc // row[k]
     return det, adj
 
 
@@ -144,6 +149,12 @@ def fraction_det(matrix) -> Fraction:
                 for j in range(c, n):
                     m[i][j] -= f * m[c][j]
     return det
+
+
+def proper_leading_minor_vanishes(matrix) -> bool:
+    """True when det M[:k, :k] = 0 for some k in 1 .. n - 1, the case in
+    which the package's diagonal-pivot kernels raise SingularMatrixError."""
+    return any(fraction_det([row[:k] for row in matrix[:k]]) == 0 for k in range(1, len(matrix)))
 
 
 def fraction_rank(matrix) -> int:
@@ -225,7 +236,7 @@ def _newton_interpolate(xs: list[int], ys: list[int]) -> list[int]:
 def pencil_char_poly(matrix, scale) -> list[int]:
     """det(x*diag(scale) - M), ascending, for a square integer M.
 
-    The pencil is evaluated by ``det_bareiss`` at n+1 integer nodes and
+    The pencil is evaluated by ``dense_det_bareiss`` at n+1 integer nodes and
     recovered by Newton interpolation; its leading coefficient is the
     product of the scales.
     """
@@ -240,8 +251,8 @@ def pencil_char_poly(matrix, scale) -> list[int]:
         nodes.append(k if len(nodes) % 2 == 1 else -k)
 
     values = [
-        det_bareiss([[(x * scale[i] if i == j else 0) - e for j, e in enumerate(row)]
-                     for i, row in enumerate(matrix)])
+        dense_det_bareiss([[(x * scale[i] if i == j else 0) - e for j, e in enumerate(row)]
+                           for i, row in enumerate(matrix)])
         for x in nodes
     ]
     poly = _newton_interpolate(nodes, values)

@@ -3,7 +3,11 @@
 ``det_bareiss`` and ``char_poly_tail`` are compared with the dense
 Bareiss copy, Fraction Gaussian elimination and the interpolated pencil
 det(x*diag(s) - M) in ``dense_reference``; that pencil is itself checked
-against the Faddeev-LeVerrier recurrence.  A rational M enters the tail
+against the Faddeev-LeVerrier recurrence.  The kernels pivot on the
+diagonal, so each check also holds them to the pivot contract: they
+raise SingularMatrixError exactly when a proper leading principal minor
+vanishes (judged by ``fraction_det`` of the leading blocks), and
+``adjugate_forms`` also when det M vanishes.  A rational M enters the tail
 kernel as the integer pencil of S*M and its row scales S, whose tail is
 det S times that of det(xI - M).  The reference full ``adjugate`` is
 checked against Gauss-Jordan elimination, and
@@ -17,7 +21,8 @@ update of a stale row, which divides by the pivot of its own last
 update, is checked against the dense references that rescale explicitly.
 Inputs cover singular matrices, matrices whose leading entry is zero,
 0x0 and 1x1, random banded matrices, low-rank matrices and the
-Laplacians of random connected graphs in shuffled vertex order.
+Laplacians of random connected graphs in shuffled vertex order, whose
+proper principal submatrices are positive definite, so no kernel raises.
 Examples are derandomized and bounded so the module stays a few seconds
 of the tier-1 run.
 """
@@ -37,6 +42,7 @@ from dense_reference import (
     fraction_rank,
     leverrier_char_poly,
     pencil_char_poly,
+    proper_leading_minor_vanishes,
     random_walk_laplacian,
 )
 from hypothesis import example, given, settings
@@ -46,9 +52,6 @@ from chaindex import Graph, build_crossed_chain
 from chaindex import oracles as oc
 from chaindex.linalg import (
     SingularMatrixError,
-    _eliminate,
-    _int_step,
-    _int_rows,
     _Series,
     _series_step,
     adjugate_forms,
@@ -126,26 +129,51 @@ def padded(poly, k):
     return (poly + [Fraction(0)] * k)[:k]
 
 
+def outcome(kernel, *args):
+    """kernel(*args), or SingularMatrixError itself when the kernel raises it."""
+    try:
+        return kernel(*args)
+    except SingularMatrixError:
+        return SingularMatrixError
+
+
+def check_det(m) -> None:
+    """det_bareiss equals Fraction elimination and the dense Bareiss copy,
+    or raises SingularMatrixError exactly when a proper leading minor vanishes."""
+    expected = fraction_det(m)
+    assert dense_det_bareiss(m) == expected
+    assert outcome(det_bareiss, m) == \
+        (SingularMatrixError if proper_leading_minor_vanishes(m) else expected)
+
+
+def check_tail(m, s) -> None:
+    """char_poly_tail equals the interpolated pencil, or raises
+    SingularMatrixError exactly when a proper leading minor vanishes."""
+    assert outcome(char_poly_tail, m, s) == (SingularMatrixError if proper_leading_minor_vanishes(m)
+                                             else tuple(padded(pencil_char_poly(m, s), 3)))
+
+
 # --- determinants ------------------------------------------------------------
 
 
 @BOUNDED
 @given(st.one_of(square(sparse_ints), square(small_ints), singular(), zero_leading()))
 def test_det_matches_references(m):
-    expected = fraction_det(m)
-    assert det_bareiss(m) == expected == dense_det_bareiss(m)
+    check_det(m)
 
 
 @BOUNDED
 @given(singular())
 def test_det_of_singular_matrix_is_zero(m):
-    assert det_bareiss(m) == 0
+    # zero, unless a proper leading minor vanishes first
+    assert fraction_det(m) == 0
+    check_det(m)
 
 
 @BOUNDED
 @given(banded(sparse_ints))
 def test_det_of_banded_matrix(m):
-    assert det_bareiss(m) == fraction_det(m)
+    check_det(m)
 
 
 @BOUNDED
@@ -185,8 +213,7 @@ def test_adjugate_of_singular_matrix_raises(m):
 
 def test_adjugate_when_a_row_vanishes_left_of_the_identity():
     # elimination zeroes a row's first n columns but not its part of the
-    # appended identity; it must read as singular, not be filed past
-    # column n (in the 3x3 case the row's first nonzero is column n + 1)
+    # appended identity; it must read as singular
     for m in ([[1, 1], [1, 1]], [[1, 0, 0], [0, 1, 1], [0, 1, 1]]):
         with pytest.raises(SingularMatrixError):
             adjugate(m)
@@ -295,21 +322,28 @@ def test_adjugate_forms_rejects_bad_input():
         adjugate_forms([[Fraction(1, 2)]])
 
 
-def diagonal_pivots(matrix) -> bool:
-    return _eliminate(*_int_rows(matrix), 1, 0, bool, _int_step)[1] == list(range(len(matrix)))
+def check_graph_eliminations(g, order) -> None:
+    # every kernel pivots on the diagonal of a connected graph's Laplacian
+    # in any vertex order; by the matrix-tree theorem the pencil's linear
+    # coefficient is (-1)^(N-1) * sum(s) * tau
+    lap = laplacian(g, order)
+    tau = dense_det_bareiss(grounded(lap))
+    assert det_bareiss(grounded(lap)) == adjugate_forms(grounded(lap))[0] == tau
+    for s in ([1] * len(lap), [g.degree(v) for v in order]):
+        assert char_poly_tail(lap, s)[:2] == (0, (-1) ** (len(lap) - 1) * sum(s) * tau)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_chain_eliminations_take_diagonal_pivots(n):
     g = build_crossed_chain(n)
-    assert diagonal_pivots(grounded(laplacian(g, g.band_order())))
+    check_graph_eliminations(g, g.band_order())
 
 
 @BOUNDED
 @given(shuffled_connected_graph(max_size=12))
 def test_graph_eliminations_take_diagonal_pivots(g):
     for order in (g.vertices, g.band_order()):
-        assert diagonal_pivots(grounded(laplacian(g, order)))
+        check_graph_eliminations(g, order)
 
 
 # --- stale rows ----------------------------------------------------------------
@@ -319,19 +353,17 @@ def test_graph_eliminations_take_diagonal_pivots(g):
 def staggered(draw, max_n=7):
     # each row starts at a drawn column and holds runs of zeros, so rows
     # sit out steps between updates (and a pivot row or the last row can
-    # be stale when its turn comes); up to two columns are zeroed, which
-    # vanishes them for det_bareiss and leaves the pencil's column with no
-    # unit pivot
+    # be stale when its turn comes); the diagonal is then made to dominate
+    # its row, with zero slack now and then, so most leading minors are
+    # nonzero and some vanish
     n = draw(st.integers(2, max_n))
     gaps = st.one_of(st.just(0), st.just(0), st.just(0), small_ints)
     m = []
-    for _ in range(n):
+    for i in range(n):
         first = draw(st.integers(0, n - 1))
-        m.append([0] * first + [draw(small_ints.filter(bool))]
-                 + [draw(gaps) for _ in range(n - first - 1)])
-    for j in draw(st.lists(st.integers(0, n - 1), max_size=2)):
-        for row in m:
-            row[j] = 0
+        row = [0] * first + [draw(small_ints.filter(bool))] + [draw(gaps) for _ in range(n - first - 1)]
+        row[i] = sum(abs(e) for j, e in enumerate(row) if j != i) + draw(st.sampled_from([0, 1, 1, 2]))
+        m.append(row)
     return m
 
 
@@ -361,17 +393,9 @@ STALE = [[2, 0, 0, 0, 1, 1],
 @BOUNDED
 @given(staggered(), st.lists(st.integers(1, 5), min_size=7, max_size=7))
 @example(STALE, [1] * 7)
-@example([[0, 1, 0], [0, 0, 2], [0, 3, 1]], [1] * 7)           # a vanished first column
-@example([[1, 0, 2, 0], [0, 0, 0, 1], [3, 0, 1, 0], [0, 2, 0, 1]], [2] * 7)
 def test_stale_rows_match_the_dense_references(m, scale):
-    assert det_bareiss(m) == dense_det_bareiss(m)
-    n = len(m)
-    s = scale[:n]
-    if fraction_rank(m) >= n - 1:
-        assert char_poly_tail(m, s) == tuple(padded(pencil_char_poly(m, s), 3))
-    else:
-        with pytest.raises(SingularMatrixError):
-            char_poly_tail(m, s)
+    check_det(m)
+    check_tail(m, scale[:len(m)])
 
 
 @BOUNDED
@@ -380,6 +404,38 @@ def test_stale_rows_match_the_dense_references(m, scale):
 def test_stale_rows_in_the_symmetric_factor(case):
     if check_forms(*case):
         assert adjugate_forms(case[0])[0] == dense_det_bareiss(case[0])
+
+
+# --- the pivot contract ------------------------------------------------------
+
+
+def symmetrized(m):
+    return [[m[max(i, j)][min(i, j)] for j in range(len(m))] for i in range(len(m))]
+
+
+@BOUNDED
+@given(st.one_of(square(sparse_ints), square(small_ints), singular(), zero_leading(),
+                 banded(sparse_ints, max_n=8), low_rank(small_ints), staggered()),
+       st.lists(st.integers(1, 5), min_size=8, max_size=8), st.booleans())
+@example([[0, 1], [1, 0]], [1] * 8, True)
+@example([[1, 1], [1, 1]], [1] * 8, True)
+@example([[0, 1, 0], [0, 0, 2], [0, 3, 1]], [1] * 8, False)
+@example([[1, 0, 2, 0], [0, 0, 0, 1], [3, 0, 1, 0], [0, 2, 0, 1]], [2] * 8, False)
+def test_kernels_raise_exactly_when_a_proper_leading_minor_vanishes(m, scale, symmetric):
+    # det_bareiss and char_poly_tail (s = 1 and drawn scales) equal their
+    # references or raise exactly when a proper leading minor vanishes;
+    # adjugate_forms, on the symmetric matrices, raises also when det M is 0
+    if symmetric:
+        m = symmetrized(m)
+    n = len(m)
+    check_det(m)
+    for s in ([1] * n, scale[:n]):
+        check_tail(m, s)
+    if symmetric:
+        vectors = [[1] * n, scale[:n]]
+        raises = proper_leading_minor_vanishes(m) or fraction_det(m) == 0
+        assert outcome(adjugate_forms, m, vectors) == \
+            (SingularMatrixError if raises else reference_forms(m, vectors))
 
 
 # --- characteristic polynomials ----------------------------------------------
@@ -406,12 +462,9 @@ def scaled_tail(m) -> tuple:
 @BOUNDED
 @given(st.one_of(square(sparse_rationals), square(sparse_ints), banded(sparse_rationals)))
 def test_tail_matches_char_poly(m):
-    n = len(m)
-    if fraction_rank(m) >= n - 1:
-        assert rational_tail(m) == scaled_tail(m)
-    else:
-        with pytest.raises(SingularMatrixError):
-            rational_tail(m)
+    # S*M has the leading minors of M times products of the scales
+    assert outcome(rational_tail, m) == \
+        (SingularMatrixError if proper_leading_minor_vanishes(m) else scaled_tail(m))
 
 
 @BOUNDED
@@ -422,24 +475,33 @@ def test_tail_rejects_rank_below_n_minus_1(m):
 
 
 def test_tail_when_a_column_holds_no_pivot():
-    # column 0 of xS - M is (s_0 x, 0): no entry with a nonzero constant term
+    # column 0 of xS - M is (s_0 x, 0): no entry with a nonzero constant
+    # term, so the diagonal pivot fails; the same pencil in reversed vertex
+    # order pivots on its diagonal and has the same tail
     for m in ([[0, 1], [0, 2]], [[0, 0, 1], [0, 3, 0], [0, 1, 1]]):
         n = len(m)
         assert fraction_rank(m) == n - 1
-        assert char_poly_tail(m, [1] * n) == tuple(padded(char_poly(m), 3))
-        s = range(2, n + 2)
-        assert char_poly_tail(m, s) == tuple(padded(pencil_char_poly(m, s), 3))
+        reversed_m = [row[::-1] for row in m[::-1]]
+        for s in ([1] * n, list(range(2, n + 2))):
+            with pytest.raises(SingularMatrixError):
+                char_poly_tail(m, s)
+            assert char_poly_tail(reversed_m, s[::-1]) == tuple(padded(pencil_char_poly(m, s), 3))
+        assert char_poly_tail(reversed_m, [1] * n) == tuple(padded(char_poly(m), 3))
 
 
 def test_tail_when_a_column_vanishes_to_order_k():
-    # det(xS - N) = det S * x^n for the nilpotent shift N of order n (rank
-    # n - 1); from n = 4 on a column of the eliminated matrix vanishes
-    # modulo x^3, and the exact tail is zero rather than an error
+    # det(xS - S*M) = det S * x^n for M = U N U^-1, the nilpotent shift N
+    # of order n (rank n - 1) conjugated by the lower triangle of ones U,
+    # whose leading minors are +-1; the exact tail is zero rather than an
+    # error.  The shift itself has vanishing leading minors and raises.
     for n in (3, 4, 5):
-        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        m = [[int(j == min(i + 1, n - 1)) - int(j == 0) for j in range(n)] for i in range(n)]
         for s in ([1] * n, range(2, n + 2)):
-            assert char_poly_tail(shift, s) == (0, 0, 0)
-        assert det_bareiss(shift) == 0
+            assert char_poly_tail([[si * e for e in row] for si, row in zip(s, m)], s) == (0, 0, 0)
+        assert det_bareiss(m) == 0
+        shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
+        with pytest.raises(SingularMatrixError):
+            char_poly_tail(shift, [1] * n)
 
 
 # --- the pencil det(x*diag(s) - M) -------------------------------------------
@@ -466,12 +528,7 @@ def test_pencil_reference_matches_leverrier(case):
 @given(with_scales(st.one_of(square(sparse_ints), square(small_ints), banded(sparse_ints),
                              singular(), zero_leading(), low_rank(small_ints))))
 def test_pencil_tail_matches_dense_reference(case):
-    m, s = case
-    if fraction_rank(m) >= len(m) - 1:
-        assert char_poly_tail(m, s) == tuple(padded(pencil_char_poly(m, s), 3))
-    else:
-        with pytest.raises(SingularMatrixError):
-            char_poly_tail(m, s)
+    check_tail(*case)
 
 
 def test_pencil_of_a_2x2_by_hand():

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from dense_reference import adjugate, char_poly, random_walk_laplacian
+from dense_reference import adjugate, char_poly, proper_leading_minor_vanishes, random_walk_laplacian
 
 from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain, linalg
 from chaindex import oracles as oc
@@ -68,13 +68,21 @@ def test_det_against_cofactor_expansion():
     for n in (2, 3, 4, 5):
         for _ in range(8):
             m = random_int_matrix(rng, n)
-            assert det_bareiss(m) == naive_det(m)
+            if proper_leading_minor_vanishes(m):
+                with pytest.raises(SingularMatrixError):
+                    det_bareiss(m)
+            else:
+                assert det_bareiss(m) == naive_det(m)
 
 
 def test_det_singular_and_permuted():
-    assert det_bareiss([[0, 0], [0, 0]]) == 0
-    assert det_bareiss([[0, 1], [1, 0]]) == -1
-    assert det_bareiss([[0, 2, 1], [3, 0, 0], [0, 1, 1]]) == -3
+    # pivots are taken on the diagonal: a vanishing last pivot is a zero
+    # determinant, a vanishing proper leading minor raises
+    assert det_bareiss([[1, 1], [1, 1]]) == 0
+    assert det_bareiss([[2, 1, 0], [1, 0, 1], [0, 1, 1]]) == -3
+    for m in ([[0, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 0], [0, 1, 1]]):
+        with pytest.raises(SingularMatrixError):
+            det_bareiss(m)
 
 
 def test_det_rejects_non_integer():
@@ -320,6 +328,32 @@ def test_laplacian_rows_need_distinct_vertices_of_the_graph(order):
 
 def test_envelope_expands_zero_rows():
     assert Envelope((0, 1, 2), ([1, 2], [], [3])).dense() == [[1, 2, 0], [0, 0, 0], [0, 0, 3]]
+
+
+@pytest.mark.parametrize("offsets, entries, text", [
+    pytest.param((0, 0), ((Fraction(1, 2), 1), (1, 3.0)), "matrix entries must be int, got Fraction(1, 2)",
+                 id="fraction"),
+    pytest.param((0, 0), ((1, 1), (1, 3.0)), "matrix entries must be int, got 3.0", id="float"),
+    pytest.param((0, -1), ((1,), (2,)), "matrix is not square", id="negative-offset"),
+    pytest.param((0, 2), ((1,), (2,)), "matrix is not square", id="offset-past-the-last-column"),
+    pytest.param((0, 1), ((1,), (2, 3)), "matrix is not square", id="row-past-the-last-column"),
+    pytest.param((0, True), ((1,), (2,)), "matrix is not square", id="bool-offset"),
+    pytest.param((0,), ((1,), (2,)), "matrix is not square", id="offset-count"),
+])
+def test_envelope_rejects_what_a_dense_matrix_may_not_hold(offsets, entries, text):
+    with pytest.raises(ValueError) as err:
+        Envelope(offsets, entries)
+    assert str(err.value) == text
+    assert not isinstance(err.value, SingularMatrixError)
+
+
+def test_envelope_bool_entries_count_as_ints():
+    rows = Envelope((0, 1), ([True, False], [3]))
+    assert rows.dense() == [[1, 0], [0, 3]]
+    assert all(type(e) is int for row in rows.entries for e in row)
+    assert type(det_bareiss(rows)) is int and det_bareiss(rows) == 3
+    with pytest.raises(TypeError):
+        rows.entries[1][0] = 0.5
 
 
 # --- ring steps ----------------------------------------------------------------

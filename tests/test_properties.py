@@ -3,17 +3,19 @@
 Seeded generators only, so failures are reproducible.  These tests tie
 the independent computation routes to each other on inputs with no chain
 structure at all: random spanning trees plus random extra edges, and
-sparse random matrices that force the pivoting and stale-row paths.
+sparse random matrices that leave rows stale or make a diagonal pivot
+vanish.
 """
 
 import random
 from fractions import Fraction
 
-from dense_reference import char_poly
+import pytest
+from dense_reference import char_poly, proper_leading_minor_vanishes
 
 from chaindex import Graph
 from chaindex import oracles as oc
-from chaindex.linalg import det_bareiss, laplacian
+from chaindex.linalg import SingularMatrixError, det_bareiss, laplacian
 
 
 def random_connected_graph(rng, size, extra_edges):
@@ -115,7 +117,11 @@ def test_sparse_determinants_match_cofactor_expansion():
         for density in (0.3, 0.5, 0.8):
             for _ in range(6):
                 m = sparse_random_matrix(rng, size, density)
-                assert det_bareiss(m) == naive_det(m), m
+                if proper_leading_minor_vanishes(m):
+                    with pytest.raises(SingularMatrixError):
+                        det_bareiss(m)
+                else:
+                    assert det_bareiss(m) == naive_det(m), m
 
 
 def test_char_poly_on_sparse_matrices():
