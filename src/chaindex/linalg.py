@@ -19,9 +19,9 @@ after x^2, written out coefficient by coefficient.  A row that sat out
 steps is updated with its stale factor divided out in that same step,
 so no step only rescales a row that is about to be updated.  The
 adjugate is never formed: ``adjugate_forms`` reads the entries it needs
-inside the band of the symmetric factor (selected inversion).  No full characteristic
-polynomial is formed here either: the mirror-block factorization is
-certified at the matrix level in ``spectral.factorization_holds``.  The
+inside the band of the symmetric factor (selected inversion).  No full
+characteristic polynomial is formed: ``spectral.factorization_holds``
+certifies the mirror-block split on 2×2 tiles of ``laplacian_rows``.  The
 one graph matrix built here is the integer Laplacian, row by row from
 adjacency (``laplacian_rows``; ``laplacian`` is its dense expansion);
 its degree-scaled forms are read as the pencil det(xD - L), never as a

@@ -3,7 +3,7 @@
 Because swapping the two rails is an automorphism, the (normalized)
 Laplacian written in rail-block form [[A, B], [B, A]] splits into a sum
 block A+B and a difference block A-B with the same combined spectrum;
-``factorization_holds`` certifies the Laplacian split entry by entry, and
+``factorization_holds`` certifies the Laplacian split tile by tile, and
 the normalized split follows from it and the rail degrees.
 For these chains the sum block is symmetric tridiagonal and the
 difference block is diagonal, so every spectral quantity reduces to
@@ -34,7 +34,7 @@ from operator import mul
 from typing import Iterator, NamedTuple
 
 from .graphs import build_crossed_chain, check_chain_parameter, mirror_partition
-from .linalg import laplacian
+from .linalg import Envelope, laplacian_rows
 
 QUARTER_POW = Fraction(1, 25)  # decay ratio of the normalized minor sequences
 
@@ -192,13 +192,12 @@ def mirror_blocks(n: int) -> MirrorBlocks:
 def factorization_holds(n: int) -> tuple[bool, bool]:
     """Certify that each Laplacian family splits into its mirror blocks.
 
-    Builds the Laplacian L from the crossed chain's edges, rows in
-    rail-block order (plain rail, then primed rail), and checks it
-    against the integer blocks entry by entry.  Returns
-    (laplacian_ok, normalized_ok); both checks are exact.
+    Checks the 2×2 tiles of the Laplacian L's rows, built from adjacency in
+    mirror order (v_1, v_1', v_2, v_2', ...), against the integer blocks in
+    O(N).  Returns (laplacian_ok, normalized_ok); both checks are exact.
 
-    The normalized check needs no matrix of its own.  ``_splits_into``
-    already forces the primed rail to carry A's diagonal, so L's diagonal,
+    The normalized check needs no matrix of its own.  The diagonal tiles
+    already force the primed rail to carry A's diagonal, so L's diagonal,
     the degree matrix, is D = diag(D_r, D_r), and D_r holds ``degrees``
     once the plain rail's degrees are checked.  D commutes with
     P = [[I, I], [I, -I]], so P·D⁻¹L·P⁻¹ = diag(D_r⁻¹(A+B), D_r⁻¹(A-B)),
@@ -209,43 +208,44 @@ def factorization_holds(n: int) -> tuple[bool, bool]:
     g = build_crossed_chain(n)
     plain_rail, primed_rail = mirror_partition(g)
     blocks = mirror_blocks(n)
-    laplacian_ok = _splits_into(
-        laplacian(g, plain_rail + primed_rail), blocks.lap_sum, blocks.lap_diff)
+    rows = laplacian_rows(g, [v for pair in zip(plain_rail, primed_rail) for v in pair])
+    laplacian_ok = _tiles_split_into(rows, blocks.lap_sum, blocks.lap_diff)
     return (
         laplacian_ok,
         laplacian_ok and blocks.degrees == tuple(g.degree(v) for v in plain_rail),
     )
 
 
-def _splits_into(matrix: list, sum_block: TriDiagSym, diff: tuple) -> bool:
-    """Whether M = [[A, B], [B, A]] with A - B = diag(diff) and A + B tridiagonal,
-    carrying the sum block's diagonal and, in each pair of opposite
-    off-diagonal entries, a product equal to its ``offdiag_sq``.
-
-    With P = [[I, I], [I, -I]], P M P^-1 = diag(A + B, A - B), and the
-    characteristic polynomial of a tridiagonal matrix depends only on its
-    diagonal and those products, so True proves
+def _tiles_split_into(rows: Envelope, sum_block: TriDiagSym, diff: tuple) -> bool:
+    """Whether M, the ``rows`` in mirror order, is [[A, B], [B, A]] in rail-block
+    order with A - B = diag(diff) and A + B tridiagonal, carrying the sum
+    block's diagonal and, in each pair of opposite off-diagonal entries, a
+    product equal to its ``offdiag_sq``.  Rows 2i, 2i+1 and columns 2j, 2j+1
+    meet in the tile [[a, b], [b, a]] with a = A_ij and b = B_ij, so no row
+    may leave tile columns i-1..i+1, and off the diagonal tile a = b.
+    With P = [[I, I], [I, -I]] in rail-block order, P M P^-1 =
+    diag(A + B, A - B), and the characteristic polynomial of a tridiagonal
+    matrix depends only on its diagonal and those products, so True proves
     det(xI - M) = det(xI - sum_block) * prod(x - d for d in diff).
     """
     m = sum_block.dim
-    if len(diff) != m or len(matrix) != 2 * m:
+    if len(diff) != m or len(rows) != 2 * m:
         return False
+    above = None  # a + b of tile (i-1, i)
     for i in range(m):
-        a, b = matrix[i][:m], matrix[i][m:]
-        if matrix[m + i] != b + a:
+        lo, hi = max(i - 1, 0), min(i + 2, m)  # the band: tile columns lo..hi-1
+        pair = tuple(zip(rows.offsets[2 * i:2 * i + 2], rows.entries[2 * i:2 * i + 2]))
+        if any(o < 2 * lo or o + len(e) > 2 * hi for o, e in pair):
             return False
-        if a[i] + b[i] != sum_block.diag[i] or a[i] - b[i] != diff[i]:
+        top, bottom = ((0,) * (o - 2 * lo) + e + (0,) * (2 * hi - o - len(e)) for o, e in pair)
+        a, b, k = top[::2], top[1::2], i - lo  # k: the diagonal tile
+        sums = [x + y for x, y in zip(a, b)]
+        if (bottom[::2] != b or bottom[1::2] != a or sums[k] != sum_block.diag[i]
+                or [x - y for x, y in zip(a, b)] != [0] * k + [diff[i]] + [0] * (hi - i - 1)
+                or i and above * sums[0] != sum_block.offdiag_sq[i - 1]):
             return False
-        lo, hi = max(i - 1, 0), i + 2  # the band: columns lo..hi-1
-        if any(a[:lo]) or any(a[hi:]) or any(b[:lo]) or any(b[hi:]):
-            return False
-        if a[lo:i] != b[lo:i] or a[i + 1:hi] != b[i + 1:hi]:
-            return False
-    return all(
-        (matrix[k][k + 1] + matrix[k][m + k + 1]) * (matrix[k + 1][k] + matrix[k + 1][m + k])
-        == sum_block.offdiag_sq[k]
-        for k in range(m - 1)
-    )
+        above = sums[-1]
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,18 @@
-"""The dense references stay apart from the kernels they check: a static
-guard over ``tests/dense_reference.py``.
+"""The references stay apart from the kernels they check: a static guard
+over ``tests/dense_reference.py`` and the test modules.
 
-The guard parses the module and fails when it imports ``_eliminate``,
+The guard parses each module and fails when it imports ``_eliminate``,
 ``det_bareiss``, ``char_poly_tail`` or ``adjugate_forms`` from
 ``chaindex.linalg``, or reads one of them as an attribute, as in
 ``linalg.det_bareiss``.  A reference that rode one of those kernels would
 agree with it by construction, whatever the kernel did.
+
+The kernel tests (``test_linalg``, ``test_kernel_differential``,
+``test_properties``) call the kernels to check them against references,
+and ``test_graphs`` compares kernels on purpose, so they are exempt.  A
+test module may read a kernel through ``oc``, the oracles module, to wrap
+it with a call counter: the wrapper returns the kernel's own result to
+the oracle and checks nothing with it.
 """
 
 import ast
@@ -13,23 +20,33 @@ from pathlib import Path
 
 import pytest
 
-REFERENCE = Path(__file__).resolve().parent / "dense_reference.py"
+TESTS = Path(__file__).resolve().parent
+REFERENCE = TESTS / "dense_reference.py"
+KERNEL_TESTS = {"test_linalg.py", "test_kernel_differential.py", "test_properties.py", "test_graphs.py"}
 KERNELS = {"_eliminate", "det_bareiss", "char_poly_tail", "adjugate_forms"}
 
 
-def kernel_uses(tree: ast.AST) -> list[str]:
-    """Line-tagged descriptions of every import or attribute read of a kernel."""
+def kernel_uses(tree: ast.AST, counted_through=()) -> list[str]:
+    """Line-tagged descriptions of every import or attribute read of a kernel,
+    apart from attribute reads on a name in ``counted_through``."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.module == "chaindex.linalg":
             found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name in KERNELS]
-        elif isinstance(node, ast.Attribute) and node.attr in KERNELS:
+        elif isinstance(node, ast.Attribute) and node.attr in KERNELS and not (
+                isinstance(node.value, ast.Name) and node.value.id in counted_through):
             found.append(f"line {node.lineno}: attribute {node.attr}")
     return found
 
 
 def test_references_use_no_kernel_they_check():
     assert kernel_uses(ast.parse(REFERENCE.read_text(), str(REFERENCE))) == []
+
+
+@pytest.mark.parametrize("path", sorted(
+    p for p in TESTS.glob("test_*.py") if p.name not in KERNEL_TESTS), ids=lambda p: p.name)
+def test_tests_outside_the_kernel_tests_use_no_kernel(path):
+    assert kernel_uses(ast.parse(path.read_text(), str(path)), counted_through={"oc"}) == []
 
 
 @pytest.mark.parametrize("snippet", [
@@ -47,3 +64,20 @@ def test_guard_rejects_each_kernel_use(snippet):
 def test_guard_accepts_the_helpers_the_references_share():
     snippet = "from chaindex.linalg import Envelope, SingularMatrixError, _int_rows, laplacian"
     assert kernel_uses(ast.parse(snippet)) == []
+
+
+def test_guard_on_tests_rejects_a_minor_taken_with_a_kernel():
+    snippet = ("from chaindex.linalg import det_bareiss, laplacian\n"
+               "def minor(lap, keep):\n"
+               "    return det_bareiss([[lap[i][j] for j in keep] for i in keep])\n"
+               "from chaindex import linalg\nlinalg.adjugate_forms")
+    assert len(kernel_uses(ast.parse(snippet), counted_through={"oc"})) == 2
+
+
+def test_guard_on_tests_accepts_a_call_counter_on_the_oracles():
+    snippet = ("inner = oc.det_bareiss\n"
+               "def counting(matrix):\n"
+               "    return inner(matrix)\n"
+               "monkeypatch.setattr(oc, 'det_bareiss', counting)")
+    assert kernel_uses(ast.parse(snippet), counted_through={"oc"}) == []
+    assert kernel_uses(ast.parse(snippet)) == ["line 1: attribute det_bareiss"]

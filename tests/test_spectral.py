@@ -1,18 +1,19 @@
 import dataclasses
 import itertools
+import tracemalloc
 import weakref
 from fractions import Fraction
 
 import pytest
 from dense_reference import (
-    char_poly, fraction_interior_det_closed, fraction_pair_class_sum, fresh_interior_det,
-    hand_normalized_blocks, pair_class_sum, random_walk_laplacian,
+    char_poly, dense_det_bareiss, fraction_interior_det_closed, fraction_pair_class_sum,
+    fresh_interior_det, hand_normalized_blocks, pair_class_sum, random_walk_laplacian,
 )
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex import spectral as sp
 from chaindex.graphs import ChainGraph
-from chaindex.linalg import det_bareiss, laplacian
+from chaindex.linalg import Envelope, _int_rows, laplacian
 from chaindex.verify import verify_one
 
 
@@ -122,6 +123,27 @@ def test_factorization_certificate_up_to_40():
     assert all(sp.factorization_holds(n) == (True, True) for n in range(4, 41))
 
 
+def traced_peak(fn, n):
+    tracemalloc.start()
+    try:
+        fn(n)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certificate_memory_stays_linear():
+    # dense N x N lists made the certificate peak at 31 MiB at n = 200,
+    # against 2.7 MiB for the chain alone, and grow about 4x per doubling
+    # of n; the tiles of width-6 envelope rows keep it near the chain's own
+    # peak and about 2x per doubling
+    chain = traced_peak(build_crossed_chain, 200)
+    peak_200 = traced_peak(sp.factorization_holds, 200)
+    peak_400 = traced_peak(sp.factorization_holds, 400)
+    assert peak_200 <= 2 * chain
+    assert peak_400 <= 2.2 * peak_200
+
+
 def block_product(sum_block, diff):
     # One tridiagonal matrix holding the sum block and then the difference
     # diagonal; the zero squared off-diagonal entries split its char poly
@@ -205,27 +227,35 @@ def test_bumped_degree_or_normalized_entry_fails_normalized_certificate(monkeypa
     assert sp.factorization_holds(2) == (True, False)
 
 
+def perturb_rows(monkeypatch, entries, builder=sp.laplacian_rows):
+    """Make ``builder`` in ``sp`` set each symmetric entry {u, v} of ``entries``
+    to its value, at the positions of u and v in the order it is asked for:
+    the mirror order (v_1, v_1', v_2, v_2', ...) in the certificate."""
+
+    def perturbed(g, order):
+        pos = {v: i for i, v in enumerate(order)}
+        mat = builder(g, order).dense()
+        for (u, v), value in entries.items():
+            mat[pos[u]][pos[v]] = mat[pos[v]][pos[u]] = value
+        return Envelope(*_int_rows(mat))
+
+    monkeypatch.setattr(sp, builder.__name__, perturbed)
+
+
 @pytest.mark.parametrize("rails", [
     pytest.param((0, 1), id="rails0"),
     pytest.param((1,), id="rails1"),
 ])
 def test_certificate_rejects_entry_off_the_pattern(monkeypatch, rails):
     # An entry three places off the diagonal on both rails keeps the rail
-    # swap and the diagonals; on the primed rail alone it breaks only the
-    # swap.  The normalized split is derived from the Laplacian one, so
-    # both checks fail.
-    def perturbed(g, order):
-        mat = laplacian(g, order)
-        m = len(mat) // 2
-        for r in rails:
-            mat[r * m][r * m + 3] = mat[r * m + 3][r * m] = -1
-        return mat
-
-    monkeypatch.setattr(sp, "laplacian", perturbed)
+    # swap and the diagonals; on the primed rail alone it breaks the swap
+    # too.  Either way it lies off the band.  The normalized split is
+    # derived from the Laplacian one, so both checks fail.
+    perturb_rows(monkeypatch, {(Vertex(1, bool(r)), Vertex(4, bool(r))): -1 for r in rails})
     assert sp.factorization_holds(2) == (False, False)
 
 
-@pytest.mark.parametrize("builder", [laplacian])
+@pytest.mark.parametrize("builder", [sp.laplacian_rows], ids=["laplacian"])
 @pytest.mark.parametrize("block", ["A", "B"])
 @pytest.mark.parametrize("column", [2, 8], ids=["distance-2", "far-corner"])
 def test_certificate_rejects_entry_off_the_band(monkeypatch, builder, block, column):
@@ -233,16 +263,27 @@ def test_certificate_rejects_entry_off_the_band(monkeypatch, builder, block, col
     # rail, keeps [[A, B], [B, A]], the diagonals and the off-diagonal
     # products: only the band check can reject it.  At n = 2 the blocks
     # have 9 rows, so column 8 is the far corner.
-    def perturbed(g, order):
-        mat = builder(g, order)
-        m = len(mat) // 2
-        shift = 0 if block == "A" else m
-        for r in (0, m):
-            i, j = r, (r + shift + column) % (2 * m)
-            mat[i][j] = mat[j][i] = -1
-        return mat
+    far = column + 1
+    perturb_rows(monkeypatch, {
+        (Vertex(1), Vertex(far, block == "B")): -1,
+        (Vertex(1, True), Vertex(far, block == "A")): -1,
+    }, builder)
+    assert sp.factorization_holds(2) == (False, False)
 
-    monkeypatch.setattr(sp, builder.__name__, perturbed)
+
+@pytest.mark.parametrize("entries", [
+    pytest.param({(Vertex(1, True), Vertex(2, True)): -2}, id="primed-rail-alone"),
+    pytest.param({(Vertex(1), Vertex(2)): -2, (Vertex(1, True), Vertex(2, True)): -2,
+                  (Vertex(1), Vertex(2, True)): 0, (Vertex(1, True), Vertex(2)): 0},
+                 id="difference-off-diagonal"),
+])
+def test_certificate_rejects_tile_inside_the_band(monkeypatch, entries):
+    # Inside the band: a doubled edge on the primed rail alone breaks only
+    # the tile form [[a, b], [b, a]]; moving both diagonal edges between
+    # rungs 1 and 2 onto the rails keeps the tile form, the diagonals and
+    # the products (a + b = -2 both ways) but puts -2 off the diagonal of
+    # A - B.
+    perturb_rows(monkeypatch, entries)
     assert sp.factorization_holds(2) == (False, False)
 
 
@@ -297,7 +338,7 @@ def test_lap_tail_vs_char_poly_and_minor_sums(n):
 
     def principal_minor(drop):
         keep = [k for k in range(m) if k not in drop]
-        return det_bareiss([[dense[i][j] for j in keep] for i in keep])
+        return dense_det_bareiss([[dense[i][j] for j in keep] for i in keep])
 
     single = sum(principal_minor({i}) for i in range(m))
     double = sum(principal_minor({i, j}) for i in range(m) for j in range(i + 1, m))
