@@ -8,7 +8,6 @@ without ever computing an eigenvalue.
 """
 
 from fractions import Fraction
-from math import prod
 
 from chaindex import spectral
 
@@ -51,10 +50,10 @@ print("reciprocal eigenvalue sum  = quadratic/linear =",
 print("\ninterior minors z(i,j) fall into 16 residue cases. Each is an integer")
 print("Laplacian minor over the degrees strictly between rows i and j, and")
 print("equals the Fraction continuant of the normalized view. e.g.")
+p = blocks.degree_prefix  # p[k] = d_1 ... d_k
 for i, j in [(4, 8), (1, 7), (2, 9)]:
-    between = prod(blocks.degrees[i:j - 1])
-    print(f"   z({i},{j}) = {blocks.lap_sum.interior_det(i, j)}/{between}"
-          f" = {blocks.norm_interior_det(i, j)}"
+    minor, between = blocks.lap_sum.interior_det(i, j), p[j - 1] // p[i]
+    print(f"   z({i},{j}) = {minor}/{between} = {Fraction(minor, between)}"
           f"   view = {blocks.norm_sum.interior_det(i, j)}"
           f"   closed = {spectral.interior_det_closed(i, j)}")
 

@@ -8,7 +8,8 @@ Subcommands:
 * ``bench``   -- time closed forms against the brute-force oracles.
 
 Mismatches found by ``verify``/``table`` are findings, not failures: the
-exit status stays 0.  Nonzero exits mean usage or computation errors.
+exit status stays 0.  Nonzero exits mean usage, computation or output
+errors; an ``--out`` that cannot be written exits 1.
 ``CHAINDEX_THREADS`` caps how many worker processes ``verify`` starts; a
 value that is not a positive integer is an error (exit status 1).
 """
@@ -39,10 +40,7 @@ def _positive(value: str) -> int:
 
 
 def _size_list(value: str) -> list[int]:
-    sizes = [_positive(part) for part in value.split(",") if part]
-    if not sizes:
-        raise argparse.ArgumentTypeError("expected a comma-separated list of positive integers")
-    return sizes
+    return [_positive(part) for part in value.split(",")]
 
 
 def _cmd_indices(args) -> int:
@@ -163,7 +161,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (ValueError, ArithmeticError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         print(f"chaindex: error: {exc}", file=sys.stderr)
         return 1
 

@@ -3,8 +3,9 @@
 Because swapping the two rails is an automorphism, the (normalized)
 Laplacian written in rail-block form [[A, B], [B, A]] splits into a sum
 block A+B and a difference block A-B with the same combined spectrum;
-``factorization_holds`` certifies the Laplacian split tile by tile, and
-the normalized split follows from it and the rail degrees.
+``factorization_holds`` certifies the Laplacian split tile by tile, the
+tiles being the proof of the swap, and the normalized split follows from
+it and the rail degrees.
 For these chains the sum block is symmetric tridiagonal and the
 difference block is diagonal, so every spectral quantity reduces to
 continuant recurrences on the tridiagonal data.
@@ -14,9 +15,10 @@ their degree scalings, ``norm_sum = D^-1/2 · lap_sum · D^-1/2`` and
 ``norm_diff = D^-1 · lap_diff`` with D the rail degrees, so every
 normalized minor is an integer Laplacian minor over a product of
 degrees, and the tails of both characteristic polynomials come from one
-O(N) integer continuant over Z[x]/(x³).  No claim reads the rational
-views ``norm_sum`` and ``norm_diff``; only the benchmark, demo 03 and
-the tests do.
+O(N) integer continuant of the pencil det(x·diag(s) - lap_sum), cut
+after x².  ``TriDiagSym.char_poly`` runs the same pencil continuant at
+full degree.  No claim reads the rational views ``norm_sum`` and
+``norm_diff``; only the benchmark, demo 03 and the tests do.
 
 Each size has one ``MirrorBlocks``, shared while anyone holds it, and each
 block memoizes its continuant sweeps, so every function of one size
@@ -29,11 +31,11 @@ import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .graphs import build_crossed_chain, check_chain_parameter, mirror_partition
+from .graphs import Vertex, build_crossed_chain, check_chain_parameter
 from .linalg import Envelope, laplacian_rows
 
 QUARTER_POW = Fraction(1, 25)  # decay ratio of the normalized minor sequences
@@ -46,9 +48,10 @@ class TriDiagSym:
     Exact even when the off-diagonal entries themselves are irrational
     square roots of rationals: determinants, minors, and characteristic
     polynomials all depend on the off-diagonals only through the squares.
-    Entries are ints or Fractions; the minors of an integer block are ints.
-    Every minor is read from one memoized continuant sweep per start row;
-    returned lists are copies, and the memo leaves ``==`` and ``hash`` alone.
+    Entries are ints or Fractions; an integer block's minors and ``_pencil``
+    steps are ints.  Every minor is read from one memoized continuant sweep
+    per start row; returned lists are copies, and the memo leaves ``==``
+    and ``hash`` alone.
     """
 
     diag: tuple
@@ -104,20 +107,8 @@ class TriDiagSym:
         return sweep
 
     def char_poly(self) -> list[Fraction]:
-        """det(xI - T) as ascending coefficients, via the polynomial continuant."""
-        prev = [Fraction(1)]
-        cur = [Fraction(1)]
-        for k, d in enumerate(self.diag):
-            # nxt = (x - d)*cur - s_{k-1}*prev
-            nxt = [Fraction(0)] + cur
-            for idx, c in enumerate(cur):
-                nxt[idx] -= d * c
-            if k:
-                s = self.offdiag_sq[k - 1]
-                for idx, c in enumerate(prev):
-                    nxt[idx] -= s * c
-            prev, cur = cur, nxt
-        return cur
+        """det(xI - T) as ascending coefficients, by the pencil continuant at full degree."""
+        return [Fraction(c) for c in _pencil(self, (1,) * self.dim, self.dim + 1)]
 
 
 @dataclass(frozen=True)
@@ -125,7 +116,10 @@ class MirrorBlocks:
     """Sum and difference blocks of both Laplacian families for one chain:
     the integer Laplacian blocks and the rail degrees D are stored, and the
     normalized blocks are views of them, each built once on first use.
-    No claim reads the views; only the benchmark, demo 03 and the tests do."""
+    No claim reads the views; only the benchmark, demo 03 and the tests do.
+    A normalized interior minor is ``lap_sum.interior_det(i, j)`` over
+    p[j-1] // p[i], p the ``degree_prefix``.  The tiles of
+    ``factorization_holds`` prove the blocks and the rail swap."""
 
     n: int
     degrees: tuple                 # rail degrees d_1..d_m, the D of the views
@@ -148,11 +142,6 @@ class MirrorBlocks:
     def degree_prefix(self) -> tuple:
         """p[k] = d_1 ⋯ d_k for k = 0..m."""
         return tuple(accumulate(self.degrees, mul, initial=1))
-
-    def norm_interior_det(self, i: int, j: int) -> Fraction:
-        """``norm_sum.interior_det(i, j)`` as I_lap(i, j) / (d_{i+1} ⋯ d_{j-1})."""
-        p = self.degree_prefix
-        return Fraction(self.lap_sum.interior_det(i, j), p[j - 1] // p[i])
 
 
 def rail_degrees(n: int) -> list[int]:
@@ -190,11 +179,15 @@ def mirror_blocks(n: int) -> MirrorBlocks:
 
 
 def factorization_holds(n: int) -> tuple[bool, bool]:
-    """Certify that each Laplacian family splits into its mirror blocks.
+    """Certify that the rail swap splits each Laplacian family into its mirror blocks.
 
     Checks the 2×2 tiles of the Laplacian L's rows, built from adjacency in
-    mirror order (v_1, v_1', v_2, v_2', ...), against the integer blocks in
-    O(N).  Returns (laplacian_ok, normalized_ok); both checks are exact.
+    the mirror order (v_1, v_1', v_2, v_2', ...) of the chain's labels,
+    against the integer blocks in O(N).  The tiles are the proof of the
+    swap: a tile [[a, b], [b, a]] says L(v_i, v_j) = L(v_i', v_j') and
+    L(v_i, v_j') = L(v_i', v_j).  Returns (laplacian_ok, normalized_ok),
+    both exact; a chain the swap does not preserve, or one the order does
+    not cover, fails both.
 
     The normalized check needs no matrix of its own.  The diagonal tiles
     already force the primed rail to carry A's diagonal, so L's diagonal,
@@ -206,13 +199,13 @@ def factorization_holds(n: int) -> tuple[bool, bool]:
     is similar to the normalized Laplacian D^-1/2·L·D^-1/2.
     """
     g = build_crossed_chain(n)
-    plain_rail, primed_rail = mirror_partition(g)
     blocks = mirror_blocks(n)
-    rows = laplacian_rows(g, [v for pair in zip(plain_rail, primed_rail) for v in pair])
-    laplacian_ok = _tiles_split_into(rows, blocks.lap_sum, blocks.lap_diff)
+    order = [Vertex(i, primed) for i in range(1, 4 * n + 2) for primed in (False, True)]
+    laplacian_ok = set(order) == set(g.vertices) and _tiles_split_into(
+        laplacian_rows(g, order), blocks.lap_sum, blocks.lap_diff)
     return (
         laplacian_ok,
-        laplacian_ok and blocks.degrees == tuple(g.degree(v) for v in plain_rail),
+        laplacian_ok and blocks.degrees == tuple(g.degree(v) for v in order[::2]),
     )
 
 
@@ -223,10 +216,11 @@ def _tiles_split_into(rows: Envelope, sum_block: TriDiagSym, diff: tuple) -> boo
     product equal to its ``offdiag_sq``.  Rows 2i, 2i+1 and columns 2j, 2j+1
     meet in the tile [[a, b], [b, a]] with a = A_ij and b = B_ij, so no row
     may leave tile columns i-1..i+1, and off the diagonal tile a = b.
-    With P = [[I, I], [I, -I]] in rail-block order, P M P^-1 =
-    diag(A + B, A - B), and the characteristic polynomial of a tridiagonal
-    matrix depends only on its diagonal and those products, so True proves
-    det(xI - M) = det(xI - sum_block) * prod(x - d for d in diff).
+    The tile form is the rail swap's invariance, so no separate check of
+    the swap is needed.  With P = [[I, I], [I, -I]] in rail-block order,
+    P M P^-1 = diag(A + B, A - B), and the characteristic polynomial of a
+    tridiagonal matrix depends only on its diagonal and those products, so
+    True proves det(xI - M) = det(xI - sum_block) * prod(x - d for d in diff).
     """
     m = sum_block.dim
     if len(diff) != m or len(rows) != 2 * m:
@@ -363,17 +357,19 @@ def tail_coeffs(poly: list) -> TailCoeffs:
     return TailCoeffs(abs(poly[1]), abs(poly[2]))
 
 
-def _char_poly_low(block: TriDiagSym, scale) -> tuple:
-    """det(x·diag(scale) - block) mod x³ as ascending (c0, c1, c2).
+def _pencil(block: TriDiagSym, scale, terms: int) -> list:
+    """det(x·diag(scale) - block) mod x^terms as ascending coefficients.
 
-    The continuant c_k = (s_k x - a_k) c_{k-1} - o_{k-1} c_{k-2} over
-    Z[x]/(x³): O(N) work, in integers for an integer block and scale.
+    The continuant c_k = (s_k x - a_k) c_{k-1} - o_{k-1} c_{k-2}, each c_k
+    kept to its first min(k + 1, terms) coefficients: O(N·terms) work, in
+    integers for an integer block and scale.  terms = dim + 1 cuts nothing.
     """
-    prev, cur = (0, 0, 0), (1, 0, 0)
+    prev, cur = [], [1]
     for a, s, o in zip(block.diag, scale, (0,) + block.offdiag_sq):
-        (c0, c1, c2), (p0, p1, p2) = cur, prev
-        prev, cur = cur, (-a * c0 - o * p0, s * c0 - a * c1 - o * p1, s * c1 - a * c2 - o * p2)
-    return cur
+        shifted = [0] + cur[:terms - 1]  # x·c_{k-1}, cut after x^(terms-1)
+        prev, cur = cur, [s * low - a * c - o * p
+                          for low, c, p in zip_longest(shifted, cur, prev, fillvalue=0)]
+    return cur + [0] * (terms - len(cur))
 
 
 def sum_block_tails(n: int) -> tuple[TailCoeffs, TailCoeffs]:
@@ -387,8 +383,8 @@ def sum_block_tails(n: int) -> tuple[TailCoeffs, TailCoeffs]:
     blocks = mirror_blocks(n)
     lap_sum, det_d = blocks.lap_sum, blocks.degree_prefix[-1]
     return (
-        tail_coeffs([Fraction(c) for c in _char_poly_low(lap_sum, (1,) * lap_sum.dim)]),
-        tail_coeffs([Fraction(c, det_d) for c in _char_poly_low(lap_sum, blocks.degrees)]),
+        tail_coeffs([Fraction(c) for c in _pencil(lap_sum, (1,) * lap_sum.dim, 3)]),
+        tail_coeffs([Fraction(c, det_d) for c in _pencil(lap_sum, blocks.degrees, 3)]),
     )
 
 

@@ -52,7 +52,7 @@ def test_non_integer_size_is_a_usage_error(capsys, argv):
     assert "_positive" not in err
 
 
-@pytest.mark.parametrize("raw", ["1_0", " 5 ", "+3", "\u0663", "0", "9" * 5000])
+@pytest.mark.parametrize("raw", ["", "1_0", " 5 ", "+3", "\u0663", "0", "9" * 5000])
 @pytest.mark.parametrize("option, template", [
     ("indices --n", "{}"),
     ("verify --from", "{}"),
@@ -60,6 +60,8 @@ def test_non_integer_size_is_a_usage_error(capsys, argv):
     ("bench --oracle-limit", "{}"),
     ("bench --n", "{}"),
     ("bench --n", "1,{}"),
+    ("bench --n", "{},1"),
+    ("bench --n", "1,{},2"),
     ("table", "{}"),
 ])
 def test_integer_options_take_ascii_digits_only(capsys, option, template, raw):
@@ -68,6 +70,21 @@ def test_integer_options_take_ascii_digits_only(capsys, option, template, raw):
         main(option.split() + [template.format(raw)])
     assert exc.value.code == 2
     assert "must be a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("target", ["missing-parent", "directory"])
+@pytest.mark.parametrize("argv", [
+    ["indices", "--n", "1"],
+    ["verify", "--from", "1", "--to", "1"],
+    ["table", "1"],
+    ["bench", "--n", "1"],
+], ids=lambda argv: argv[0])
+def test_unwritable_out_is_an_error_not_a_traceback(tmp_path, capsys, argv, target):
+    out = tmp_path / "missing" / "x.json" if target == "missing-parent" else tmp_path
+    code, _, err = run_cli(capsys, *argv, "--out", str(out))
+    assert code == 1
+    assert err.startswith("chaindex: error:")
+    assert "Traceback" not in err
 
 
 def test_indices_rejects_bad_kind(capsys):

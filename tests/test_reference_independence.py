@@ -5,7 +5,11 @@ The guard parses each module and fails when it imports ``_eliminate``,
 ``det_bareiss``, ``char_poly_tail`` or ``adjugate_forms`` from
 ``chaindex.linalg``, or reads one of them as an attribute, as in
 ``linalg.det_bareiss``.  A reference that rode one of those kernels would
-agree with it by construction, whatever the kernel did.
+agree with it by construction, whatever the kernel did.  In the same way,
+``dense_reference`` must not step the spectral pencil continuant that
+its interpolated pencil checks: it reads none of ``char_poly``,
+``sum_block_tails`` and ``_pencil`` from ``chaindex.spectral`` or as an
+attribute.
 
 The kernel tests (``test_linalg``, ``test_kernel_differential``,
 ``test_properties``) call the kernels to check them against references,
@@ -24,23 +28,32 @@ TESTS = Path(__file__).resolve().parent
 REFERENCE = TESTS / "dense_reference.py"
 KERNEL_TESTS = {"test_linalg.py", "test_kernel_differential.py", "test_properties.py", "test_graphs.py"}
 KERNELS = {"_eliminate", "det_bareiss", "char_poly_tail", "adjugate_forms"}
+PENCILS = {"char_poly", "sum_block_tails", "_pencil"}
 
 
-def kernel_uses(tree: ast.AST, counted_through=()) -> list[str]:
-    """Line-tagged descriptions of every import or attribute read of a kernel,
-    apart from attribute reads on a name in ``counted_through``."""
+def kernel_uses(tree: ast.AST, counted_through=(), module="chaindex.linalg",
+                kernels=KERNELS) -> list[str]:
+    """Line-tagged descriptions of every import from ``module`` or attribute
+    read of one of ``kernels``, apart from attribute reads on a name in
+    ``counted_through``."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and node.module == "chaindex.linalg":
-            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name in KERNELS]
-        elif isinstance(node, ast.Attribute) and node.attr in KERNELS and not (
+        if isinstance(node, ast.ImportFrom) and node.module == module:
+            found += [f"line {node.lineno}: import {a.name}" for a in node.names if a.name in kernels]
+        elif isinstance(node, ast.Attribute) and node.attr in kernels and not (
                 isinstance(node.value, ast.Name) and node.value.id in counted_through):
             found.append(f"line {node.lineno}: attribute {node.attr}")
     return found
 
 
+def pencil_uses(tree: ast.AST) -> list[str]:
+    return kernel_uses(tree, module="chaindex.spectral", kernels=PENCILS)
+
+
 def test_references_use_no_kernel_they_check():
-    assert kernel_uses(ast.parse(REFERENCE.read_text(), str(REFERENCE))) == []
+    tree = ast.parse(REFERENCE.read_text(), str(REFERENCE))
+    assert kernel_uses(tree) == []
+    assert pencil_uses(tree) == []
 
 
 @pytest.mark.parametrize("path", sorted(
@@ -81,3 +94,18 @@ def test_guard_on_tests_accepts_a_call_counter_on_the_oracles():
                "monkeypatch.setattr(oc, 'det_bareiss', counting)")
     assert kernel_uses(ast.parse(snippet), counted_through={"oc"}) == []
     assert kernel_uses(ast.parse(snippet)) == ["line 1: attribute det_bareiss"]
+
+
+def test_pencil_guard_rejects_a_block_char_poly():
+    snippet = ("from chaindex import spectral\n"
+               "tail = spectral.mirror_blocks(1).lap_sum.char_poly()[:3]\n"
+               "from chaindex.spectral import _pencil")
+    assert sorted(pencil_uses(ast.parse(snippet))) == [
+        "line 2: attribute char_poly", "line 3: import _pencil"]
+
+
+def test_pencil_guard_accepts_the_interpolated_char_poly():
+    snippet = ("def char_poly(matrix):\n"
+               "    return pencil_char_poly(matrix, [1] * len(matrix))\n"
+               "tail = char_poly([[2, -2], [-2, 2]])[:3]")
+    assert pencil_uses(ast.parse(snippet)) == []

@@ -1,18 +1,21 @@
 import dataclasses
 import itertools
+import random
 import tracemalloc
 import weakref
 from fractions import Fraction
+from math import prod
 
 import pytest
 from dense_reference import (
     char_poly, dense_det_bareiss, fraction_interior_det_closed, fraction_pair_class_sum,
-    fresh_interior_det, hand_normalized_blocks, pair_class_sum, random_walk_laplacian,
+    fresh_interior_det, hand_normalized_blocks, leverrier_char_poly, pair_class_sum,
+    pencil_char_poly, random_walk_laplacian,
 )
 
 from chaindex import Vertex, build_crossed_chain
 from chaindex import spectral as sp
-from chaindex.graphs import ChainGraph
+from chaindex.graphs import ChainGraph, Graph
 from chaindex.linalg import Envelope, _int_rows, laplacian
 from chaindex.verify import verify_one
 
@@ -134,13 +137,14 @@ def traced_peak(fn, n):
 
 def test_certificate_memory_stays_linear():
     # dense N x N lists made the certificate peak at 31 MiB at n = 200,
-    # against 2.7 MiB for the chain alone, and grow about 4x per doubling
-    # of n; the tiles of width-6 envelope rows keep it near the chain's own
-    # peak and about 2x per doubling
+    # against 2.6 MiB for the chain alone, and grow about 4x per doubling
+    # of n; the tiles of width-6 envelope rows stay below the peak of the
+    # chain's own build, which then sets the certificate's, and grow about
+    # 2x per doubling
     chain = traced_peak(build_crossed_chain, 200)
     peak_200 = traced_peak(sp.factorization_holds, 200)
     peak_400 = traced_peak(sp.factorization_holds, 400)
-    assert peak_200 <= 2 * chain
+    assert peak_200 <= 1.1 * chain
     assert peak_400 <= 2.2 * peak_200
 
 
@@ -187,6 +191,24 @@ def test_removed_rung_fails_certificate_and_polynomial_route(monkeypatch):
     monkeypatch.setattr(sp, "build_crossed_chain", without_rung)
     assert sp.factorization_holds(2) == (False, False)
     assert polynomial_route(2) == (False, False)
+
+
+@pytest.mark.parametrize("change", ["plain-edge-removed", "vertex-missing"])
+def test_chain_without_the_rail_swap_fails_certificate_without_raising(monkeypatch, change):
+    # The tiles are the proof of the swap: removing an edge from the plain
+    # rail alone breaks the tile form, and a missing vertex leaves the
+    # mirror order uncovered.  Either way the certificate says False.
+    def changed(n):
+        g = build_crossed_chain(n)
+        if change == "plain-edge-removed":
+            gone = frozenset((Vertex(2), Vertex(3)))
+            return ChainGraph(n, "crossed", [tuple(e) for e in g.edges - {gone}])
+        gone = Vertex(4 * n + 1, True)
+        return Graph([v for v in g.vertices if v != gone],
+                     [tuple(e) for e in g.edges if gone not in e])
+
+    monkeypatch.setattr(sp, "build_crossed_chain", changed)
+    assert sp.factorization_holds(2) == (False, False)
 
 
 @pytest.mark.parametrize("field", ["diag", "offdiag_sq", "diff"])
@@ -287,14 +309,61 @@ def test_certificate_rejects_tile_inside_the_band(monkeypatch, entries):
     assert sp.factorization_holds(2) == (False, False)
 
 
+def dense_sum_block(blocks):
+    """The integer Laplacian sum block as a dense matrix: off-diagonal entries -2."""
+    m = blocks.lap_sum.dim
+    dense = [[0] * m for _ in range(m)]
+    for i, d in enumerate(blocks.lap_sum.diag):
+        dense[i][i] = d
+    for i in range(m - 1):
+        dense[i][i + 1] = dense[i + 1][i] = -2
+    return dense
+
+
 def test_tridiag_char_poly_matches_dense():
     b = sp.mirror_blocks(2)
-    dense = [[0] * 9 for _ in range(9)]
-    for i, d in enumerate(b.lap_sum.diag):
-        dense[i][i] = int(d)
-    for i in range(8):
-        dense[i][i + 1] = dense[i + 1][i] = -2
-    assert b.lap_sum.char_poly() == char_poly(dense)
+    assert b.lap_sum.char_poly() == char_poly(dense_sum_block(b))
+
+
+def random_tridiagonal(rng, dim):
+    """(block, dense): an integer block with off-diagonal entries e_k, stored
+    as offdiag_sq = e_k², and the dense symmetric matrix it stands for."""
+    diag = [rng.randint(-6, 6) for _ in range(dim)]
+    offdiag = [rng.randint(-4, 4) for _ in range(dim - 1)]
+    dense = [[0] * dim for _ in range(dim)]
+    for i, a in enumerate(diag):
+        dense[i][i] = a
+    for i, e in enumerate(offdiag):
+        dense[i][i + 1] = dense[i + 1][i] = e
+    return sp.TriDiagSym(tuple(diag), tuple(e * e for e in offdiag)), dense
+
+
+def test_pencil_matches_interpolated_pencil_at_every_cut():
+    rng = random.Random(2357)
+    for _ in range(40):
+        dim = rng.randint(0, 9)
+        block, dense = random_tridiagonal(rng, dim)
+        scale = [rng.randint(1, 6) for _ in range(dim)]
+        full = pencil_char_poly(dense, scale)
+        for terms in sorted({1, 2, 3, dim + 1}):
+            cut = sp._pencil(block, scale, terms)
+            assert cut == (full + [0] * terms)[:terms], (block, scale, terms)
+            assert all(type(c) is int for c in cut)
+
+
+def test_fraction_char_poly_matches_leverrier():
+    # a rational block with offdiag_sq above the diagonal and 1 below it:
+    # D·M·D^-1 for a diagonal D, so similar to the symmetric block
+    rng = random.Random(1618)
+    for _ in range(20):
+        dim = rng.randint(0, 7)
+        diag = tuple(Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(dim))
+        offdiag_sq = tuple(Fraction(rng.randint(0, 9), rng.randint(1, 5)) for _ in range(dim - 1))
+        similar = [[diag[i] if i == j else offdiag_sq[i] if j == i + 1 else 1 if i == j + 1 else 0
+                    for j in range(dim)] for i in range(dim)]
+        poly = sp.TriDiagSym(diag, offdiag_sq).char_poly()
+        assert poly == leverrier_char_poly(similar)
+        assert all(type(c) is Fraction for c in poly)
 
 
 # --- integer minor sequences -------------------------------------------------
@@ -330,11 +399,7 @@ def test_lap_tail_vs_char_poly_and_minor_sums(n):
     assert sp.tail_coeffs(b.lap_sum.char_poly()) == closed
     # independent route: sums of one- and two-deleted principal minors
     m = 4 * n + 1
-    dense = [[0] * m for _ in range(m)]
-    for i, d in enumerate(b.lap_sum.diag):
-        dense[i][i] = int(d)
-    for i in range(m - 1):
-        dense[i][i + 1] = dense[i + 1][i] = -2
+    dense = dense_sum_block(b)
 
     def principal_minor(drop):
         keep = [k for k in range(m) if k not in drop]
@@ -346,13 +411,16 @@ def test_lap_tail_vs_char_poly_and_minor_sums(n):
 
 
 def tails_and_pair_sums_match_references(n):
-    # the integer continuant and the integer pair sums against the
-    # Fraction routes they replaced: full continuant polynomials and the
-    # W-recurrence over the rational normalized block
+    # the integer continuant against the interpolated dense pencil
+    # det(x·diag(s) - lap_sum), with s = 1 and with s = the degrees over ∏d,
+    # and the integer pair sums against the W-recurrence over the rational
+    # normalized block
     blocks = sp.mirror_blocks(n)
+    dense, det_d = dense_sum_block(blocks), prod(blocks.degrees)
     lap_tail, norm_tail = sp.sum_block_tails(n)
-    assert lap_tail == sp.tail_coeffs(blocks.lap_sum.char_poly())
-    assert norm_tail == sp.tail_coeffs(blocks.norm_sum.char_poly())
+    assert lap_tail == sp.tail_coeffs(pencil_char_poly(dense, [1] * len(dense)))
+    assert norm_tail == sp.tail_coeffs(
+        [Fraction(c, det_d) for c in pencil_char_poly(dense, blocks.degrees)])
     assert all(type(c) is Fraction for c in lap_tail + norm_tail)
     for p in range(4):
         for q in range(4):
@@ -377,13 +445,14 @@ def normalized_minors_match_fraction_sweeps(n, row_step=1):
     # continuant sweeps of a fresh Fraction block holding the view
     blocks = sp.mirror_blocks(n)
     fresh = sp.TriDiagSym(blocks.norm_sum.diag, blocks.norm_sum.offdiag_sq)
-    m = fresh.dim
+    lap_sum, p, m = blocks.lap_sum, blocks.degree_prefix, fresh.dim
     leading, trailing = sp.norm_minor_sequences(n)
     assert leading == fresh.leading_minors()[:m]
     assert trailing == fresh.trailing_minors()[:m]
     for i in range(1, m + 1, row_step):
         for j in range(i + 1, m + 1):
-            assert blocks.norm_interior_det(i, j) == fresh.interior_det(i, j), (i, j)
+            assert Fraction(lap_sum.interior_det(i, j), p[j - 1] // p[i]) == \
+                fresh.interior_det(i, j), (i, j)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

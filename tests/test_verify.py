@@ -91,7 +91,10 @@ def test_interior_minor_failure_names_both_fractions(monkeypatch):
                         lambda i, j: (7, 3) if (i, j) == (2, 7) else closed(i, j))
     record = next(r for r in vf.verify_one(2) if r.claim_id == "interior-minor.p2q3")
     assert record.status == vf.MISMATCH
-    assert record.computed == f"(i=2, j=7): {spectral.mirror_blocks(2).norm_interior_det(2, 7)} != 7/3"
+    blocks, i, j = spectral.mirror_blocks(2), 2, 7
+    p = blocks.degree_prefix
+    minor = Fraction(blocks.lap_sum.interior_det(i, j), p[j - 1] // p[i])
+    assert record.computed == f"(i=2, j=7): {minor} != 7/3"
 
 
 def test_parallel_matches_serial(monkeypatch):
