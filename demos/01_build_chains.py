@@ -10,7 +10,6 @@ from chaindex import (
     build_crossed_chain,
     build_plain_chain,
     edge_list_text,
-    mirror_partition,
     rung_indices,
 )
 
@@ -27,8 +26,8 @@ print("\nrung positions:", rung_indices(n))
 print("degrees along one rail:", [crossed.degree(Vertex(i)) for i in range(1, 4 * n + 2)])
 print("(3 at the ends, 5 wherever a rung lands, 4 elsewhere)")
 
-v1, v2 = mirror_partition(crossed)
-print(f"\nmirror partition sizes: {len(v1)} + {len(v2)}")
+print("\nplain rail :", " ".join(str(v) for v in crossed.vertices if not v.primed))
+print("primed rail:", " ".join(str(v) for v in crossed.vertices if v.primed))
 print("swapping the rails maps the edge set onto itself, so every")
 print("spectral object splits into a sum block and a difference block.")
 

@@ -9,7 +9,7 @@ without ever computing an eigenvalue.
 
 from fractions import Fraction
 
-from chaindex import spectral
+from chaindex import build_crossed_chain, spectral
 
 n = 2
 blocks = spectral.mirror_blocks(n)
@@ -25,7 +25,7 @@ print("irrational, so only their squares appear; every minor stays rational):")
 print("   diagonal    :", [str(d) for d in blocks.norm_sum.diag])
 print("   off-diag^2  :", [str(s) for s in blocks.norm_sum.offdiag_sq])
 
-lap_ok, norm_ok = spectral.factorization_holds(n)
+lap_ok, norm_ok = spectral.factorization_holds(build_crossed_chain(n))
 print(f"\nblock factorization of the characteristic polynomials: "
       f"laplacian={lap_ok}, normalized={norm_ok}")
 

@@ -21,7 +21,6 @@ from .graphs import (
     build_crossed_chain,
     build_plain_chain,
     edge_list_text,
-    mirror_partition,
     rung_indices,
 )
 
@@ -32,7 +31,6 @@ __all__ = [
     "build_crossed_chain",
     "build_plain_chain",
     "edge_list_text",
-    "mirror_partition",
     "rung_indices",
 ]
 

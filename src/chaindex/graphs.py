@@ -4,7 +4,11 @@ A chain of parameter ``n`` lives on two mirrored rails of ``4n + 1``
 vertices each.  Both rails carry a path; rungs join the rails at every
 rail index congruent to 0 or 1 (mod 4); the "crossed" variant adds the
 two diagonals of every ladder square.  The map exchanging the rails is
-an automorphism, which is what the spectral shortcut exploits.
+an automorphism, which is what the spectral shortcut exploits; the 2×2
+tiles of ``spectral.factorization_holds`` prove it for the crossed chain
+they are handed.
+A ``Vertex`` is the tuple (index, primed), so ``sorted(g.vertices)`` is
+the mirror order v_1, v_1', v_2, v_2', ....
 """
 
 from __future__ import annotations
@@ -18,9 +22,6 @@ class Vertex(NamedTuple):
 
     index: int
     primed: bool = False
-
-    def mirrored(self) -> "Vertex":
-        return Vertex(self.index, not self.primed)
 
     def __str__(self) -> str:
         return f"{self.index}'" if self.primed else str(self.index)
@@ -193,16 +194,6 @@ def build_plain_chain(n: int) -> ChainGraph:
     """The uncrossed parent chain (10n+1 edges): alternating squares and octagons."""
     check_chain_parameter(n)
     return ChainGraph(n, "plain", _chain_edges(n, crossed=False))
-
-
-def mirror_partition(g: ChainGraph) -> tuple[list[Vertex], list[Vertex]]:
-    """The two rails, each ordered by index; the rail swap must be an automorphism."""
-    plain_rail = [v for v in g.vertices if not v.primed]
-    primed_rail = [v for v in g.vertices if v.primed]
-    swapped = {frozenset((u.mirrored(), v.mirrored())) for u, v in g.edges}
-    if swapped != g.edges:
-        raise ValueError("rail swap is not an automorphism; graph is malformed")
-    return plain_rail, primed_rail
 
 
 def edge_list_text(g: ChainGraph) -> str:

@@ -23,10 +23,11 @@ inside the band of the symmetric factor (selected inversion).  No full
 characteristic polynomial is formed: ``spectral.factorization_holds``
 certifies the mirror-block split on 2×2 tiles of ``laplacian_rows``.  The
 one graph matrix built here is the integer Laplacian, row by row from
-adjacency (``laplacian_rows``; ``laplacian`` is its dense expansion);
-its degree-scaled forms are read as the pencil det(xD - L), never as a
-rational matrix.  A dense matrix passed to a kernel is validated and
-converted to envelope rows once.
+adjacency (``laplacian_rows``); its degree-scaled forms are read as
+the pencil det(xD - L), never as a rational matrix.  No dense
+Laplacian is built here; the tests keep theirs in ``dense_reference``.
+A dense matrix passed to a kernel is validated and converted to
+envelope rows once.
 """
 
 from __future__ import annotations
@@ -350,18 +351,3 @@ def laplacian_rows(g, order) -> Envelope:
         offsets.append(first)
         entries.append(row)
     return Envelope(tuple(offsets), tuple(entries))
-
-
-def laplacian(g, order=None) -> list[list[int]]:
-    """Combinatorial Laplacian (degree matrix minus adjacency), integer entries.
-
-    ``order`` selects the vertex order of rows/columns (default: the
-    graph's own order) and must be a permutation of the vertices.  Any
-    order gives a similar matrix with the same spectrum, so callers may
-    pick one that concentrates the nonzeros.  The dense expansion of
-    ``laplacian_rows``.
-    """
-    vs = tuple(order) if order is not None else g.vertices
-    if len(set(vs)) != len(vs) or set(vs) != set(g.vertices):
-        raise ValueError("order must be a permutation of the graph's vertices")
-    return laplacian_rows(g, vs).dense()

@@ -3,9 +3,10 @@
 Because swapping the two rails is an automorphism, the (normalized)
 Laplacian written in rail-block form [[A, B], [B, A]] splits into a sum
 block A+B and a difference block A-B with the same combined spectrum;
-``factorization_holds`` certifies the Laplacian split tile by tile, the
-tiles being the proof of the swap, and the normalized split follows from
-it and the rail degrees.
+``factorization_holds(g)`` certifies the Laplacian split of the chain g
+it is handed tile by tile, in the mirror order ``sorted(g.vertices)``,
+the tiles being the one proof of the swap, and the normalized split
+follows from it and the rail degrees.
 For these chains the sum block is symmetric tridiagonal and the
 difference block is diagonal, so every spectral quantity reduces to
 continuant recurrences on the tridiagonal data.
@@ -35,7 +36,7 @@ from itertools import accumulate, zip_longest
 from operator import mul
 from typing import Iterator, NamedTuple
 
-from .graphs import Vertex, build_crossed_chain, check_chain_parameter
+from .graphs import ChainGraph, check_chain_parameter
 from .linalg import Envelope, laplacian_rows
 
 QUARTER_POW = Fraction(1, 25)  # decay ratio of the normalized minor sequences
@@ -178,16 +179,19 @@ def mirror_blocks(n: int) -> MirrorBlocks:
     return blocks
 
 
-def factorization_holds(n: int) -> tuple[bool, bool]:
-    """Certify that the rail swap splits each Laplacian family into its mirror blocks.
+def factorization_holds(g: ChainGraph) -> tuple[bool, bool]:
+    """Certify that the rail swap splits each Laplacian family of the chain g
+    into the mirror blocks ``mirror_blocks(g.n)``.
 
-    Checks the 2×2 tiles of the Laplacian L's rows, built from adjacency in
-    the mirror order (v_1, v_1', v_2, v_2', ...) of the chain's labels,
-    against the integer blocks in O(N).  The tiles are the proof of the
-    swap: a tile [[a, b], [b, a]] says L(v_i, v_j) = L(v_i', v_j') and
-    L(v_i, v_j') = L(v_i', v_j).  Returns (laplacian_ok, normalized_ok),
-    both exact; a chain the swap does not preserve, or one the order does
-    not cover, fails both.
+    Checks the 2×2 tiles of the Laplacian L's rows, built from g's
+    adjacency in the mirror order ``sorted(g.vertices)``, that is
+    (v_1, v_1', v_2, v_2', ...), against the integer blocks in O(N).
+    Reordering the vertices leaves the spectrum alone.  The tiles are the
+    proof of the swap: a tile [[a, b], [b, a]] says L(v_i, v_j) = L(v_i', v_j')
+    and L(v_i, v_j') = L(v_i', v_j).  Returns (laplacian_ok, normalized_ok),
+    both exact; a chain the swap does not preserve, or any chain but the
+    crossed one, fails both.  A g that is not a ``ChainGraph`` raises
+    ValueError.
 
     The normalized check needs no matrix of its own.  The diagonal tiles
     already force the primed rail to carry A's diagonal, so L's diagonal,
@@ -198,11 +202,11 @@ def factorization_holds(n: int) -> tuple[bool, bool]:
     the form ``sum_block_tails`` and ``recip.norm-diagsum`` read.  D⁻¹L
     is similar to the normalized Laplacian D^-1/2·L·D^-1/2.
     """
-    g = build_crossed_chain(n)
-    blocks = mirror_blocks(n)
-    order = [Vertex(i, primed) for i in range(1, 4 * n + 2) for primed in (False, True)]
-    laplacian_ok = set(order) == set(g.vertices) and _tiles_split_into(
-        laplacian_rows(g, order), blocks.lap_sum, blocks.lap_diff)
+    if not isinstance(g, ChainGraph):
+        raise ValueError("the certificate is defined for chain graphs")
+    blocks = mirror_blocks(g.n)
+    order = sorted(g.vertices)
+    laplacian_ok = _tiles_split_into(laplacian_rows(g, order), blocks.lap_sum, blocks.lap_diff)
     return (
         laplacian_ok,
         laplacian_ok and blocks.degrees == tuple(g.degree(v) for v in order[::2]),

@@ -142,7 +142,7 @@ def verify_one(n: int) -> list[VerificationRecord]:
     """Run every claim at one chain size and return the records."""
     blocks = spectral.mirror_blocks(n)
     g = build_crossed_chain(n)
-    lap_ok, norm_ok = spectral.factorization_holds(n)
+    lap_ok, norm_ok = spectral.factorization_holds(g)
     leading, trailing, interior = spectral.lap_minor_sequences(n)
     norm_sequences = zip(("leading", "trailing"), spectral.norm_minor_sequences(n),
                          spectral.norm_minor_recurrences(n),

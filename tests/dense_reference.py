@@ -35,6 +35,10 @@ no longer rides the package's elimination, and it is itself checked
 against Gauss-Jordan elimination.  No reference here calls a kernel of
 ``chaindex.linalg`` it is compared with; ``test_reference_independence``
 guards that.
+``laplacian`` is the dense integer Laplacian the package kept beside its
+envelope rows, now written out from the degrees and the edge set rather
+than expanded from ``laplacian_rows``, so it does not agree with the
+rows by construction; ``test_reference_independence`` guards that too.
 ``random_walk_laplacian`` is the rational matrix D^-1 L the package built
 to certify the normalized mirror split before that split was derived
 from the integer Laplacian split and the rail degrees.
@@ -45,7 +49,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from chaindex import spectral
-from chaindex.linalg import Envelope, SingularMatrixError, _int_rows, laplacian
+from chaindex.linalg import Envelope, SingularMatrixError, _int_rows
 
 
 def dense_det_bareiss(matrix) -> int:
@@ -275,6 +279,26 @@ def char_poly(matrix) -> list[Fraction]:
         raise ValueError("matrix is not square")
     rows, scales = cleared_rows(matrix)
     return [Fraction(c, prod(scales)) for c in pencil_char_poly(rows, scales)]
+
+
+def laplacian(g, order=None) -> list[list[int]]:
+    """Combinatorial Laplacian D - A, written out from the degrees and the
+    edge set, never from the package's ``laplacian_rows``.
+
+    ``order`` fixes the row/column order (default: the graph's own) and
+    must be a permutation of the vertices; a grounded Laplacian is a
+    principal submatrix of the result.
+    """
+    vs = tuple(g.vertices if order is None else order)
+    if len(set(vs)) != len(vs) or set(vs) != set(g.vertices):
+        raise ValueError("order must be a permutation of the graph's vertices")
+    pos = {v: i for i, v in enumerate(vs)}
+    mat = [[0] * len(vs) for _ in vs]
+    for v in vs:
+        mat[pos[v]][pos[v]] = g.degree(v)
+    for u, v in map(tuple, g.edges):
+        mat[pos[u]][pos[v]] = mat[pos[v]][pos[u]] = -1
+    return mat
 
 
 def random_walk_laplacian(g, order=None) -> list[list[Fraction]]:

@@ -105,7 +105,7 @@ def test_criterion_3_spanning_trees(chains):
 
 
 def test_criterion_4_factorization():
-    results = {n: sp.factorization_holds(n) for n in range(1, 5)}
+    results = {n: sp.factorization_holds(build_crossed_chain(n)) for n in range(1, 5)}
     ok = all(lap and norm for lap, norm in results.values())
     _report(ok, 4, f"rail-swap certificate of the polynomial identity, both families, n=1..4: {results}")
     assert ok

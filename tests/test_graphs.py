@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import prod
 
 import pytest
-from dense_reference import char_poly, fraction_inverse, random_walk_laplacian
+from dense_reference import char_poly, fraction_inverse, laplacian, random_walk_laplacian
 from hypothesis import given
 from test_kernel_differential import BOUNDED, shuffled_connected_graph
 
@@ -12,11 +12,10 @@ from chaindex import (
     build_crossed_chain,
     build_plain_chain,
     edge_list_text,
-    mirror_partition,
     rung_indices,
 )
 from chaindex import oracles as oc
-from chaindex.linalg import char_poly_tail, det_bareiss, laplacian
+from chaindex.linalg import char_poly_tail, det_bareiss
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
@@ -104,10 +103,9 @@ def test_plain_n1_cycles():
 @pytest.mark.parametrize("n", [1, 2, 4])
 def test_mirror_swap_is_automorphism(builder, n):
     g = builder(n)
-    v1, v2 = mirror_partition(g)
-    assert v1 == [Vertex(i) for i in range(1, 4 * n + 2)]
-    assert v2 == [Vertex(i, True) for i in range(1, 4 * n + 2)]
-    swapped = {frozenset((u.mirrored(), w.mirrored())) for u, w in g.edges}
+    rail = range(1, 4 * n + 2)
+    assert g.vertices == tuple(Vertex(i) for i in rail) + tuple(Vertex(i, True) for i in rail)
+    swapped = {frozenset(Vertex(v.index, not v.primed) for v in e) for e in g.edges}
     assert swapped == g.edges
 
 

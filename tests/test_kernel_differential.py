@@ -40,6 +40,7 @@ from dense_reference import (
     fraction_det,
     fraction_inverse,
     fraction_rank,
+    laplacian,
     leverrier_char_poly,
     pencil_char_poly,
     proper_leading_minor_vanishes,
@@ -57,7 +58,6 @@ from chaindex.linalg import (
     adjugate_forms,
     char_poly_tail,
     det_bareiss,
-    laplacian,
 )
 
 BOUNDED = settings(max_examples=80, deadline=None, database=None, derandomize=True)

@@ -4,7 +4,7 @@ from functools import partial
 from operator import mul
 
 import pytest
-from dense_reference import adjugate, dense_det_bareiss, dict_bfs
+from dense_reference import adjugate, dense_det_bareiss, dict_bfs, laplacian
 from hypothesis import example, given
 from hypothesis import strategies as st
 from test_kernel_differential import BOUNDED
@@ -12,7 +12,6 @@ from test_kernel_differential import BOUNDED
 from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain
 from chaindex import oracles as oc
 from chaindex import verify as vf
-from chaindex.linalg import laplacian
 
 
 def k2():

@@ -9,7 +9,9 @@ agree with it by construction, whatever the kernel did.  In the same way,
 ``dense_reference`` must not step the spectral pencil continuant that
 its interpolated pencil checks: it reads none of ``char_poly``,
 ``sum_block_tails`` and ``_pencil`` from ``chaindex.spectral`` or as an
-attribute.
+attribute.  Nor does it read ``laplacian_rows``: its dense ``laplacian``
+is written out from the edge set, so a test comparing the rows with it
+does not compare them with themselves.
 
 The kernel tests (``test_linalg``, ``test_kernel_differential``,
 ``test_properties``) call the kernels to check them against references,
@@ -29,6 +31,7 @@ REFERENCE = TESTS / "dense_reference.py"
 KERNEL_TESTS = {"test_linalg.py", "test_kernel_differential.py", "test_properties.py", "test_graphs.py"}
 KERNELS = {"_eliminate", "det_bareiss", "char_poly_tail", "adjugate_forms"}
 PENCILS = {"char_poly", "sum_block_tails", "_pencil"}
+ROW_BUILDERS = {"laplacian_rows"}
 
 
 def kernel_uses(tree: ast.AST, counted_through=(), module="chaindex.linalg",
@@ -54,6 +57,7 @@ def test_references_use_no_kernel_they_check():
     tree = ast.parse(REFERENCE.read_text(), str(REFERENCE))
     assert kernel_uses(tree) == []
     assert pencil_uses(tree) == []
+    assert kernel_uses(tree, kernels=ROW_BUILDERS) == []
 
 
 @pytest.mark.parametrize("path", sorted(
@@ -75,8 +79,16 @@ def test_guard_rejects_each_kernel_use(snippet):
 
 
 def test_guard_accepts_the_helpers_the_references_share():
-    snippet = "from chaindex.linalg import Envelope, SingularMatrixError, _int_rows, laplacian"
+    snippet = "from chaindex.linalg import Envelope, SingularMatrixError, _int_rows"
     assert kernel_uses(ast.parse(snippet)) == []
+    assert kernel_uses(ast.parse(snippet), kernels=ROW_BUILDERS) == []
+
+
+def test_row_guard_rejects_a_laplacian_expanded_from_the_rows():
+    snippet = ("from chaindex import linalg\n"
+               "def laplacian(g, order):\n"
+               "    return linalg.laplacian_rows(g, order).dense()")
+    assert kernel_uses(ast.parse(snippet), kernels=ROW_BUILDERS) == ["line 3: attribute laplacian_rows"]
 
 
 def test_guard_on_tests_rejects_a_minor_taken_with_a_kernel():

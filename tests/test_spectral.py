@@ -10,13 +10,13 @@ import pytest
 from dense_reference import (
     char_poly, dense_det_bareiss, fraction_interior_det_closed, fraction_pair_class_sum,
     fresh_interior_det, hand_normalized_blocks, leverrier_char_poly, pair_class_sum,
-    pencil_char_poly, random_walk_laplacian,
+    laplacian, pencil_char_poly, random_walk_laplacian,
 )
 
-from chaindex import Vertex, build_crossed_chain
+from chaindex import Vertex, build_crossed_chain, build_plain_chain
 from chaindex import spectral as sp
 from chaindex.graphs import ChainGraph, Graph
-from chaindex.linalg import Envelope, _int_rows, laplacian
+from chaindex.linalg import Envelope, _int_rows
 from chaindex.verify import verify_one
 
 
@@ -119,33 +119,31 @@ def test_blocks_agree_with_graph_laplacian(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_factorization(n):
-    assert sp.factorization_holds(n) == (True, True)
+    assert sp.factorization_holds(build_crossed_chain(n)) == (True, True)
 
 
 def test_factorization_certificate_up_to_40():
-    assert all(sp.factorization_holds(n) == (True, True) for n in range(4, 41))
+    assert all(sp.factorization_holds(build_crossed_chain(n)) == (True, True)
+               for n in range(4, 41))
 
 
-def traced_peak(fn, n):
+def traced(fn, arg):
+    """fn(arg) and the tracemalloc peak of that call alone."""
     tracemalloc.start()
     try:
-        fn(n)
-        return tracemalloc.get_traced_memory()[1]
+        return fn(arg), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
 def test_certificate_memory_stays_linear():
-    # dense N x N lists made the certificate peak at 31 MiB at n = 200,
-    # against 2.6 MiB for the chain alone, and grow about 4x per doubling
-    # of n; the tiles of width-6 envelope rows stay below the peak of the
-    # chain's own build, which then sets the certificate's, and grow about
-    # 2x per doubling
-    chain = traced_peak(build_crossed_chain, 200)
-    peak_200 = traced_peak(sp.factorization_holds, 200)
-    peak_400 = traced_peak(sp.factorization_holds, 400)
-    assert peak_200 <= 1.1 * chain
-    assert peak_400 <= 2.2 * peak_200
+    # Given the chain, the certificate's own work (the blocks, the mirror
+    # order and the width-6 envelope rows) peaks below a fifth of the
+    # chain's build, and both grow linearly in N.  The dense N x N certificate
+    # peaked at 31 MiB at n = 200, more than 40 times this bound.
+    for n in (200, 400):
+        g, chain_peak = traced(build_crossed_chain, n)
+        assert traced(sp.factorization_holds, g)[1] <= 0.25 * chain_peak
 
 
 def block_product(sum_block, diff):
@@ -157,14 +155,14 @@ def block_product(sum_block, diff):
     ).char_poly()
 
 
-def polynomial_route(n):
-    """(laplacian_ok, normalized_ok) from full interpolated char polys.
+def polynomial_route(g):
+    """(laplacian_ok, normalized_ok) of the chain g from full interpolated
+    char polys.
 
-    Reads the chain and the blocks through ``sp`` so that a test patching
-    them there changes this route and the certificate alike.
+    Reads the blocks through ``sp`` so that a test patching them there
+    changes this route and the certificate alike.
     """
-    g = sp.build_crossed_chain(n)
-    blocks = sp.mirror_blocks(n)
+    blocks = sp.mirror_blocks(g.n)
     order = g.band_order()
     return (
         char_poly(laplacian(g, order)) == block_product(blocks.lap_sum, blocks.lap_diff),
@@ -175,40 +173,47 @@ def polynomial_route(n):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_polynomial_route_matches_block_product(n):
-    assert polynomial_route(n) == (True, True)
+    assert polynomial_route(build_crossed_chain(n)) == (True, True)
 
 
 @pytest.mark.slow
 def test_polynomial_route_matches_block_product_up_to_20():
-    assert all(polynomial_route(n) == (True, True) for n in range(5, 21))
+    assert all(polynomial_route(build_crossed_chain(n)) == (True, True) for n in range(5, 21))
 
 
-def test_removed_rung_fails_certificate_and_polynomial_route(monkeypatch):
-    def without_rung(n):
-        rung = frozenset((Vertex(4), Vertex(4, True)))
-        return ChainGraph(n, "crossed", [tuple(e) for e in build_crossed_chain(n).edges - {rung}])
-
-    monkeypatch.setattr(sp, "build_crossed_chain", without_rung)
-    assert sp.factorization_holds(2) == (False, False)
-    assert polynomial_route(2) == (False, False)
+def without_edge(g, u, v):
+    """The crossed chain g with the edge {u, v} removed."""
+    return ChainGraph(g.n, "crossed", [tuple(e) for e in g.edges - {frozenset((u, v))}])
 
 
-@pytest.mark.parametrize("change", ["plain-edge-removed", "vertex-missing"])
-def test_chain_without_the_rail_swap_fails_certificate_without_raising(monkeypatch, change):
+def test_removed_rung_fails_certificate_and_polynomial_route():
+    g = without_edge(build_crossed_chain(2), Vertex(4), Vertex(4, True))
+    assert sp.factorization_holds(g) == (False, False)
+    assert polynomial_route(g) == (False, False)
+
+
+@pytest.mark.parametrize("change", ["plain-edge-removed"])
+def test_chain_without_the_rail_swap_fails_certificate_without_raising(change):
     # The tiles are the proof of the swap: removing an edge from the plain
-    # rail alone breaks the tile form, and a missing vertex leaves the
-    # mirror order uncovered.  Either way the certificate says False.
-    def changed(n):
-        g = build_crossed_chain(n)
-        if change == "plain-edge-removed":
-            gone = frozenset((Vertex(2), Vertex(3)))
-            return ChainGraph(n, "crossed", [tuple(e) for e in g.edges - {gone}])
-        gone = Vertex(4 * n + 1, True)
-        return Graph([v for v in g.vertices if v != gone],
-                     [tuple(e) for e in g.edges if gone not in e])
+    # rail alone breaks the tile form, so the certificate says False.
+    g = without_edge(build_crossed_chain(2), Vertex(2), Vertex(3))
+    assert sp.factorization_holds(g) == (False, False)
 
-    monkeypatch.setattr(sp, "build_crossed_chain", changed)
-    assert sp.factorization_holds(2) == (False, False)
+
+def test_plain_chain_keeps_the_swap_but_fails_certificate():
+    # the rail swap holds, but the plain chain's blocks are not the
+    # crossed chain's mirror blocks
+    assert sp.factorization_holds(build_plain_chain(2)) == (False, False)
+
+
+@pytest.mark.parametrize("g", [
+    pytest.param(Graph(build_crossed_chain(2).vertices, build_crossed_chain(2).edges),
+                 id="graph-of-the-chain"),
+    pytest.param(2, id="size"),
+])
+def test_certificate_rejects_anything_but_a_chain_graph(g):
+    with pytest.raises(ValueError, match="chain graphs"):
+        sp.factorization_holds(g)
 
 
 @pytest.mark.parametrize("field", ["diag", "offdiag_sq", "diff"])
@@ -229,8 +234,9 @@ def test_changed_block_entry_fails_certificate_and_polynomial_route(monkeypatch,
     monkeypatch.setattr(sp, "mirror_blocks", with_changed_entry)
     view = "norm_diff" if field == "diff" else "norm_sum"
     assert getattr(sp.mirror_blocks(2), view) != getattr(mirror_blocks(2), view)
-    assert sp.factorization_holds(2) == (False, False)
-    assert polynomial_route(2) == (False, False)
+    g = build_crossed_chain(2)
+    assert sp.factorization_holds(g) == (False, False)
+    assert polynomial_route(g) == (False, False)
 
 
 @pytest.mark.parametrize("mutation", ["degrees"])
@@ -246,7 +252,7 @@ def test_bumped_degree_or_normalized_entry_fails_normalized_certificate(monkeypa
         return dataclasses.replace(b, **{mutation: values[:2] + (values[2] + 1,) + values[3:]})
 
     monkeypatch.setattr(sp, "mirror_blocks", with_changed_entry)
-    assert sp.factorization_holds(2) == (True, False)
+    assert sp.factorization_holds(build_crossed_chain(2)) == (True, False)
 
 
 def perturb_rows(monkeypatch, entries, builder=sp.laplacian_rows):
@@ -274,7 +280,7 @@ def test_certificate_rejects_entry_off_the_pattern(monkeypatch, rails):
     # too.  Either way it lies off the band.  The normalized split is
     # derived from the Laplacian one, so both checks fail.
     perturb_rows(monkeypatch, {(Vertex(1, bool(r)), Vertex(4, bool(r))): -1 for r in rails})
-    assert sp.factorization_holds(2) == (False, False)
+    assert sp.factorization_holds(build_crossed_chain(2)) == (False, False)
 
 
 @pytest.mark.parametrize("builder", [sp.laplacian_rows], ids=["laplacian"])
@@ -290,7 +296,7 @@ def test_certificate_rejects_entry_off_the_band(monkeypatch, builder, block, col
         (Vertex(1), Vertex(far, block == "B")): -1,
         (Vertex(1, True), Vertex(far, block == "A")): -1,
     }, builder)
-    assert sp.factorization_holds(2) == (False, False)
+    assert sp.factorization_holds(build_crossed_chain(2)) == (False, False)
 
 
 @pytest.mark.parametrize("entries", [
@@ -306,7 +312,7 @@ def test_certificate_rejects_tile_inside_the_band(monkeypatch, entries):
     # the products (a + b = -2 both ways) but puts -2 off the diagonal of
     # A - B.
     perturb_rows(monkeypatch, entries)
-    assert sp.factorization_holds(2) == (False, False)
+    assert sp.factorization_holds(build_crossed_chain(2)) == (False, False)
 
 
 def dense_sum_block(blocks):
@@ -594,6 +600,13 @@ def count_calls(monkeypatch, owner, name):
 
     monkeypatch.setattr(owner, name, counted)
     return calls
+
+
+def test_verify_one_builds_one_chain(monkeypatch):
+    # the oracles and the certificate read the same ChainGraph
+    chains = count_calls(monkeypatch, ChainGraph, "__init__")
+    verify_one(2)
+    assert len(chains) == 1
 
 
 def test_verify_one_builds_the_blocks_once(monkeypatch):
