@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -243,6 +244,34 @@ def test_verify_matches_benchmark_reference(tmp_path, capsys):
     assert code == 0
     assert target.read_bytes() == reference.read_bytes()
 
+
+
+# sha256 of exact outputs whose operands grow far past those of n <= 10:
+# the pencil's largest divisor has 132 bits at n=10 and 527 at n=40
+VERIFY_1_40_OUT = "8c6517ed3446f4b8faa5cafa8ee5738a4610fa6188841a0589b00e2cb4d70dbe"
+INDICES_200_STDOUT = {
+    "crossed": "3ed3a6347e768db226250ee7deafa37a36dffce69bb827a96b9545917bd0b2a1",
+    "plain": "74d1f7c8eaf440767c5d62c7cdfa7a0a369d50b1427ac3d457a7a9b05a1cfb5e",
+}
+
+
+@pytest.mark.slow
+def test_verify_1_40_out_bytes_pinned(tmp_path, capsys):
+    # the --out bytes as written, with no final newline
+    target = tmp_path / "verify-1-40.json"
+    code, _, _ = run_cli(capsys, "verify", "--from", "1", "--to", "40", "--out", str(target))
+    assert code == 0
+    written = target.read_bytes()
+    assert not written.endswith(b"\n")
+    assert hashlib.sha256(written).hexdigest() == VERIFY_1_40_OUT
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind", ["crossed", "plain"])
+def test_indices_200_stdout_pinned(capsys, kind):
+    code, out, _ = run_cli(capsys, "indices", "--n", "200", "--kind", kind)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == INDICES_200_STDOUT[kind]
 
 def test_verify_malformed_thread_budget(capsys, monkeypatch):
     monkeypatch.setenv("CHAINDEX_THREADS", "abc")
