@@ -2,32 +2,32 @@
 
 Every kernel takes integer matrices only, and floating point never
 appears.  Determinants, the adjugate's diagonal and quadratic forms, and
-the trailing coefficients of the pencil det(x*diag(s) - M) share one
-fraction-free (Bareiss) elimination on rows in envelope form (George &
-Liu, 1981): each row stores only its columns from its first to its last
-nonzero, so a matrix of bandwidth b costs O(n * b^2) time and O(n * b)
-entries.  Step c pivots on row c, so the pivots are the leading
-principal minors, and the pivot contract is that every proper one is
-usable: nonzero, and for the pencil of nonzero constant term.  One that
-is not raises SingularMatrixError.  Every matrix the oracles pass meets
-the contract, since each proper principal submatrix of a connected
-graph's Laplacian is positive definite.  The ring supplies one step
-function, the Bareiss update (p*a - h*b) / q done exactly: plain
-integer arithmetic for determinants and adjugate forms, and for the
-pencil a fused update over Z[x]/(x^3), integer power series truncated
-after x^2, written out coefficient by coefficient.  A row that sat out
-steps is updated with its stale factor divided out in that same step,
-so no step only rescales a row that is about to be updated.  The
-adjugate is never formed: ``adjugate_forms`` reads the entries it needs
-inside the band of the symmetric factor (selected inversion).  No full
-characteristic polynomial is formed: ``spectral.factorization_holds``
-certifies the mirror-block split on 2×2 tiles of ``laplacian_rows``.  The
-one graph matrix built here is the integer Laplacian, row by row from
-adjacency (``laplacian_rows``); its degree-scaled forms are read as
-the pencil det(xD - L), never as a rational matrix.  No dense
-Laplacian is built here; the tests keep theirs in ``dense_reference``.
-A dense matrix passed to a kernel is validated and converted to
-envelope rows once.
+the trailing coefficients of the pencils det(xI - M) and
+det(x*diag(s) - M) share one fraction-free (Bareiss) elimination on
+rows in envelope form (George & Liu, 1981): each row stores only its
+columns from its first to its last nonzero, so a matrix of bandwidth b
+costs O(n * b^2) time and O(n * b) entries.  Step c pivots on row c, so
+the pivots are the leading principal minors, and the pivot contract is
+that every proper one is usable: nonzero, and for the pencils of
+nonzero constant term.  One that is not raises SingularMatrixError.
+Every matrix the oracles pass meets the contract, since each proper
+principal submatrix of a connected graph's Laplacian is positive
+definite.  The ring supplies one step function, the Bareiss update
+(p*a - h*b) / q done exactly: plain integer arithmetic for determinants
+and adjugate forms, and a fused update over Z[x, y]/(x^3, xy, y^3),
+written out coefficient by coefficient, for det(xI + y*diag(s) - M),
+which carries both pencils.  A row that sat out steps is updated with
+its stale factor divided out in that same step, so no step only
+rescales a row that is about to be updated.  The adjugate is never formed: ``adjugate_forms``
+reads the entries it needs inside the band of the symmetric factor
+(selected inversion).  No full characteristic polynomial is formed:
+``spectral.factorization_holds`` certifies the mirror-block split on 2×2
+tiles of ``laplacian_rows``.  The one graph matrix built here is the
+integer Laplacian, row by row from adjacency (``laplacian_rows``); its
+degree-scaled forms are read as the pencil det(xD - L), never as a
+rational matrix.  No dense matrix is built here; the tests keep theirs
+in ``dense_reference``.  A dense matrix passed to a kernel is validated
+and converted to envelope rows once.
 """
 
 from __future__ import annotations
@@ -66,14 +66,6 @@ class Envelope:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def dense(self) -> list[list[int]]:
-        """The matrix as n lists of n ints."""
-        n = len(self.entries)
-        mat = [[0] * n for _ in range(n)]
-        for row, o, e in zip(mat, self.offsets, self.entries):
-            row[o:o + len(e)] = e
-        return mat
 
 
 def _int_row(row):
@@ -193,10 +185,9 @@ def _int_step(p: int, a: int, h: int, b: int, q: int) -> int:
 
 
 class _Series:
-    """An element of Z[x]/(x^3): integer power series truncated after x^2.
-
-    The scalar ring of the trailing-coefficient elimination.  ``c`` holds
-    the three coefficients, ascending; all arithmetic is ``_series_step``.
+    """An element of Z[x, y]/(x^3, xy, y^3), the scalar ring of the
+    trailing-coefficient elimination.  ``c`` holds the coefficients of
+    1, x, x^2, y, y^2; all arithmetic is ``_series_step``.
     """
 
     __slots__ = ("c",)
@@ -205,28 +196,32 @@ class _Series:
         self.c = c
 
     def __bool__(self) -> bool:
-        return self.c != (0, 0, 0)
+        return self.c != (0, 0, 0, 0, 0)
 
 
 def _series_step(p: _Series, a: _Series, h: _Series, b: _Series, q: _Series) -> _Series:
-    """(p*a - h*b) / q in Z[x]/(x^3), for q with a nonzero constant term.
+    """(p*a - h*b) / q in Z[x, y]/(x^3, xy, y^3), for q with a nonzero
+    constant term.
 
-    The products and the difference are truncated after x^2 and the
-    quotient is solved one coefficient at a time; a nonzero remainder
-    raises ArithmeticError.
+    Since xy = 0 the x-part and the y-part never mix.  The quotient is
+    solved one coefficient at a time; a nonzero remainder raises
+    ArithmeticError.
     """
-    p0, p1, p2 = p.c
-    a0, a1, a2 = a.c
-    h0, h1, h2 = h.c
-    b0, b1, b2 = b.c
-    q0, q1, q2 = q.c
+    p0, p1, p2, p3, p4 = p.c
+    a0, a1, a2, a3, a4 = a.c
+    h0, h1, h2, h3, h4 = h.c
+    b0, b1, b2, b3, b4 = b.c
+    q0, q1, q2, q3, q4 = q.c
     t0, r0 = divmod(p0 * a0 - h0 * b0, q0)
     t1, r1 = divmod(p0 * a1 + p1 * a0 - h0 * b1 - h1 * b0 - t0 * q1, q0)
     t2, r2 = divmod(p0 * a2 + p1 * a1 + p2 * a0 - h0 * b2 - h1 * b1 - h2 * b0
                     - t0 * q2 - t1 * q1, q0)
-    if r0 or r1 or r2:
+    t3, r3 = divmod(p0 * a3 + p3 * a0 - h0 * b3 - h3 * b0 - t0 * q3, q0)
+    t4, r4 = divmod(p0 * a4 + p3 * a3 + p4 * a0 - h0 * b4 - h3 * b3 - h4 * b0
+                    - t0 * q4 - t3 * q3, q0)
+    if r0 or r1 or r2 or r3 or r4:
         raise ArithmeticError("truncated-series division is not exact")
-    return _Series((t0, t1, t2))
+    return _Series((t0, t1, t2, t3, t4))
 
 
 def det_bareiss(matrix) -> int:
@@ -292,35 +287,39 @@ def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
     return det, [a[0] for a in near], forms
 
 
-def char_poly_tail(matrix, scale) -> tuple[int, int, int]:
-    """Lowest three coefficients of det(x*diag(scale) - M), ascending.
+def char_poly_tails(matrix, scale) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Lowest three coefficients, ascending, of det(xI - M) and of
+    det(x*diag(scale) - M).
 
     M is a square integer matrix, dense or an ``Envelope``, and ``scale``
-    holds one positive int per row.  The pencil is eliminated over
-    Z[x]/(x^3), so only the wanted coefficients are ever formed.  Pivots
-    are taken on the diagonal, and each but the last needs a nonzero
-    constant term, ± a proper leading principal minor of M.  One that
-    vanishes raises SingularMatrixError, as does any M of rank below n - 1.
+    holds one positive int per row.  Both tails come from one elimination
+    of det(xI + y*diag(scale) - M) over Z[x, y]/(x^3, xy, y^3): setting
+    y = 0 leaves the first pencil and x = 0 the second, so only the wanted
+    coefficients are ever formed.  Pivots are taken on the diagonal, and
+    each but the last needs a nonzero constant term, ± a proper leading
+    principal minor of M.  One that vanishes raises SingularMatrixError,
+    as does any M of rank below n - 1.
     """
     offsets, rows = _int_rows(matrix)
     n = len(rows)
     scale = tuple(scale)
     if len(scale) != n or not all(type(s) is int and s > 0 for s in scale):
         raise ValueError(f"scale needs one positive int for each of the {n} rows")
-    zero = _Series((0, 0, 0))
+    zero = _Series((0, 0, 0, 0, 0))
     series_rows = []
     for i, (o, row) in enumerate(zip(offsets, rows)):
-        # the envelope widened to the diagonal, where the pencil adds s_i x
+        # the envelope widened to the diagonal, where the pencil adds x + s_i y
         start = min(o, i)
         series = [zero] * (max(o + len(row), i + 1) - start)
         for j, e in enumerate(row, o - start):
             if e:
-                series[j] = _Series((-e, 0, 0))
-        series[i - start] = _Series((series[i - start].c[0], scale[i], 0))
+                series[j] = _Series((-e, 0, 0, 0, 0))
+        series[i - start] = _Series((series[i - start].c[0], 1, 0, scale[i], 0))
         offsets[i] = start
         series_rows.append(series)
-    return _eliminate(offsets, series_rows, _Series((1, 0, 0)), zero,
-                      lambda s: s.c[0] != 0, _series_step).c
+    c0, c1, c2, c3, c4 = _eliminate(offsets, series_rows, _Series((1, 0, 0, 0, 0)), zero,
+                                    lambda s: s.c[0] != 0, _series_step).c
+    return (c0, c1, c2), (c0, c3, c4)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,10 @@ straight from the definitions, with no use of the closed forms they are
 later compared against.  The two resistance-based indices are each
 computed along two independent routes (pairwise sums and a trailing
 characteristic-coefficient ratio) and the routes must agree exactly.
-The trailing route reads the integer pencil det(x·diag(s) − L), s = 1
-for Kf and s the degrees for Kf*: det(xD − L) = ∏d · det(xI − D⁻¹L).
+The trailing route reads the integer pencils det(xI − L) for Kf and
+det(xD − L) = ∏d · det(xI − D⁻¹L), D the degrees, for Kf*, both from one
+elimination over Z[x, y]/(x³, xy, y³); their linear coefficients must
+agree on the spanning-tree count.
 The pairwise sums, single resistances and the spanning-tree count read
 the grounded Laplacian; the sums read one symmetric factor of it: its
 determinant, its adjugate's diagonal and quadratic forms of that
@@ -18,7 +20,7 @@ every resistance index 0 and one spanning tree): ``_require_connected``
 is the one rule, run by the three helpers that reach a kernel or a BFS.
 No kernel error is translated: past the gate the grounded Laplacian is
 positive definite and every proper leading minor of L is nonzero, so
-neither ``adjugate_forms`` nor ``char_poly_tail`` can raise.
+neither ``adjugate_forms`` nor ``char_poly_tails`` can raise.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from functools import lru_cache
 from operator import mul
 
 from .graphs import ChainGraph, Graph, Vertex
-from .linalg import Envelope, adjugate_forms, char_poly_tail, det_bareiss, laplacian_rows
+from .linalg import Envelope, adjugate_forms, char_poly_tails, det_bareiss, laplacian_rows
 
 
 def _require_connected(g: Graph) -> None:
@@ -120,26 +122,34 @@ def kirchhoff_from_resistances(g: Graph) -> Fraction:
     return _pairwise_resistance_sums(g)[0]
 
 
-def _reciprocal_sum(g: Graph, scale) -> Fraction:
-    """Σ 1/μ over the nonzero roots μ of det(x·diag(s) − L), s listing
-    scale(v) in band order: |c2/c1| of the trailing coefficients, 0 for K1.
-    Past the gate the pencil has a simple zero root (c0 = 0, c1 != 0);
+@lru_cache(maxsize=1)
+def _reciprocal_sums(g: Graph) -> tuple[Fraction, Fraction]:
+    """(Σ 1/μ, Σ 1/λ) over the nonzero roots μ of det(xI − L) and λ of
+    det(xD − L), D the degrees, kept for the last (immutable) graph:
+    |c2/c1| of each pencil's trailing coefficients, both read from one
+    elimination in band order, and (0, 0) for K1.  No pairwise route
+    reads them.  Past the gate each pencil has a simple zero root
+    (c0 = 0, c1 != 0), and by the matrix-tree theorem c1 is
+    (−1)^(N−1)·τ·N for the first and (−1)^(N−1)·τ·2|E| for the second;
     any other tail is a kernel fault."""
     _require_connected(g)
     if g.vertex_count == 1:
-        return Fraction(0)
+        return Fraction(0), Fraction(0)
     order = g.band_order()
-    c0, c1, c2 = char_poly_tail(laplacian_rows(g, order), [scale(v) for v in order])
-    if c0 != 0 or c1 == 0:
-        raise ArithmeticError(f"pencil tail ({c0}, {c1}, {c2}) lacks a simple zero root")
-    return abs(Fraction(c2, c1))
+    plain, degree = char_poly_tails(laplacian_rows(g, order), [g.degree(v) for v in order])
+    for c0, c1, c2 in (plain, degree):
+        if c0 != 0 or c1 == 0:
+            raise ArithmeticError(f"pencil tail ({c0}, {c1}, {c2}) lacks a simple zero root")
+    if plain[1] * 2 * g.edge_count != degree[1] * g.vertex_count:
+        raise ArithmeticError(f"pencil tails {plain} and {degree} disagree on the tree count")
+    return abs(Fraction(plain[2], plain[1])), abs(Fraction(degree[2], degree[1]))
 
 
 def kirchhoff_from_spectrum(g: Graph) -> Fraction:
     """Kirchhoff index as |V| times the reciprocal sum of the nonzero
     Laplacian eigenvalues, read from the exact trailing coefficients of
     the characteristic polynomial without computing an eigenvalue."""
-    return g.vertex_count * _reciprocal_sum(g, lambda v: 1)
+    return g.vertex_count * _reciprocal_sums(g)[0]
 
 
 def kirchhoff_index(g: Graph) -> Fraction:
@@ -155,7 +165,7 @@ def degree_kirchhoff_from_resistances(g: Graph) -> Fraction:
 def degree_kirchhoff_from_spectrum(g: Graph) -> Fraction:
     """Degree-Kirchhoff index as 2|E| times the normalized reciprocal sum,
     read from the pencil det(xD − L) with D the degrees."""
-    return 2 * g.edge_count * _reciprocal_sum(g, g.degree)
+    return 2 * g.edge_count * _reciprocal_sums(g)[1]
 
 
 def degree_kirchhoff_index(g: Graph) -> Fraction:

@@ -28,6 +28,9 @@ used before it built one ``Fraction`` from integer parts.
 ``OperatorSeries`` is the truncated power-series ring the trailing
 coefficients were eliminated over before the Bareiss update became one
 fused step: each of ``*``, ``-`` and ``//`` builds its own series.
+``Series`` and ``series_step`` are that fused step over Z[x]/(x^3) as it
+ran before both pencils shared one elimination over
+Z[x, y]/(x^3, xy, y^3): one pass per pencil, three coefficients each.
 ``adjugate`` is the full adjugate the resistance sums read before they
 moved to selected inversion: [M | I] through a dense fraction-free
 elimination with row pivoting and N columns of back substitution.  It
@@ -39,6 +42,7 @@ guards that.
 envelope rows, now written out from the degrees and the edge set rather
 than expanded from ``laplacian_rows``, so it does not agree with the
 rows by construction; ``test_reference_independence`` guards that too.
+``dense`` expands envelope rows into the n x n matrix they stand for.
 ``random_walk_laplacian`` is the rational matrix D^-1 L the package built
 to certify the normalized mirror split before that split was derived
 from the integer Laplacian split and the rail degrees.
@@ -108,7 +112,7 @@ def adjugate(matrix) -> tuple[int, list[list[int]]]:
     exactly.  Entries are validated as the package's kernels validate
     them.  A singular M raises SingularMatrixError.
     """
-    rows = Envelope(*_int_rows(matrix)).dense()
+    rows = dense(Envelope(*_int_rows(matrix)))
     n = len(rows)
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, prev = 1, 1
@@ -301,6 +305,15 @@ def laplacian(g, order=None) -> list[list[int]]:
     return mat
 
 
+def dense(envelope) -> list[list[int]]:
+    """The matrix an ``Envelope`` stands for, as n lists of n ints."""
+    n = len(envelope)
+    mat = [[0] * n for _ in range(n)]
+    for row, o, e in zip(mat, envelope.offsets, envelope.entries):
+        row[o:o + len(e)] = e
+    return mat
+
+
 def random_walk_laplacian(g, order=None) -> list[list[Fraction]]:
     """D^-1 L: each row of ``laplacian(g, order)`` over its diagonal entry,
     the vertex's degree.  Similar to the normalized Laplacian
@@ -420,3 +433,33 @@ class OperatorSeries:
                 raise ArithmeticError("truncated-series division is not exact")
             q.append(quotient)
         return OperatorSeries(tuple(q))
+
+
+class Series:
+    """An element of Z[x]/(x^3): integer power series truncated after x^2.
+    ``c`` holds the three coefficients, ascending."""
+
+    __slots__ = ("c",)
+
+    def __init__(self, c: tuple) -> None:
+        self.c = c
+
+    def __bool__(self) -> bool:
+        return self.c != (0, 0, 0)
+
+
+def series_step(p: Series, a: Series, h: Series, b: Series, q: Series) -> Series:
+    """(p*a - h*b) / q in Z[x]/(x^3), for q with a nonzero constant term;
+    a nonzero remainder raises ArithmeticError."""
+    p0, p1, p2 = p.c
+    a0, a1, a2 = a.c
+    h0, h1, h2 = h.c
+    b0, b1, b2 = b.c
+    q0, q1, q2 = q.c
+    t0, r0 = divmod(p0 * a0 - h0 * b0, q0)
+    t1, r1 = divmod(p0 * a1 + p1 * a0 - h0 * b1 - h1 * b0 - t0 * q1, q0)
+    t2, r2 = divmod(p0 * a2 + p1 * a1 + p2 * a0 - h0 * b2 - h1 * b1 - h2 * b0
+                    - t0 * q2 - t1 * q1, q0)
+    if r0 or r1 or r2:
+        raise ArithmeticError("truncated-series division is not exact")
+    return Series((t0, t1, t2))

@@ -1,9 +1,9 @@
 """Differential tests of the band-aware exact kernel against naive references.
 
-``det_bareiss`` and ``char_poly_tail`` are compared with the dense
-Bareiss copy, Fraction Gaussian elimination and the interpolated pencil
-det(x*diag(s) - M) in ``dense_reference``; that pencil is itself checked
-against the Faddeev-LeVerrier recurrence.  The kernels pivot on the
+``det_bareiss`` and ``char_poly_tails`` are compared with the dense
+Bareiss copy, Fraction Gaussian elimination and the interpolated pencils
+det(xI - M) and det(x*diag(s) - M) in ``dense_reference``; that pencil
+is itself checked against the Faddeev-LeVerrier recurrence.  The kernels pivot on the
 diagonal, so each check also holds them to the pivot contract: they
 raise SingularMatrixError exactly when a proper leading principal minor
 vanishes (judged by ``fraction_det`` of the leading blocks), and
@@ -14,8 +14,10 @@ checked against Gauss-Jordan elimination, and
 ``adjugate_forms`` (selected inversion) against that adjugate on
 symmetric diagonally dominant matrices, singular ones included, and on
 grounded graph Laplacians.
-The fused Bareiss step over Z[x]/(x^3) is compared with the operator
-series ring it replaced.  Staggered matrices, whose rows start right of
+The fused Bareiss step over Z[x, y]/(x^3, xy, y^3) is compared, half by
+half, with the operator series ring, and ``char_poly_tails`` with two
+separate eliminations over Z[x]/(x^3) by the step the kernel ran before
+the two pencils shared one pass, stale-row rescales included.  Staggered matrices, whose rows start right of
 earlier pivots and hold runs of zeros, make rows sit out steps, so the
 update of a stale row, which divides by the pivot of its own last
 update, is checked against the dense references that rescale explicitly.
@@ -33,6 +35,7 @@ from math import prod
 import pytest
 from dense_reference import (
     OperatorSeries,
+    Series,
     adjugate,
     char_poly,
     cleared_rows,
@@ -45,18 +48,21 @@ from dense_reference import (
     pencil_char_poly,
     proper_leading_minor_vanishes,
     random_walk_laplacian,
+    series_step,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chaindex import Graph, build_crossed_chain
+from chaindex import Graph, build_crossed_chain, linalg
 from chaindex import oracles as oc
 from chaindex.linalg import (
     SingularMatrixError,
+    _eliminate,
+    _int_rows,
     _Series,
     _series_step,
     adjugate_forms,
-    char_poly_tail,
+    char_poly_tails,
     det_bareiss,
 )
 
@@ -147,10 +153,12 @@ def check_det(m) -> None:
 
 
 def check_tail(m, s) -> None:
-    """char_poly_tail equals the interpolated pencil, or raises
-    SingularMatrixError exactly when a proper leading minor vanishes."""
-    assert outcome(char_poly_tail, m, s) == (SingularMatrixError if proper_leading_minor_vanishes(m)
-                                             else tuple(padded(pencil_char_poly(m, s), 3)))
+    """char_poly_tails equals the interpolated pencils with s = 1 and with
+    s, or raises SingularMatrixError exactly when a proper leading minor
+    vanishes."""
+    expected = tuple(tuple(padded(pencil_char_poly(m, scale), 3)) for scale in ([1] * len(m), s))
+    assert outcome(char_poly_tails, m, s) == \
+        (SingularMatrixError if proper_leading_minor_vanishes(m) else expected)
 
 
 # --- determinants ------------------------------------------------------------
@@ -185,7 +193,7 @@ def test_det_of_1x1(a):
 def test_empty_matrix():
     assert det_bareiss([]) == 1
     assert char_poly([]) == [Fraction(1)]
-    assert char_poly_tail([], []) == (1, 0, 0)
+    assert char_poly_tails([], []) == ((1, 0, 0), (1, 0, 0))
 
 
 # --- adjugates ----------------------------------------------------------------
@@ -329,8 +337,9 @@ def check_graph_eliminations(g, order) -> None:
     lap = laplacian(g, order)
     tau = dense_det_bareiss(grounded(lap))
     assert det_bareiss(grounded(lap)) == adjugate_forms(grounded(lap))[0] == tau
-    for s in ([1] * len(lap), [g.degree(v) for v in order]):
-        assert char_poly_tail(lap, s)[:2] == (0, (-1) ** (len(lap) - 1) * sum(s) * tau)
+    degrees = [g.degree(v) for v in order]
+    for s, tail in zip(([1] * len(lap), degrees), char_poly_tails(lap, degrees)):
+        assert tail[:2] == (0, (-1) ** (len(lap) - 1) * sum(s) * tau)
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -422,15 +431,14 @@ def symmetrized(m):
 @example([[0, 1, 0], [0, 0, 2], [0, 3, 1]], [1] * 8, False)
 @example([[1, 0, 2, 0], [0, 0, 0, 1], [3, 0, 1, 0], [0, 2, 0, 1]], [2] * 8, False)
 def test_kernels_raise_exactly_when_a_proper_leading_minor_vanishes(m, scale, symmetric):
-    # det_bareiss and char_poly_tail (s = 1 and drawn scales) equal their
+    # det_bareiss and char_poly_tails (s = 1 and drawn scales) equal their
     # references or raise exactly when a proper leading minor vanishes;
     # adjugate_forms, on the symmetric matrices, raises also when det M is 0
     if symmetric:
         m = symmetrized(m)
     n = len(m)
     check_det(m)
-    for s in ([1] * n, scale[:n]):
-        check_tail(m, s)
+    check_tail(m, scale[:n])
     if symmetric:
         vectors = [[1] * n, scale[:n]]
         raises = proper_leading_minor_vanishes(m) or fraction_det(m) == 0
@@ -448,9 +456,9 @@ def test_char_poly_matches_leverrier(m):
 
 
 def rational_tail(m) -> tuple:
-    """char_poly_tail of the pencil det(xS - S*M), S the row scales that clear M."""
+    """The tail of the pencil det(xS - S*M), S the row scales that clear M."""
     rows, scales = cleared_rows(m)
-    return char_poly_tail(rows, scales)
+    return char_poly_tails(rows, scales)[1]
 
 
 def scaled_tail(m) -> tuple:
@@ -484,9 +492,9 @@ def test_tail_when_a_column_holds_no_pivot():
         reversed_m = [row[::-1] for row in m[::-1]]
         for s in ([1] * n, list(range(2, n + 2))):
             with pytest.raises(SingularMatrixError):
-                char_poly_tail(m, s)
-            assert char_poly_tail(reversed_m, s[::-1]) == tuple(padded(pencil_char_poly(m, s), 3))
-        assert char_poly_tail(reversed_m, [1] * n) == tuple(padded(char_poly(m), 3))
+                char_poly_tails(m, s)
+            assert char_poly_tails(reversed_m, s[::-1])[1] == tuple(padded(pencil_char_poly(m, s), 3))
+        assert char_poly_tails(reversed_m, [1] * n)[0] == tuple(padded(char_poly(m), 3))
 
 
 def test_tail_when_a_column_vanishes_to_order_k():
@@ -497,11 +505,11 @@ def test_tail_when_a_column_vanishes_to_order_k():
     for n in (3, 4, 5):
         m = [[int(j == min(i + 1, n - 1)) - int(j == 0) for j in range(n)] for i in range(n)]
         for s in ([1] * n, range(2, n + 2)):
-            assert char_poly_tail([[si * e for e in row] for si, row in zip(s, m)], s) == (0, 0, 0)
+            assert char_poly_tails([[si * e for e in row] for si, row in zip(s, m)], s)[1] == (0, 0, 0)
         assert det_bareiss(m) == 0
         shift = [[int(j == i + 1) for j in range(n)] for i in range(n)]
         with pytest.raises(SingularMatrixError):
-            char_poly_tail(shift, [1] * n)
+            char_poly_tails(shift, [1] * n)
 
 
 # --- the pencil det(x*diag(s) - M) -------------------------------------------
@@ -532,8 +540,8 @@ def test_pencil_tail_matches_dense_reference(case):
 
 
 def test_pencil_of_a_2x2_by_hand():
-    # (2x - 1)(3x - 4) - 2 * 3 = 6x^2 - 11x - 2
-    assert char_poly_tail([[1, 2], [3, 4]], [2, 3]) == (-2, -11, 6)
+    # (x - 1)(x - 4) - 2 * 3 = x^2 - 5x - 2 and (2x - 1)(3x - 4) - 2 * 3 = 6x^2 - 11x - 2
+    assert char_poly_tails([[1, 2], [3, 4]], [2, 3]) == ((-2, -5, 1), (-2, -11, 6))
 
 
 @pytest.mark.parametrize("scale", [
@@ -548,38 +556,98 @@ def test_pencil_of_a_2x2_by_hand():
 ])
 def test_pencil_rejects_bad_scale(scale):
     with pytest.raises(ValueError, match="scale needs one positive int") as err:
-        char_poly_tail([[1, 2], [3, 4]], scale)
+        char_poly_tails([[1, 2], [3, 4]], scale)
     assert not isinstance(err.value, SingularMatrixError)
 
 
-# --- the fused step over Z[x]/(x^3) ------------------------------------------
+# --- the fused step over Z[x, y]/(x^3, xy, y^3) ------------------------------
 
 coefficients = st.one_of(st.integers(-6, 6), st.integers(-10**30, 10**30))
-series = st.tuples(coefficients, coefficients, coefficients)
-divisors = st.tuples(coefficients.filter(bool), coefficients, coefficients)
+series = st.tuples(*[coefficients] * 5)
+divisors = st.tuples(coefficients.filter(bool), *[coefficients] * 4)
+
+
+def halves(c):
+    """The x-part and the y-part of five coefficients (1, x, x^2, y, y^2)."""
+    return (c[0], c[1], c[2]), (c[0], c[3], c[4])
 
 
 @BOUNDED
 @given(series, series, series, series, divisors, st.booleans())
-@example((1, 0, 0), (1, 0, 0), (0, 0, 0), (0, 0, 0), (2, 0, 0), False)   # 1/2
-@example((1, 0, 0), (2, 1, 0), (0, 0, 0), (0, 0, 0), (2, 0, 0), False)   # x/2
-@example((1, 0, 0), (0, 0, 1), (0, 0, 0), (0, 0, 0), (2, 0, 0), False)   # x^2/2
-@example((3, 1, 0), (0, 2, 1), (0, 0, 0), (0, 0, 0), (1, 0, 0), False)   # x^3 truncated
+@example((1, 0, 0, 0, 0), (1, 0, 0, 0, 0), (0,) * 5, (0,) * 5, (2, 0, 0, 0, 0), False)   # 1/2
+@example((1, 0, 0, 0, 0), (2, 1, 0, 2, 0), (0,) * 5, (0,) * 5, (2, 0, 0, 0, 0), False)   # x/2
+@example((1, 0, 0, 0, 0), (2, 0, 0, 1, 0), (0,) * 5, (0,) * 5, (2, 0, 0, 0, 0), False)   # y/2
+@example((1, 0, 0, 0, 0), (0, 0, 0, 0, 1), (0,) * 5, (0,) * 5, (2, 0, 0, 0, 0), False)   # y^2/2
+@example((3, 1, 0, 1, 0), (0, 2, 1, 2, 1), (0,) * 5, (0,) * 5, (1, 0, 0, 0, 0), False)   # truncated
+@example((0, 1, 0, 0, 0), (0, 0, 0, 1, 0), (0,) * 5, (0,) * 5, (1, 0, 0, 0, 0), False)   # xy = 0
 def test_series_step_matches_operator_ring(p, a, h, b, q, exact):
-    # (p*a - h*b) / q against the three operators of the reference ring;
-    # with ``exact`` a and b are multiplied by q first, so q divides
-    ring = [OperatorSeries(c) for c in (p, a, h, b, q)]
-    if exact:
-        ring[1], ring[3] = ring[1] * ring[4], ring[3] * ring[4]
-    P, A, H, B, Q = ring
-    try:
-        expected = ((P * A - H * B) // Q).c
-    except ArithmeticError:
-        assert not exact
+    # each half of (p*a - h*b) / q against the three operators of the
+    # reference ring and against the three-coefficient step; with
+    # ``exact`` a and b are multiplied by q first, so q divides
+    x_half, y_half = ([OperatorSeries(part) for part in parts]
+                      for parts in zip(*map(halves, (p, a, h, b, q))))
+    expected = []
+    for ring in (x_half, y_half):
+        if exact:
+            ring[1], ring[3] = ring[1] * ring[4], ring[3] * ring[4]
+        P, A, H, B, Q = ring
+        try:
+            expected.append(((P * A - H * B) // Q).c)
+        except ArithmeticError:
+            assert not exact
+            with pytest.raises(ArithmeticError):
+                series_step(*(Series(r.c) for r in ring))
+        else:
+            assert series_step(*(Series(r.c) for r in ring)).c == expected[-1]
+    fused = [_Series(x.c + y.c[1:]) for x, y in zip(x_half, y_half)]
+    if len(expected) < 2:
         with pytest.raises(ArithmeticError):
-            _series_step(*(_Series(s.c) for s in ring))
+            _series_step(*fused)
         return
-    assert _series_step(*(_Series(s.c) for s in ring)).c == expected
+    assert halves(_series_step(*fused).c) == tuple(expected)
+
+
+def separate_tails(m, s) -> tuple:
+    """The tails of det(xI - M) and det(x*diag(s) - M) from two eliminations
+    over Z[x]/(x^3), one per pencil, by the reference step."""
+    tails = []
+    for scale in ([1] * len(m), s):
+        offsets, rows = _int_rows(m)
+        zero, series_rows = Series((0, 0, 0)), []
+        for i, (o, row) in enumerate(zip(offsets, rows)):
+            start = min(o, i)
+            entries = [zero] * (max(o + len(row), i + 1) - start)
+            for j, e in enumerate(row, o - start):
+                entries[j] = Series((-e, 0, 0)) if e else zero
+            entries[i - start] = Series((entries[i - start].c[0], scale[i], 0))
+            offsets[i] = start
+            series_rows.append(entries)
+        tails.append(_eliminate(offsets, series_rows, Series((1, 0, 0)), zero,
+                                lambda t: t.c[0] != 0, series_step).c)
+    return tuple(tails)
+
+
+@BOUNDED
+@given(with_scales(st.one_of(banded(sparse_ints), singular(), zero_leading(),
+                             low_rank(small_ints), staggered())))
+def test_fused_tails_match_two_separate_passes(case):
+    assert outcome(char_poly_tails, *case) == outcome(separate_tails, *case)
+
+
+def test_fused_stale_row_rescale_matches_two_separate_passes(monkeypatch):
+    # STALE's row 3 is a stale pivot row, so the pencil's elimination
+    # rescales it alone: step(num, a, zero, zero, den)
+    rescales = []
+
+    def counting(p, a, h, b, q):
+        rescales.append(not h and not b)
+        return _series_step(p, a, h, b, q)
+
+    monkeypatch.setattr(linalg, "_series_step", counting)
+    for s in ([1] * 6, [1, 2, 3, 4, 5, 6]):
+        rescales.clear()
+        assert char_poly_tails(STALE, s) == separate_tails(STALE, s)
+        assert any(rescales)
 
 
 # --- graph matrices ----------------------------------------------------------
@@ -590,9 +658,9 @@ def test_series_step_matches_operator_ring(p, a, h, b, q, exact):
 def test_graph_tails_match_char_poly(g):
     # det(xI - L) and det(xD - L) = det D * det(xI - D^-1 L)
     lap, degrees = laplacian(g), [g.degree(v) for v in g.vertices]
-    assert char_poly_tail(lap, [1] * len(lap)) == tuple(char_poly(lap)[:3])
-    assert char_poly_tail(lap, degrees) == \
-        tuple(prod(degrees) * c for c in char_poly(random_walk_laplacian(g))[:3])
+    assert char_poly_tails(lap, degrees) == (
+        tuple(char_poly(lap)[:3]),
+        tuple(prod(degrees) * c for c in char_poly(random_walk_laplacian(g))[:3]))
     # and the two routes of both resistance indices agree
     assert oc.kirchhoff_from_spectrum(g) == oc.kirchhoff_from_resistances(g)
     assert oc.degree_kirchhoff_from_spectrum(g) == oc.degree_kirchhoff_from_resistances(g)

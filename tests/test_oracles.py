@@ -9,7 +9,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 from test_kernel_differential import BOUNDED
 
-from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain
+from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain, linalg
 from chaindex import oracles as oc
 from chaindex import verify as vf
 
@@ -447,6 +447,36 @@ def test_every_route_accepts_the_same_graphs(g):
 def test_a_pencil_without_a_simple_zero_root_is_a_kernel_fault(monkeypatch, tail, route):
     # a connected graph's pencil always has one; a tail without it is no
     # statement about the graph
-    monkeypatch.setattr(oc, "char_poly_tail", lambda matrix, scale: tail)
+    monkeypatch.setattr(oc, "char_poly_tails", lambda matrix, scale: (tail, tail))
+    oc._reciprocal_sums.cache_clear()
     with pytest.raises(ArithmeticError, match="simple zero root"):
         route(build_crossed_chain(1))
+
+
+def test_a_fault_in_one_half_of_the_fused_step_breaks_the_tree_count(monkeypatch):
+    # the pencils' last elimination step yields the determinant; corrupting
+    # its y^1 coefficient alone leaves det(xI - L), and so Kf's spectral
+    # route, whole, but the two halves' linear coefficients then disagree
+    # on the spanning-tree count, and both indices raise
+    g, inner, steps = build_crossed_chain(2), linalg._series_step, []
+
+    def counting(*args):
+        steps.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(linalg, "_series_step", counting)
+    oc._reciprocal_sums.cache_clear()
+    oc._reciprocal_sums(g)
+    last = len(steps)
+
+    def corrupt_last(*args):
+        steps.append(None)
+        c = inner(*args).c
+        return linalg._Series(c[:3] + (c[3] + 1, c[4]) if len(steps) == last else c)
+
+    monkeypatch.setattr(linalg, "_series_step", corrupt_last)
+    for index in (oc.degree_kirchhoff_index, oc.kirchhoff_index):
+        steps.clear()
+        oc._reciprocal_sums.cache_clear()
+        with pytest.raises(ArithmeticError, match="disagree on the tree count"):
+            index(g)

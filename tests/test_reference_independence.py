@@ -2,7 +2,7 @@
 over ``tests/dense_reference.py`` and the test modules.
 
 The guard parses each module and fails when it imports ``_eliminate``,
-``det_bareiss``, ``char_poly_tail`` or ``adjugate_forms`` from
+``det_bareiss``, ``char_poly_tails`` or ``adjugate_forms`` from
 ``chaindex.linalg``, or reads one of them as an attribute, as in
 ``linalg.det_bareiss``.  A reference that rode one of those kernels would
 agree with it by construction, whatever the kernel did.  In the same way,
@@ -29,7 +29,7 @@ import pytest
 TESTS = Path(__file__).resolve().parent
 REFERENCE = TESTS / "dense_reference.py"
 KERNEL_TESTS = {"test_linalg.py", "test_kernel_differential.py", "test_properties.py", "test_graphs.py"}
-KERNELS = {"_eliminate", "det_bareiss", "char_poly_tail", "adjugate_forms"}
+KERNELS = {"_eliminate", "det_bareiss", "char_poly_tails", "adjugate_forms"}
 PENCILS = {"char_poly", "sum_block_tails", "_pencil"}
 ROW_BUILDERS = {"laplacian_rows"}
 
@@ -69,7 +69,7 @@ def test_tests_outside_the_kernel_tests_use_no_kernel(path):
 @pytest.mark.parametrize("snippet", [
     "from chaindex.linalg import _eliminate",
     "from chaindex.linalg import laplacian, det_bareiss",
-    "from chaindex.linalg import char_poly_tail as tail",
+    "from chaindex.linalg import char_poly_tails as tails",
     "def f():\n    from chaindex.linalg import adjugate_forms",
     "from chaindex import linalg\nlinalg.det_bareiss([])",
     "import chaindex.linalg\nchaindex.linalg._eliminate",
@@ -87,7 +87,7 @@ def test_guard_accepts_the_helpers_the_references_share():
 def test_row_guard_rejects_a_laplacian_expanded_from_the_rows():
     snippet = ("from chaindex import linalg\n"
                "def laplacian(g, order):\n"
-               "    return linalg.laplacian_rows(g, order).dense()")
+               "    return dense(linalg.laplacian_rows(g, order))")
     assert kernel_uses(ast.parse(snippet), kernels=ROW_BUILDERS) == ["line 3: attribute laplacian_rows"]
 
 

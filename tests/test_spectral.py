@@ -10,7 +10,7 @@ import pytest
 from dense_reference import (
     char_poly, dense_det_bareiss, fraction_interior_det_closed, fraction_pair_class_sum,
     fresh_interior_det, hand_normalized_blocks, leverrier_char_poly, pair_class_sum,
-    laplacian, pencil_char_poly, random_walk_laplacian,
+    dense, laplacian, pencil_char_poly, random_walk_laplacian,
 )
 
 from chaindex import Vertex, build_crossed_chain, build_plain_chain
@@ -262,7 +262,7 @@ def perturb_rows(monkeypatch, entries, builder=sp.laplacian_rows):
 
     def perturbed(g, order):
         pos = {v: i for i, v in enumerate(order)}
-        mat = builder(g, order).dense()
+        mat = dense(builder(g, order))
         for (u, v), value in entries.items():
             mat[pos[u]][pos[v]] = mat[pos[v]][pos[u]] = value
         return Envelope(*_int_rows(mat))
