@@ -2,12 +2,13 @@
 
 ``det_bareiss`` and ``char_poly_tails`` are compared with the dense
 Bareiss copy, Fraction Gaussian elimination and the interpolated pencils
-det(xI - M) and det(x*diag(s) - M) in ``dense_reference``; that pencil
-is itself checked against the Faddeev-LeVerrier recurrence.  The kernels pivot on the
-diagonal, so each check also holds them to the pivot contract: they
-raise SingularMatrixError exactly when a proper leading principal minor
-vanishes (judged by ``fraction_det`` of the leading blocks), and
-``adjugate_forms`` also when det M vanishes.  A rational M enters the tail
+det(xI - M) and det(x*diag(s) - M) in ``dense_reference``; the
+interpolated pencil is itself checked against the Faddeev-LeVerrier
+recurrence.  The kernels pivot on the diagonal, so each check also
+holds them to the pivot contract: they raise SingularMatrixError
+exactly when a proper leading principal minor vanishes (judged by
+``fraction_det`` of the leading blocks), and ``adjugate_forms`` also
+when det M vanishes.  A rational M enters the tail
 kernel as the integer pencil of S*M and its row scales S, whose tail is
 det S times that of det(xI - M).  The reference full ``adjugate`` is
 checked against Gauss-Jordan elimination, and
@@ -17,10 +18,11 @@ grounded graph Laplacians.
 The fused Bareiss step over Z[x, y]/(x^3, xy, y^3) is compared, half by
 half, with the operator series ring, and ``char_poly_tails`` with two
 separate eliminations over Z[x]/(x^3) by the step the kernel ran before
-the two pencils shared one pass, stale-row rescales included.  Staggered matrices, whose rows start right of
-earlier pivots and hold runs of zeros, make rows sit out steps, so the
-update of a stale row, which divides by the pivot of its own last
-update, is checked against the dense references that rescale explicitly.
+the two pencils shared one pass, stale-row rescales included.
+Staggered matrices, whose rows start right of earlier pivots and hold
+runs of zeros, make rows sit out steps, so the update of a stale row,
+which divides by the pivot of its own last update, is checked against
+the dense references that rescale explicitly.
 Inputs cover singular matrices, matrices whose leading entry is zero,
 0x0 and 1x1, random banded matrices, low-rank matrices and the
 Laplacians of random connected graphs in shuffled vertex order, whose
