@@ -1,24 +1,26 @@
 """Exact linear algebra over arbitrary-precision integers.
 
-Every kernel takes integer matrices only, and floating point never
-appears.  Determinants, the adjugate's diagonal and quadratic forms, and
-the trailing coefficients of the pencils det(xI - M) and
+Every kernel takes symmetric integer matrices only, and floating point
+never appears.  Determinants, the adjugate's diagonal and quadratic
+forms, and the trailing coefficients of the pencils det(xI - M) and
 det(x*diag(s) - M) share one fraction-free (Bareiss) elimination on
-rows in envelope form (George & Liu, 1981): each row stores only its
-columns from its first to its last nonzero, so a matrix of bandwidth b
-costs O(n * b^2) time and O(n * b) entries.  Step c pivots on row c, so
-the pivots are the leading principal minors, and the pivot contract is
-that every proper one is usable: nonzero, and for the pencils of
-nonzero constant term.  One that is not raises SingularMatrixError.
-Every matrix the oracles pass meets the contract, since each proper
-principal submatrix of a connected graph's Laplacian is positive
-definite.  The ring supplies one step function, the Bareiss update
-(p*a - h*b) / q done exactly: plain integer arithmetic for determinants
-and adjugate forms, and a fused update over Z[x, y]/(x^3, xy, y^3),
-written out coefficient by coefficient, for det(xI + y*diag(s) - M),
-which carries both pencils.  A row that sat out steps is updated with
-its stale factor divided out in that same step, so no step only
-rescales a row that is about to be updated.  The adjugate is never formed: ``adjugate_forms``
+each row's upper envelope (George & Liu, 1981): its columns from the
+diagonal to its last nonzero.  Bareiss's intermediates are bordered
+minors, symmetric for a symmetric M, so nothing left of the diagonal is
+stored or updated; a matrix of bandwidth b costs O(n * b^2) time and
+O(n * b) entries, and a nonsymmetric one raises ValueError.  Step c
+pivots on row c, so the pivots are the leading principal minors, and
+the pivot contract is that every proper one is usable: nonzero, and for
+the pencils of nonzero constant term.  One that is not raises
+SingularMatrixError.  Every matrix the oracles pass meets the contract,
+since each proper principal submatrix of a connected graph's Laplacian
+is positive definite.  The ring supplies one step function, the Bareiss
+update (p*a - h*b) / q done exactly: plain integer arithmetic for
+determinants and adjugate forms, and a fused update over
+Z[x, y]/(x^3, xy, y^3), written out coefficient by coefficient, for
+det(xI + y*diag(s) - M), which carries both pencils.  A row that sat out
+steps is updated with its stale factor divided out in that same step.
+The adjugate is never formed: ``adjugate_forms``
 reads the entries it needs inside the band of the symmetric factor
 (selected inversion).  No full characteristic polynomial is formed:
 ``spectral.factorization_holds`` certifies the mirror-block split on 2×2
@@ -100,82 +102,90 @@ def _int_rows(matrix) -> tuple[list[int], list[list]]:
     return offsets, rows
 
 
-def _eliminate(offsets: list, rows: list, one, zero, unit, step, carried=None):
-    """Determinant by fraction-free elimination over an exact ring.
+def _upper_rows(matrix) -> list[list]:
+    """Each row of a symmetric integer matrix from its diagonal on, the
+    diagonal entry included even when it is 0.
 
-    ``rows`` holds the n rows of a square matrix in envelope form: row i
-    covers columns offsets[i] .. offsets[i] + len(rows[i]) - 1 and is zero
-    outside them.  ``carried``, if given, holds further columns per row:
-    every update of a row covers them.  The ring supplies its identity
-    ``one``, its ``zero``, the test ``unit`` of a usable pivot, and
-    ``step(p, a, h, b, q)``, which returns (p*a - h*b) / q for a divisor q
-    for which ``unit`` holds; the division is exact.  Entries need nothing
-    else but truth testing.  ``offsets``, ``rows`` and ``carried`` are
-    consumed: on return row i holds its state at step i, from column
-    offsets[i] on, so on a symmetric matrix the rows are its symmetric
-    factor.
+    ``matrix`` is dense or an ``Envelope``, validated by ``_int_rows``.
+    The kernels read these upper envelopes alone, so ValueError is raised
+    unless the nonzeros left of the diagonal, mirrored, are exactly those
+    right of it.
+    """
+    offsets, rows = _int_rows(matrix)
+    upper = [(row[i - o:] or [0]) if o <= i else [0] * (o - i) + row
+             for i, (o, row) in enumerate(zip(offsets, rows))]
+    lower = {(j, i, e) for i, (o, row) in enumerate(zip(offsets, rows))
+             for j, e in enumerate(row[:max(i - o, 0)], o) if e}
+    if lower != {(i, j, e) for i, u in enumerate(upper) for j, e in enumerate(u[1:], i + 1) if e}:
+        raise ValueError("matrix is not symmetric")
+    return upper
+
+
+def _eliminate(rows: list, one, zero, unit, step, carried=None):
+    """Determinant of a symmetric matrix by fraction-free elimination
+    over an exact ring.
+
+    ``rows[i]`` holds row i's upper envelope, its entries from column i
+    on, at least one.  ``carried``, if given, holds further columns per
+    row: every update of a row covers them.  The ring supplies its
+    identity ``one``, its ``zero``, the test ``unit`` of a usable pivot,
+    and ``step(p, a, h, b, q)``, which returns (p*a - h*b) / q for a
+    divisor q for which ``unit`` holds; the division is exact.  Entries
+    need nothing else but truth testing.  ``rows`` and ``carried`` are
+    consumed: on return row i holds its state at step i, so the rows are
+    the symmetric fraction-free factor.
 
     Step c pivots on row c, so its pivot is the leading principal minor
     of order c + 1.  The pivot contract is that ``unit`` holds for every
     proper leading principal minor: a pivot before the last for which it
     fails raises SingularMatrixError.  Returns the last pivot, the
-    determinant.  Step c updates only the rows whose first nonzero is
-    column c.  With p_k the pivot of step k - 1 (p_0 = one), a row last
-    updated by step L - 1 and left out of steps L .. c - 1 holds its state
-    after step c - 1 times p_L / p_c, so its update by the pivot row's
-    true entries is step(pivot, a, head, b, p_L): Bareiss's update with
-    the stale factor divided out, exact, and for a row updated by step
-    c - 1 the usual division by p_c.  Only a stale pivot row and
-    the last row are rescaled, by step(p_c, a, zero, zero, p_L).
+    determinant.  With p_k the pivot of step k - 1 (p_0 = one), a row
+    last updated by step L - 1 holds its state after step c - 1 times
+    p_L / p_c.  The pivot row is first brought to that state, by
+    step(p_c, a, zero, zero, p_L) if L < c.  Step c then updates row i
+    exactly when the pivot row holds a nonzero h in column i, by
+    step(pivot, a, head, b, p_L) on row i's entries and the pivot row's
+    from column i on: Bareiss's update with the stale factor divided out.
+    By symmetry the head, row i's stale entry in column c, is h if L = c,
+    the pivot row's input entry in column i if L = 0, and else
+    h * p_L / p_c, one step per row update.
     """
     n = len(rows)
     if n == 0:
         return one
     if carried is None:
         carried = [()] * n
-    buckets: list[list[int]] = [[] for _ in range(n + 1)]
+    given = rows[:]       # given[c][k]: the input entry in row c + k, column c
     pivots = [one]        # pivots[c]: the pivot of step c-1, a minor of order c
     lag = [0] * n         # row i holds its state after step lag[i]-1, unscaled since
 
     def diagonal(c: int):
-        # Row c's entry in column c, brought to its state after step c-1.
+        # Row c brought to its state after step c-1, and its diagonal entry.
         if lag[c] != c:
             num, den = pivots[c], pivots[lag[c]]
             rows[c] = [step(num, a, zero, zero, den) if a else a for a in rows[c]]
             carried[c] = [step(num, a, zero, zero, den) if a else a for a in carried[c]]
             lag[c] = c
-        k = c - offsets[c]
-        return rows[c][k] if 0 <= k < len(rows[c]) else zero
+        return rows[c][0]
 
-    def place(i: int, start: int) -> None:
-        # File row i under its first nonzero column at or after ``start``.
-        row, o = rows[i], offsets[i]
-        j, stop = max(start, o), o + len(row)
-        while j < stop and not row[j - o]:
-            j += 1
-        buckets[j if j < stop else n].append(i)
-
-    for i in range(n):
-        place(i, 0)
     for c in range(n - 1):
         pivot = diagonal(c)
         if not unit(pivot):
             raise SingularMatrixError("matrix has a vanishing leading principal minor")
-        carried_r = carried[c]
-        tail_r = rows[c][c + 1 - offsets[c]:]
-        for i in buckets[c]:
-            if i == c:
+        row_c, carried_c, p_c = rows[c], carried[c], pivots[c]
+        for k in range(1, len(row_c)):
+            h = row_c[k]
+            if not h:
                 continue
-            row_i, prev = rows[i], pivots[lag[i]]
-            head = row_i[c - offsets[i]]
-            rows[i] = [step(pivot, a, head, b, prev) if a or b else a
-                       for a, b in zip_longest(row_i[c + 1 - offsets[i]:], tail_r, fillvalue=zero)]
-            if carried_r:
-                carried[i] = [step(pivot, a, head, b, prev) if a or b else a
-                              for a, b in zip(carried[i], carried_r)]
-            offsets[i] = c + 1
+            i, last = c + k, lag[c + k]
+            p_l = pivots[last]
+            head = h if last == c else step(h, p_l, zero, zero, p_c) if last else given[c][k]
+            rows[i] = [step(pivot, a, head, b, p_l) if a or b else a
+                       for a, b in zip_longest(rows[i], row_c[k:], fillvalue=zero)]
+            if carried_c:
+                carried[i] = [step(pivot, a, head, b, p_l) if a or b else a
+                              for a, b in zip(carried[i], carried_c)]
             lag[i] = c + 1
-            place(i, c + 1)
         pivots.append(pivot)
     return diagonal(n - 1)
 
@@ -225,14 +235,15 @@ def _series_step(p: _Series, a: _Series, h: _Series, b: _Series, q: _Series) -> 
 
 
 def det_bareiss(matrix) -> int:
-    """Exact determinant of a square integer matrix, dense or ``Envelope``.
+    """Exact determinant of a symmetric integer matrix, dense or ``Envelope``.
 
     Bareiss's fraction-free elimination pivots on the diagonal and works
-    only inside each row's envelope, so a matrix of bandwidth b costs
-    O(n * b^2).  A vanishing proper leading principal minor raises
+    only inside each row's upper envelope, so a matrix of bandwidth b
+    costs O(n * b^2).  A nonsymmetric matrix raises ValueError, and a
+    vanishing proper leading principal minor raises
     SingularMatrixError: det([[0, 1], [1, 0]]) raises, det([[1, 1], [1, 1]]) is 0.
     """
-    return _eliminate(*_int_rows(matrix), 1, 0, bool, _int_step)
+    return _eliminate(_upper_rows(matrix), 1, 0, bool, _int_step)
 
 
 def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
@@ -253,28 +264,23 @@ def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
     raises SingularMatrixError.  For a positive semidefinite M that
     happens exactly when M is singular.
     """
-    offsets, rows = _int_rows(matrix)
+    rows = _upper_rows(matrix)
     n = len(rows)
-    nonzeros = {(i, j): e for i, (o, row) in enumerate(zip(offsets, rows))
-                for j, e in enumerate(row, o) if e}
-    if any(nonzeros.get((j, i)) != e for (i, j), e in nonzeros.items()):
-        raise ValueError("matrix is not symmetric")
     vectors = [list(v) for v in vectors]
     if any(len(v) != n or not all(isinstance(e, int) for e in v) for v in vectors):
         raise ValueError("each vector needs one int entry per row")
     carried = [[v[i] for v in vectors] for i in range(n)]
-    det = _eliminate(offsets, rows, 1, 0, bool, _int_step, carried)
+    det = _eliminate(rows, 1, 0, bool, _int_step, carried)
     if not det:
         raise SingularMatrixError("matrix has a vanishing leading principal minor")
-    b = max((o + len(row) - 1 - k for k, (o, row) in enumerate(zip(offsets, rows))), default=0)
+    b = max((len(row) - 1 for row in rows), default=0)
     near = [[]] * n  # near[k][o] = A[k][k + o] for o = 0..b
     ys = [[0] * n for _ in vectors]
-    diagonal = [row[k - o] for k, (o, row) in enumerate(zip(offsets, rows))]
+    diagonal = [row[0] for row in rows]
     prev = [1] + diagonal[:-1]
     for k in reversed(range(n)):
-        row, o, p = rows[k], offsets[k], diagonal[k]
-        upper = [(l, row[l - o]) for l in range(k + 1, min(k + b + 1, o + len(row)))
-                 if row[l - o]]
+        row, p = rows[k], diagonal[k]
+        upper = [(l, u) for l, u in enumerate(row[1:], k + 1) if u]
         a = [0] * (b + 1)
         for j in range(min(k + b, n - 1), k, -1):
             a[j - k] = -sum(u * (near[l][j - l] if l <= j else near[j][l - j])
@@ -291,33 +297,26 @@ def char_poly_tails(matrix, scale) -> tuple[tuple[int, int, int], tuple[int, int
     """Lowest three coefficients, ascending, of det(xI - M) and of
     det(x*diag(scale) - M).
 
-    M is a square integer matrix, dense or an ``Envelope``, and ``scale``
-    holds one positive int per row.  Both tails come from one elimination
-    of det(xI + y*diag(scale) - M) over Z[x, y]/(x^3, xy, y^3): setting
-    y = 0 leaves the first pencil and x = 0 the second, so only the wanted
-    coefficients are ever formed.  Pivots are taken on the diagonal, and
-    each but the last needs a nonzero constant term, ± a proper leading
-    principal minor of M.  One that vanishes raises SingularMatrixError,
-    as does any M of rank below n - 1.
+    M is a symmetric integer matrix (else ValueError), dense or an
+    ``Envelope``; ``scale`` holds one positive int per row.  Both tails
+    come from one elimination of det(xI + y*diag(scale) - M) over
+    Z[x, y]/(x^3, xy, y^3): y = 0 leaves the first pencil and x = 0 the
+    second, so only the wanted coefficients are ever formed.  Pivots are
+    taken on the diagonal, and each but the last needs a nonzero constant
+    term, ± a proper leading principal minor of M.  One that vanishes
+    raises SingularMatrixError, as does any M of rank below n - 1.
     """
-    offsets, rows = _int_rows(matrix)
+    rows = _upper_rows(matrix)
     n = len(rows)
     scale = tuple(scale)
     if len(scale) != n or not all(type(s) is int and s > 0 for s in scale):
         raise ValueError(f"scale needs one positive int for each of the {n} rows")
     zero = _Series((0, 0, 0, 0, 0))
-    series_rows = []
-    for i, (o, row) in enumerate(zip(offsets, rows)):
-        # the envelope widened to the diagonal, where the pencil adds x + s_i y
-        start = min(o, i)
-        series = [zero] * (max(o + len(row), i + 1) - start)
-        for j, e in enumerate(row, o - start):
-            if e:
-                series[j] = _Series((-e, 0, 0, 0, 0))
-        series[i - start] = _Series((series[i - start].c[0], 1, 0, scale[i], 0))
-        offsets[i] = start
-        series_rows.append(series)
-    c0, c1, c2, c3, c4 = _eliminate(offsets, series_rows, _Series((1, 0, 0, 0, 0)), zero,
+    # each diagonal entry d becomes x + s_i y - d
+    series_rows = [[_Series((-row[0], 1, 0, s, 0))]
+                   + [_Series((-e, 0, 0, 0, 0)) if e else zero for e in row[1:]]
+                   for row, s in zip(rows, scale)]
+    c0, c1, c2, c3, c4 = _eliminate(series_rows, _Series((1, 0, 0, 0, 0)), zero,
                                     lambda s: s.c[0] != 0, _series_step).c
     return (c0, c1, c2), (c0, c3, c4)
 

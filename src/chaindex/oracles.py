@@ -9,7 +9,8 @@ characteristic-coefficient ratio) and the routes must agree exactly.
 The trailing route reads the integer pencils det(xI − L) for Kf and
 det(xD − L) = ∏d · det(xI − D⁻¹L), D the degrees, for Kf*, both from one
 elimination over Z[x, y]/(x³, xy, y³); their linear coefficients must
-agree on the spanning-tree count.
+agree on the spanning-tree count, and ``index_bundle`` checks that count
+against the grounded factor's determinant.
 The pairwise sums, single resistances and the spanning-tree count read
 the grounded Laplacian; the sums read one symmetric factor of it: its
 determinant, its adjugate's diagonal and quadratic forms of that
@@ -123,18 +124,18 @@ def kirchhoff_from_resistances(g: Graph) -> Fraction:
 
 
 @lru_cache(maxsize=1)
-def _reciprocal_sums(g: Graph) -> tuple[Fraction, Fraction]:
-    """(Σ 1/μ, Σ 1/λ) over the nonzero roots μ of det(xI − L) and λ of
-    det(xD − L), D the degrees, kept for the last (immutable) graph:
-    |c2/c1| of each pencil's trailing coefficients, both read from one
-    elimination in band order, and (0, 0) for K1.  No pairwise route
-    reads them.  Past the gate each pencil has a simple zero root
-    (c0 = 0, c1 != 0), and by the matrix-tree theorem c1 is
-    (−1)^(N−1)·τ·N for the first and (−1)^(N−1)·τ·2|E| for the second;
+def _reciprocal_sums(g: Graph) -> tuple[Fraction, Fraction, tuple[int, int]]:
+    """(Σ 1/μ, Σ 1/λ, (c1_x, c1_y)) over the nonzero roots μ of
+    det(xI − L) and λ of det(xD − L), D the degrees, kept for the last
+    (immutable) graph: |c2/c1| of each pencil's trailing coefficients
+    and its c1, from one elimination in band order; (0, 0, (1, 0)) for
+    K1.  No pairwise route reads them.  Past the gate each pencil has a
+    simple zero root (c0 = 0, c1 != 0), and by the matrix-tree theorem c1
+    is (−1)^(N−1)·τ·N for the first and (−1)^(N−1)·τ·2|E| for the second;
     any other tail is a kernel fault."""
     _require_connected(g)
     if g.vertex_count == 1:
-        return Fraction(0), Fraction(0)
+        return Fraction(0), Fraction(0), (1, 0)
     order = g.band_order()
     plain, degree = char_poly_tails(laplacian_rows(g, order), [g.degree(v) for v in order])
     for c0, c1, c2 in (plain, degree):
@@ -142,7 +143,8 @@ def _reciprocal_sums(g: Graph) -> tuple[Fraction, Fraction]:
             raise ArithmeticError(f"pencil tail ({c0}, {c1}, {c2}) lacks a simple zero root")
     if plain[1] * 2 * g.edge_count != degree[1] * g.vertex_count:
         raise ArithmeticError(f"pencil tails {plain} and {degree} disagree on the tree count")
-    return abs(Fraction(plain[2], plain[1])), abs(Fraction(degree[2], degree[1]))
+    return (abs(Fraction(plain[2], plain[1])), abs(Fraction(degree[2], degree[1])),
+            (plain[1], degree[1]))
 
 
 def kirchhoff_from_spectrum(g: Graph) -> Fraction:
@@ -299,12 +301,11 @@ class IndexBundle:
 
 
 def index_bundle(g: ChainGraph) -> IndexBundle:
-    """Compute the full exact bundle for a chain graph via the oracles."""
-    return IndexBundle(
-        n=g.n,
-        kf=kirchhoff_index(g),
-        kf_star=degree_kirchhoff_index(g),
-        tau=spanning_tree_count(g),
-        wiener=wiener_index(g),
-        gutman=gutman_index(g),
-    )
+    """The full exact bundle of a chain graph.  τ, the grounded factor's
+    det, must equal |c1|/N and |c1|/(2|E|) of the pencils, which catches a
+    fault that scales det and the adjugate alike (ArithmeticError)."""
+    kf, kf_star, tau = kirchhoff_index(g), degree_kirchhoff_index(g), spanning_tree_count(g)
+    c1_x, c1_y = _reciprocal_sums(g)[2]
+    if abs(c1_x) != g.vertex_count * tau or abs(c1_y) != 2 * g.edge_count * tau:
+        raise ArithmeticError(f"tau routes disagree: factor {tau} vs pencils {c1_x}, {c1_y}")
+    return IndexBundle(g.n, kf, kf_star, tau, wiener_index(g), gutman_index(g))

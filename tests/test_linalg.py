@@ -5,6 +5,7 @@ import pytest
 from dense_reference import (
     adjugate, char_poly, dense, laplacian, proper_leading_minor_vanishes, random_walk_laplacian,
 )
+from test_kernel_differential import outcome
 
 from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain, linalg
 from chaindex import oracles as oc
@@ -39,6 +40,11 @@ def random_int_matrix(rng, n, lo=-5, hi=5):
     return [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
 
 
+def random_symmetric_matrix(rng, n, lo=-5, hi=5):
+    m = random_int_matrix(rng, n, lo, hi)
+    return [[m[max(i, j)][min(i, j)] for j in range(n)] for i in range(n)]
+
+
 def horner(poly, x):
     acc = 0
     for c in reversed(poly):
@@ -68,7 +74,7 @@ def test_det_against_cofactor_expansion():
     rng = random.Random(20240811)
     for n in (2, 3, 4, 5):
         for _ in range(8):
-            m = random_int_matrix(rng, n)
+            m = random_symmetric_matrix(rng, n)
             if proper_leading_minor_vanishes(m):
                 with pytest.raises(SingularMatrixError):
                     det_bareiss(m)
@@ -81,7 +87,7 @@ def test_det_singular_and_permuted():
     # determinant, a vanishing proper leading minor raises
     assert det_bareiss([[1, 1], [1, 1]]) == 0
     assert det_bareiss([[2, 1, 0], [1, 0, 1], [0, 1, 1]]) == -3
-    for m in ([[0, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 2, 1], [3, 0, 0], [0, 1, 1]]):
+    for m in ([[0, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 2, 1], [2, 0, 0], [1, 0, 1]]):
         with pytest.raises(SingularMatrixError):
             det_bareiss(m)
 
@@ -95,6 +101,38 @@ def tail_with_scales(matrix):
     return char_poly_tails(matrix, range(2, len(matrix) + 2))[1]
 
 
+def both_tails(matrix):
+    return char_poly_tails(matrix, [1] * len(matrix))
+
+
+@pytest.mark.parametrize("offsets, entries", [
+    pytest.param((0, 0), ([2, 1], [3, 2]), id="pair-inside-both-envelopes"),
+    # (0, 2) holds 5, and row 2's envelope starts at column 1
+    pytest.param((0, 1, 1), ([1, 0, 5], [1], [0, 1]), id="mirror-left-of-an-envelope"),
+    pytest.param((1, 0), ([2], [3, 0]), id="envelope-right-of-its-diagonal"),
+])
+def test_every_kernel_rejects_an_asymmetric_matrix(offsets, entries):
+    rows = Envelope(offsets, entries)
+    for matrix in (rows, dense(rows)):
+        for kernel in (det_bareiss, both_tails, adjugate_forms):
+            with pytest.raises(ValueError) as err:
+                kernel(matrix)
+            assert str(err.value) == "matrix is not symmetric"
+            assert not isinstance(err.value, SingularMatrixError)
+
+
+@pytest.mark.parametrize("offsets, entries", [
+    pytest.param((0, 0), ([2, 1], [1, 2]), id="pair-inside-both-envelopes"),
+    pytest.param((0, 1, 0), ([1, 0, 5], [1], [5, 0, 9]), id="zeros-inside-envelopes"),
+    pytest.param((1, 0, 0), ([2, 5], [2, 0, 1], [5, 1, 3]), id="envelope-right-of-its-diagonal"),
+    pytest.param((0, 2, 1), ([3], [], [0, 4]), id="empty-row"),
+])
+def test_every_kernel_accepts_a_symmetric_envelope(offsets, entries):
+    rows = Envelope(offsets, entries)
+    for kernel in (det_bareiss, both_tails, adjugate_forms):
+        assert outcome(kernel, rows) == outcome(kernel, dense(rows))
+
+
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, Fraction(1, 2), Fraction(1)])
 def test_entries_other_than_int_or_fraction_rejected(bad):
     # the kernels take ints only: a Fraction, even one equal to an int, is rejected
@@ -106,7 +144,7 @@ def test_entries_other_than_int_or_fraction_rejected(bad):
 
 
 def test_bool_entries_count_as_ints():
-    m = [[True, False, True], [False, True, 2], [1, True, 5]]
+    m = [[True, False, True], [False, True, 2], [1, 2, 6]]
     ints = [[int(e) for e in row] for row in m]
     for kernel in (det_bareiss, adjugate, tail_with_scales):
         assert kernel(m) == kernel(ints)
@@ -351,8 +389,9 @@ def test_envelope_bool_entries_count_as_ints():
 
 @pytest.fixture
 def ring_steps(monkeypatch):
-    """Counts [steps, rescale-only steps] per ring of every elimination run
-    after the fixture starts; a rescale-only step has a zero head."""
+    """Counts [steps, steps with a zero head] per ring of every elimination
+    run after the fixture starts: a zero head marks a step that only
+    rescales, or one that reads a stale row's head as h * p_L / p_c."""
     counts = {"series": [0, 0], "int": [0, 0]}
 
     def counting(ring, inner):
@@ -381,11 +420,46 @@ def test_chain_eliminations_make_no_rescale_only_step(ring_steps, builder, n):
 def test_verify_pass_step_counts_repeat_exactly(ring_steps):
     # a stale row's update divides out its stale factor; rescaling it
     # first took 13620 series and 9590 integer steps, and the two pencils
-    # in separate passes took 9100 series steps
+    # in separate passes took 9100 series steps; updating whole rows, not
+    # only their upper envelopes, took 4550 series and 6580 integer steps
     for _ in range(2):
         oc._grounded_factor.cache_clear()
         oc._reciprocal_sums.cache_clear()
         for tally in ring_steps.values():
             tally[:] = [0, 0]
         run_verification(1, 10)
-        assert ring_steps == {"series": [4550, 0], "int": [6580, 0]}
+        assert ring_steps == {"series": [3670, 0], "int": [5730, 0]}
+
+
+def seeded_graph(seed, vertices, edge_count):
+    # shuffled labels, a random spanning tree, then random extra edges
+    rng = random.Random(seed)
+    labels = rng.sample(range(1, 10 * vertices), vertices)
+    edges = {tuple(sorted((labels[k], labels[rng.randrange(k)]))) for k in range(1, vertices)}
+    while len(edges) < edge_count:
+        edges.add(tuple(sorted(rng.sample(labels, 2))))
+    return Graph(labels, sorted(edges))
+
+
+def test_seeded_graph_pencil_head_steps_repeat_exactly(monkeypatch):
+    # A row last updated by step L-1 that sits out steps up to c-1 reads
+    # its head by symmetry as h * p_L / p_c: one step(h, p_L, 0, 0, p_c)
+    # per such row update, whose a is the very pivot object p_L that drove
+    # step L-1's updates.  Every other step with a zero head rescales a
+    # stale pivot row or the last row.  Band order on an unbanded graph
+    # leaves rows stale, unlike on the chains.
+    steps, pivots, inner = {"all": 0, "heads": 0, "rescales": 0}, {}, linalg._series_step
+
+    def counting(p, a, h, b, q):
+        steps["all"] += 1
+        if h:
+            pivots[id(p)] = p  # kept alive, so no other object takes its id
+        else:
+            steps["heads" if id(a) in pivots else "rescales"] += 1
+        return inner(p, a, h, b, q)
+
+    monkeypatch.setattr(linalg, "_series_step", counting)
+    oc._reciprocal_sums.cache_clear()
+    g = seeded_graph(7, 36, 54)
+    assert oc.kirchhoff_from_spectrum(g) == oc.kirchhoff_from_resistances(g)
+    assert steps == {"all": 526, "heads": 27, "rescales": 81}

@@ -480,3 +480,25 @@ def test_a_fault_in_one_half_of_the_fused_step_breaks_the_tree_count(monkeypatch
         oc._reciprocal_sums.cache_clear()
         with pytest.raises(ArithmeticError, match="disagree on the tree count"):
             index(g)
+
+
+def test_a_fault_that_scales_det_and_adjugate_alike_breaks_the_bundle(monkeypatch):
+    # every resistance is a ratio of an adjugate form to det, so doubling
+    # both leaves Kf and Kf* and their route checks whole; only the tree
+    # count doubles, and the pencils' linear coefficients read the true one
+    inner = oc.adjugate_forms
+
+    def doubled(matrix, vectors=()):
+        det, diag, forms = inner(matrix, vectors)
+        return 2 * det, [2 * a for a in diag], [2 * f for f in forms]
+
+    monkeypatch.setattr(oc, "adjugate_forms", doubled)
+    g = build_crossed_chain(2)
+    oc._grounded_factor.cache_clear()
+    try:
+        assert (oc.kirchhoff_index(g), oc.degree_kirchhoff_index(g)) == (156, 2496)
+        assert oc.spanning_tree_count(g) == 2 * 113246208
+        with pytest.raises(ArithmeticError, match="tau routes disagree"):
+            oc.index_bundle(g)
+    finally:
+        oc._grounded_factor.cache_clear()
