@@ -9,8 +9,8 @@ characteristic-coefficient ratio) and the routes must agree exactly.
 The trailing route reads the integer pencils det(xI − L) for Kf and
 det(xD − L) = ∏d · det(xI − D⁻¹L), D the degrees, for Kf*, both from one
 elimination over Z[x, y]/(x³, xy, y³); their linear coefficients must
-agree on the spanning-tree count, and ``index_bundle`` checks that count
-against the grounded factor's determinant.
+agree on the spanning-tree count, and both resistance indices check that
+count against the grounded factor's determinant.
 The pairwise sums, single resistances and the spanning-tree count read
 the grounded Laplacian; the sums read one symmetric factor of it: its
 determinant, its adjugate's diagonal and quadratic forms of that
@@ -154,8 +154,19 @@ def kirchhoff_from_spectrum(g: Graph) -> Fraction:
     return g.vertex_count * _reciprocal_sums(g)[0]
 
 
+def _tree_count(g: Graph) -> int:
+    """τ, the grounded factor's det, once it equals |c1|/N and |c1|/(2|E|) of
+    the pencils, which catches a fault that scales det and the adjugate alike."""
+    tau = _grounded_factor(g)[1]
+    c1_x, c1_y = _reciprocal_sums(g)[2]
+    if abs(c1_x) != g.vertex_count * tau or abs(c1_y) != 2 * g.edge_count * tau:
+        raise ArithmeticError(f"tau routes disagree: factor {tau} vs pencils {c1_x}, {c1_y}")
+    return tau
+
+
 def kirchhoff_index(g: Graph) -> Fraction:
-    """Kirchhoff index; both computation routes must agree exactly."""
+    """Kirchhoff index; both routes, and τ's three readings, must agree exactly."""
+    _tree_count(g)
     return _agree("kirchhoff", kirchhoff_from_resistances(g), kirchhoff_from_spectrum(g))
 
 
@@ -171,7 +182,8 @@ def degree_kirchhoff_from_spectrum(g: Graph) -> Fraction:
 
 
 def degree_kirchhoff_index(g: Graph) -> Fraction:
-    """Degree-Kirchhoff index; both computation routes must agree exactly."""
+    """Degree-Kirchhoff index; both routes, and τ's three readings, must agree exactly."""
+    _tree_count(g)
     return _agree(
         "degree-kirchhoff",
         degree_kirchhoff_from_resistances(g),
@@ -189,7 +201,8 @@ def spanning_tree_count(g: Graph, drop=None) -> int:
     By default the determinant is the grounded factor's, which the
     resistance sums share.  The count is independent of which vertex is
     deleted; ``drop`` selects one explicitly and eliminates afresh
-    (mainly so tests can confirm the independence).
+    (mainly so tests can confirm the independence).  It reads the factor
+    alone, so unlike the resistance indices it does not check τ against the pencils.
     """
     if drop is None:
         count = _grounded_factor(g)[1]
@@ -301,11 +314,6 @@ class IndexBundle:
 
 
 def index_bundle(g: ChainGraph) -> IndexBundle:
-    """The full exact bundle of a chain graph.  τ, the grounded factor's
-    det, must equal |c1|/N and |c1|/(2|E|) of the pencils, which catches a
-    fault that scales det and the adjugate alike (ArithmeticError)."""
-    kf, kf_star, tau = kirchhoff_index(g), degree_kirchhoff_index(g), spanning_tree_count(g)
-    c1_x, c1_y = _reciprocal_sums(g)[2]
-    if abs(c1_x) != g.vertex_count * tau or abs(c1_y) != 2 * g.edge_count * tau:
-        raise ArithmeticError(f"tau routes disagree: factor {tau} vs pencils {c1_x}, {c1_y}")
+    """The full exact bundle of a chain graph, τ read by ``_tree_count``."""
+    kf, kf_star, tau = kirchhoff_index(g), degree_kirchhoff_index(g), _tree_count(g)
     return IndexBundle(g.n, kf, kf_star, tau, wiener_index(g), gutman_index(g))

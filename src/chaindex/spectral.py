@@ -23,7 +23,7 @@ full degree.  No claim reads the rational views ``norm_sum`` and
 
 Each size has one ``MirrorBlocks``, shared while anyone holds it, and each
 block memoizes its continuant sweeps, so every function of one size
-reads the same minors.
+reads the same minors; a sweep runs in integers, one ``Fraction`` per minor.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, zip_longest
+from math import gcd, lcm
 from operator import mul
 from typing import Iterator, NamedTuple
 
@@ -52,7 +53,8 @@ class TriDiagSym:
     Entries are ints or Fractions; an integer block's minors and ``_pencil``
     steps are ints.  Every minor is read from one memoized continuant sweep
     per start row; returned lists are copies, and the memo leaves ``==``
-    and ``hash`` alone.
+    and ``hash`` alone.  Sweeps run on the integer rows of ``_cleared``, so
+    an integer block builds no ``Fraction`` and a rational block one per minor.
     """
 
     diag: tuple
@@ -94,16 +96,33 @@ class TriDiagSym:
         """Start row i -> ``_sweep(i)``, filled on first use."""
         return {}
 
+    @cached_property
+    def _cleared(self) -> tuple:
+        """(s_k·a_k, s_k·s_{k+1}·o_k, s_k): row k scaled to ints by s_1 = den(a_1),
+        s_k = lcm(den(a_k), den(s_{k-1}·o_{k-1})); scales all 1 are stored as None."""
+        scales, s = [], 1
+        for a, o in zip(self.diag, (1,) + self.offdiag_sq):
+            s = lcm(a.denominator, o.denominator // gcd(s, o.denominator))
+            scales.append(s)
+        return (
+            tuple(s // a.denominator * a.numerator for a, s in zip(self.diag, scales)),
+            tuple(s * t // o.denominator * o.numerator
+                  for o, s, t in zip(self.offdiag_sq, scales, scales[1:])),
+            None if all(s == 1 for s in scales) else scales,
+        )
+
     def _sweep(self, i: int) -> tuple:
-        """Leading minors of the block after row i, orders 0..dim-i, by the continuant."""
+        """Leading minors of the block after row i, orders 0..dim-i, by the integer
+        continuant of ``_cleared``, minor r then over its rows' scales s_{i+1}⋯s_{i+r}."""
         sweep = self._sweeps.get(i)
         if sweep is None:
-            minors = [1]
-            for k in range(i, self.dim):
-                minors.append(
-                    self.diag[k] * minors[-1]
-                    - (self.offdiag_sq[k - 1] * minors[-2] if k > i else 0)
-                )
+            diag, offdiag_sq, scales = self._cleared
+            minors, prev, cur = [1], 0, 1
+            for a, o in zip(diag[i:], (0,) + offdiag_sq[i:]):
+                prev, cur = cur, a * cur - o * prev
+                minors.append(cur)
+            if scales is not None:
+                minors = map(Fraction, minors, accumulate(scales[i:], mul, initial=1))
             sweep = self._sweeps[i] = tuple(minors)
         return sweep
 
@@ -487,8 +506,8 @@ def class_pairs(n: int, p: int, q: int) -> Iterator[tuple[int, int]]:
     m = 4 * n + 1
     return (
         (i, j)
-        for i in range(1, m + 1) if i % 4 == p
-        for j in range(i + 1, m + 1) if j % 4 == q
+        for i in range(1 + (p - 1) % 4, m + 1, 4)  # the least i >= 1 in class p, then every 4th
+        for j in range(i + 1 + (q - i - 1) % 4, m + 1, 4)
     )
 
 

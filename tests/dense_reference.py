@@ -13,6 +13,9 @@ package's kernels did before they became integer-only.
 share no code or method with the package at all;
 ``proper_leading_minor_vanishes`` reads the package's pivot contract
 from ``fraction_det`` of the leading blocks.
+``continuant_minors`` is the continuant ``TriDiagSym`` swept in its
+entries' own arithmetic, three ``Fraction`` operations per minor of a
+rational block, before it swept the integers of its row-scaled form.
 ``fresh_interior_det`` and ``pair_class_sum`` are the per-pair routes the
 spectral layer used before it memoized interior sweeps and summed each
 residue class in one recurrence; ``fraction_pair_class_sum`` is that
@@ -324,18 +327,27 @@ def random_walk_laplacian(g, order=None) -> list[list[Fraction]]:
     return [[Fraction(e, row[i]) for e in row] for i, row in enumerate(rows)]
 
 
+def continuant_minors(diag, offdiag_sq) -> list:
+    """Leading minors, orders 0..dim, of the symmetric tridiagonal matrix with
+    this diagonal and these squared off-diagonals, by the continuant in the
+    entries' own arithmetic."""
+    minors = [1]
+    for k in range(len(diag)):
+        minors.append(diag[k] * minors[-1] - (offdiag_sq[k - 1] * minors[-2] if k > 0 else 0))
+    return minors
+
+
 def fresh_interior_det(tridiag, i: int, j: int) -> Fraction:
     """Interior minor (i, j) as a fresh continuant of the block strictly between."""
-    block = spectral.TriDiagSym(tridiag.diag[i : j - 1], tridiag.offdiag_sq[i : j - 2])
-    return block.leading_minors()[-1]
+    return continuant_minors(tridiag.diag[i : j - 1], tridiag.offdiag_sq[i : j - 2])[-1]
 
 
 def pair_class_sum(n: int, p: int, q: int) -> Fraction:
     """Residue-class sum of two-deleted minors of the normalized sum block,
     one triple product L[i-1] * I(i, j) * T[m-j] per pair."""
     norm_sum = spectral.mirror_blocks(n).norm_sum
-    leading = norm_sum.leading_minors()
-    trailing = norm_sum.trailing_minors()
+    leading = continuant_minors(norm_sum.diag, norm_sum.offdiag_sq)
+    trailing = continuant_minors(norm_sum.diag[::-1], norm_sum.offdiag_sq[::-1])
     m = norm_sum.dim
     return sum(
         (leading[i - 1] * fresh_interior_det(norm_sum, i, j) * trailing[m - j]
@@ -349,8 +361,8 @@ def fraction_pair_class_sum(n: int, p: int, q: int) -> Fraction:
     normalized block: W_j, the sum of L[i-1] * I(i, j) over i < j in class
     p, obeys the interior continuant plus L[j-1] when j is in class p."""
     norm_sum = spectral.mirror_blocks(n).norm_sum
-    leading = norm_sum.leading_minors()
-    trailing = norm_sum.trailing_minors()
+    leading = continuant_minors(norm_sum.diag, norm_sum.offdiag_sq)
+    trailing = continuant_minors(norm_sum.diag[::-1], norm_sum.offdiag_sq[::-1])
     diag, off_sq = norm_sum.diag, (0,) + norm_sum.offdiag_sq  # d_j, s_{j-1} at index j-1
     m = norm_sum.dim
     total = w_prev = w = Fraction(0)  # W_{j-1} and W_j

@@ -1,3 +1,4 @@
+import random
 import tracemalloc
 from fractions import Fraction
 from functools import partial
@@ -8,6 +9,7 @@ from dense_reference import adjugate, dense_det_bareiss, dict_bfs, laplacian
 from hypothesis import example, given
 from hypothesis import strategies as st
 from test_kernel_differential import BOUNDED
+from test_properties import random_connected_graph
 
 from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain, linalg
 from chaindex import oracles as oc
@@ -485,20 +487,30 @@ def test_a_fault_in_one_half_of_the_fused_step_breaks_the_tree_count(monkeypatch
 def test_a_fault_that_scales_det_and_adjugate_alike_breaks_the_bundle(monkeypatch):
     # every resistance is a ratio of an adjugate form to det, so doubling
     # both leaves Kf and Kf* and their route checks whole; only the tree
-    # count doubles, and the pencils' linear coefficients read the true one
+    # count doubles, and the pencils' linear coefficients read the true one,
+    # so both single indices and the bundle raise, on chains and on any graph
     inner = oc.adjugate_forms
 
     def doubled(matrix, vectors=()):
         det, diag, forms = inner(matrix, vectors)
         return 2 * det, [2 * a for a in diag], [2 * f for f in forms]
 
+    chain = build_crossed_chain(2)
+    other = random_connected_graph(random.Random(29), 14, 9)
+    expected = {g: (oc.kirchhoff_index(g), oc.degree_kirchhoff_index(g),
+                    oc.spanning_tree_count(g)) for g in (chain, other)}
+    assert expected[chain] == (156, 2496, 113246208)
     monkeypatch.setattr(oc, "adjugate_forms", doubled)
-    g = build_crossed_chain(2)
-    oc._grounded_factor.cache_clear()
     try:
-        assert (oc.kirchhoff_index(g), oc.degree_kirchhoff_index(g)) == (156, 2496)
-        assert oc.spanning_tree_count(g) == 2 * 113246208
+        for g, (kf, kf_star, tau) in expected.items():
+            oc._grounded_factor.cache_clear()
+            assert (oc.kirchhoff_from_resistances(g), oc.degree_kirchhoff_from_resistances(g)) == \
+                (kf, kf_star)
+            assert oc.spanning_tree_count(g) == 2 * tau
+            for index in (oc.kirchhoff_index, oc.degree_kirchhoff_index):
+                with pytest.raises(ArithmeticError, match="tau routes disagree"):
+                    index(g)
         with pytest.raises(ArithmeticError, match="tau routes disagree"):
-            oc.index_bundle(g)
+            oc.index_bundle(chain)
     finally:
         oc._grounded_factor.cache_clear()

@@ -9,9 +9,11 @@ agree with it by construction, whatever the kernel did.  In the same way,
 ``dense_reference`` must not step the spectral pencil continuant that
 its interpolated pencil checks: it reads none of ``char_poly``,
 ``sum_block_tails`` and ``_pencil`` from ``chaindex.spectral`` or as an
-attribute.  Nor does it read ``laplacian_rows``: its dense ``laplacian``
-is written out from the edge set, so a test comparing the rows with it
-does not compare them with themselves.
+attribute.  Nor does it step ``TriDiagSym``'s continuant sweeps
+(``leading_minors``, ``trailing_minors``, ``interior_det``, ``_sweep``),
+which its ``continuant_minors`` checks, or read ``laplacian_rows``: its
+dense ``laplacian`` is written out from the edge set, so a test comparing
+the rows with it does not compare them with themselves.
 
 The kernel tests (``test_linalg``, ``test_kernel_differential``,
 ``test_properties``) call the kernels to check them against references,
@@ -31,6 +33,7 @@ REFERENCE = TESTS / "dense_reference.py"
 KERNEL_TESTS = {"test_linalg.py", "test_kernel_differential.py", "test_properties.py", "test_graphs.py"}
 KERNELS = {"_eliminate", "det_bareiss", "char_poly_tails", "adjugate_forms"}
 PENCILS = {"char_poly", "sum_block_tails", "_pencil"}
+SWEEPS = {"leading_minors", "trailing_minors", "interior_det", "_sweep"}
 ROW_BUILDERS = {"laplacian_rows"}
 
 
@@ -57,6 +60,7 @@ def test_references_use_no_kernel_they_check():
     tree = ast.parse(REFERENCE.read_text(), str(REFERENCE))
     assert kernel_uses(tree) == []
     assert pencil_uses(tree) == []
+    assert kernel_uses(tree, module="chaindex.spectral", kernels=SWEEPS) == []
     assert kernel_uses(tree, kernels=ROW_BUILDERS) == []
 
 
@@ -114,6 +118,14 @@ def test_pencil_guard_rejects_a_block_char_poly():
                "from chaindex.spectral import _pencil")
     assert sorted(pencil_uses(ast.parse(snippet))) == [
         "line 2: attribute char_poly", "line 3: import _pencil"]
+
+
+def test_sweep_guard_rejects_minors_read_from_a_block():
+    snippet = ("def fresh_interior_det(tridiag, i, j):\n"
+               "    block = spectral.TriDiagSym(tridiag.diag[i:j - 1], tridiag.offdiag_sq[i:j - 2])\n"
+               "    return block.leading_minors()[-1]")
+    assert kernel_uses(ast.parse(snippet), module="chaindex.spectral", kernels=SWEEPS) == [
+        "line 3: attribute leading_minors"]
 
 
 def test_pencil_guard_accepts_the_interpolated_char_poly():

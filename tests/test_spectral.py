@@ -8,10 +8,12 @@ from math import prod
 
 import pytest
 from dense_reference import (
-    char_poly, dense_det_bareiss, fraction_interior_det_closed, fraction_pair_class_sum,
-    fresh_interior_det, hand_normalized_blocks, leverrier_char_poly, pair_class_sum,
-    dense, laplacian, pencil_char_poly, random_walk_laplacian,
+    char_poly, continuant_minors, dense_det_bareiss, fraction_interior_det_closed,
+    fraction_pair_class_sum, fresh_interior_det, hand_normalized_blocks, leverrier_char_poly,
+    pair_class_sum, dense, laplacian, pencil_char_poly, random_walk_laplacian,
 )
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from chaindex import Vertex, build_crossed_chain, build_plain_chain
 from chaindex import spectral as sp
@@ -47,6 +49,60 @@ def test_integer_block_has_integer_minors():
     assert block.interior_det(1, 3) == 3
     minors = block.leading_minors() + block.trailing_minors() + [block.interior_det(1, 3)]
     assert all(type(v) is int for v in minors)
+
+
+def test_integer_block_sweeps_build_no_fraction(monkeypatch):
+    class NoFraction(Fraction):
+        def __new__(cls, *args):
+            raise AssertionError(f"an integer block built Fraction{args}")
+
+    monkeypatch.setattr(sp, "Fraction", NoFraction)
+    lap_sum = sp.mirror_blocks(3).lap_sum
+    for block in (sp.TriDiagSym((0, -3, 2, 0, 5), (4, 0, 1, 9)),
+                  sp.TriDiagSym(lap_sum.diag, lap_sum.offdiag_sq)):
+        minors = block.leading_minors() + block.trailing_minors() + [
+            block.interior_det(i, j) for i in range(1, block.dim + 1)
+            for j in range(i + 1, block.dim + 1)]
+        assert all(type(v) is int for v in minors)
+    assert block.leading_minors() == continuant_minors(lap_sum.diag, lap_sum.offdiag_sq)
+
+
+BOUNDED = settings(max_examples=120, deadline=None, database=None, derandomize=True)
+ints = st.integers(-6, 6)
+squares = st.integers(0, 6)
+
+
+@st.composite
+def tridiagonals(draw, rational=True):
+    # mixed int/Fraction entries, or ints alone; zero and negative diagonal
+    # entries and zero squared off-diagonals all occur
+    def entry(whole):
+        if rational and draw(st.booleans()):
+            return Fraction(draw(whole), draw(st.integers(1, 6)))
+        return draw(whole)
+
+    dim = draw(st.integers(0, 8))
+    return sp.TriDiagSym(tuple(entry(ints) for _ in range(dim)),
+                         tuple(entry(squares) for _ in range(dim - 1)))
+
+
+@BOUNDED
+@given(st.one_of(tridiagonals(), tridiagonals(rational=False)))
+@example(sp.TriDiagSym((), ()))
+@example(sp.TriDiagSym((Fraction(-2, 3),), ()))
+@example(sp.TriDiagSym((0, Fraction(1, 2)), (Fraction(0),)))
+@example(sp.TriDiagSym((Fraction(1, 2), 3), (Fraction(5, 6),)))
+@example(sp.TriDiagSym((0, 0, 0), (0, 0)))
+def test_sweeps_match_the_fraction_continuant(block):
+    diag, offdiag_sq, m = block.diag, block.offdiag_sq, block.dim
+    assert block.leading_minors() == continuant_minors(diag, offdiag_sq)
+    assert block.trailing_minors() == continuant_minors(diag[::-1], offdiag_sq[::-1])
+    for i in range(1, m + 1):
+        fresh = continuant_minors(diag[i:], offdiag_sq[i:])
+        for j in range(i + 1, m + 1):
+            assert block.interior_det(i, j) == fresh[j - i - 1], (i, j)
+    if all(type(e) is int for e in diag + offdiag_sq):
+        assert all(type(v) is int for v in block.leading_minors() + block.trailing_minors())
 
 
 def test_interior_det_range_checks():
@@ -447,18 +503,20 @@ def test_integer_tails_and_pair_sums_match_fraction_routes_at_large_n(n):
 
 
 def normalized_minors_match_fraction_sweeps(n, row_step=1):
-    # the integer Laplacian minors over degree products against the
-    # continuant sweeps of a fresh Fraction block holding the view
+    # the integer Laplacian minors over degree products, and the view's own
+    # sweeps, against the Fraction continuant of the view from each start row
     blocks = sp.mirror_blocks(n)
-    fresh = sp.TriDiagSym(blocks.norm_sum.diag, blocks.norm_sum.offdiag_sq)
-    lap_sum, p, m = blocks.lap_sum, blocks.degree_prefix, fresh.dim
+    norm_sum, lap_sum, p = blocks.norm_sum, blocks.lap_sum, blocks.degree_prefix
+    diag, offdiag_sq, m = norm_sum.diag, norm_sum.offdiag_sq, norm_sum.dim
     leading, trailing = sp.norm_minor_sequences(n)
-    assert leading == fresh.leading_minors()[:m]
-    assert trailing == fresh.trailing_minors()[:m]
+    assert leading == continuant_minors(diag, offdiag_sq)[:m] == norm_sum.leading_minors()[:m]
+    assert trailing == continuant_minors(diag[::-1], offdiag_sq[::-1])[:m] == \
+        norm_sum.trailing_minors()[:m]
     for i in range(1, m + 1, row_step):
+        fresh = continuant_minors(diag[i:], offdiag_sq[i:])
         for j in range(i + 1, m + 1):
             assert Fraction(lap_sum.interior_det(i, j), p[j - 1] // p[i]) == \
-                fresh.interior_det(i, j), (i, j)
+                fresh[j - i - 1] == norm_sum.interior_det(i, j), (i, j)
 
 
 @pytest.mark.parametrize("n", range(1, 13))
@@ -732,6 +790,16 @@ def test_pair_sums_cover_all_pairs_once(n):
                 assert pair not in seen
                 seen.add(pair)
     assert len(seen) == m * (m - 1) // 2
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_class_pairs_step_through_each_residue_in_the_filtered_order(n):
+    m = 4 * n + 1
+    for p in range(4):
+        for q in range(4):
+            assert list(sp.class_pairs(n, p, q)) == [
+                (i, j) for i in range(1, m + 1) if i % 4 == p
+                for j in range(i + 1, m + 1) if j % 4 == q], (p, q)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
