@@ -73,14 +73,6 @@ class Graph:
     def degree(self, v) -> int:
         return len(self._adj[v])
 
-    def distances_from(self, source) -> dict:
-        """Breadth-first hop distances from ``source`` to every reachable vertex;
-        ValueError if ``source`` is not a vertex of the graph."""
-        if source not in self._pos:
-            raise ValueError(f"vertex {source!r} is not in the graph")
-        dist = self.hop_distances(self._pos[source])
-        return {v: d for v, d in zip(self.vertices, dist) if d >= 0}
-
     @cached_property
     def _index_adjacency(self) -> tuple:
         """Each vertex's neighbours as positions in the vertex order."""
@@ -106,7 +98,7 @@ class Graph:
 
     @cached_property
     def _connected(self) -> bool:
-        return not self.vertices or len(self.distances_from(self.vertices[0])) == len(self.vertices)
+        return not self.vertices or -1 not in self.hop_distances(0)
 
     def is_connected(self) -> bool:
         """Whether every vertex is reachable; one search per (immutable) graph."""

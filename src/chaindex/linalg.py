@@ -1,14 +1,15 @@
 """Exact linear algebra over arbitrary-precision integers.
 
 Every kernel takes symmetric integer matrices only, and floating point
-never appears.  Determinants, the adjugate's diagonal and quadratic
-forms, and the trailing coefficients of the pencils det(xI - M) and
-det(x*diag(s) - M) share one fraction-free (Bareiss) elimination on
-each row's upper envelope (George & Liu, 1981): its columns from the
-diagonal to its last nonzero.  Bareiss's intermediates are bordered
-minors, symmetric for a symmetric M, so nothing left of the diagonal is
-stored or updated; a matrix of bandwidth b costs O(n * b^2) time and
-O(n * b) entries, and a nonsymmetric one raises ValueError.  Step c
+never appears.  The package stores such a matrix one way, as an
+``Envelope``: each row's upper envelope (George & Liu, 1981), its
+columns from the diagonal to its last nonzero.  Determinants, the
+adjugate's diagonal and quadratic forms, and the trailing coefficients
+of the pencils det(xI - M) and det(x*diag(s) - M) share one
+fraction-free (Bareiss) elimination on those rows.  Bareiss's
+intermediates are bordered minors, symmetric for a symmetric M, so
+nothing left of the diagonal is stored or updated; a matrix of
+bandwidth b costs O(n * b^2) time and O(n * b) entries.  Step c
 pivots on row c, so the pivots are the leading principal minors, and
 the pivot contract is that every proper one is usable: nonzero, and for
 the pencils of nonzero constant term.  One that is not raises
@@ -25,11 +26,13 @@ reads the entries it needs inside the band of the symmetric factor
 (selected inversion).  No full characteristic polynomial is formed:
 ``spectral.factorization_holds`` certifies the mirror-block split on 2×2
 tiles of ``laplacian_rows``.  The one graph matrix built here is the
-integer Laplacian, row by row from adjacency (``laplacian_rows``); its
-degree-scaled forms are read as the pencil det(xD - L), never as a
-rational matrix.  No dense matrix is built here; the tests keep theirs
-in ``dense_reference``.  A dense matrix passed to a kernel is validated
-and converted to envelope rows once.
+integer Laplacian, as upper envelopes from adjacency
+(``laplacian_rows``); its degree-scaled forms are read as the pencil
+det(xD - L), never as a rational matrix.  No dense matrix is built here;
+the tests keep theirs in ``dense_reference``.  A dense matrix passed to
+a kernel is validated once, rejected with ValueError unless symmetric,
+and cut to upper envelopes; an ``Envelope`` is symmetric by
+construction, and the kernels read it as given.
 """
 
 from __future__ import annotations
@@ -45,25 +48,24 @@ class SingularMatrixError(ValueError):
 
 @dataclass(frozen=True)
 class Envelope:
-    """A square integer matrix stored by rows in envelope form.
+    """A symmetric integer matrix stored by its upper envelopes.
 
-    Row i is ``entries[i]`` from column ``offsets[i]`` on and zero outside
-    it, so a matrix of bandwidth b takes O(n * b) integers.  Built by
-    ``laplacian_rows``; every kernel takes it in place of a dense matrix.
-    Each row must lie inside the n columns and hold ints only, as a dense
-    matrix must; a bool becomes 0 or 1.  Both fields are stored as
-    tuples, so they stay as validated.
+    Row i is ``entries[i]``: its columns from i, the diagonal, which is
+    always stored, to its last nonzero; zero right of that.  Left of the
+    diagonal it mirrors the rows above, so the type is symmetric by
+    construction and a matrix of bandwidth b takes O(n * b) integers.
+    Built by ``laplacian_rows``; every kernel takes it in place of a dense
+    matrix and reads it as given.  Each row must be nonempty, lie inside
+    the n columns and hold ints only, as a dense matrix must; a bool
+    becomes 0 or 1.  Rows are stored as tuples, so they stay as validated.
     """
 
-    offsets: tuple
     entries: tuple
 
     def __post_init__(self) -> None:
-        offsets, entries = tuple(self.offsets), tuple(tuple(_int_row(e)) for e in self.entries)
-        if len(offsets) != len(entries) or any(type(o) is not int or o < 0 or o + len(e) > len(entries)
-                                               for o, e in zip(offsets, entries)):
+        entries = tuple(tuple(_int_row(e)) for e in self.entries)
+        if any(not e or i + len(e) > len(entries) for i, e in enumerate(entries)):
             raise ValueError("matrix is not square")
-        object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
@@ -81,44 +83,26 @@ def _int_row(row):
     return list(map(int, row))
 
 
-def _int_rows(matrix) -> tuple[list[int], list[list]]:
-    """(offsets, rows): a square integer matrix as fresh envelope rows.
+def _upper_rows(matrix) -> list[list]:
+    """Fresh upper envelopes of a symmetric integer matrix: each row from
+    its diagonal, kept even when it is 0, to its last nonzero.
 
-    An ``Envelope`` is copied as it is.  A dense matrix (n lists of n
-    entries) is validated once: a bool becomes 0 or 1 and any other
-    non-int entry raises ValueError; each row keeps the columns from its
-    first to its last nonzero (a zero row keeps none).
+    An ``Envelope``'s rows are copied.  A dense matrix (n lists of n
+    entries) is validated once, in this order: it must be square, a bool
+    becomes 0 or 1 and any other non-int entry raises ValueError, and it
+    must equal its transpose, since the kernels read the upper envelopes
+    alone.
     """
     if isinstance(matrix, Envelope):
-        return list(matrix.offsets), [list(e) for e in matrix.entries]
-    if any(len(row) != len(matrix) for row in matrix):
+        return [list(e) for e in matrix.entries]
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
-    offsets, rows = [], []
-    for i, row in enumerate(map(_int_row, matrix)):
-        nonzero = [j for j, e in enumerate(row) if e]
-        first, end = (nonzero[0], nonzero[-1] + 1) if nonzero else (i, i)
-        offsets.append(first)
-        rows.append(list(row[first:end]))
-    return offsets, rows
-
-
-def _upper_rows(matrix) -> list[list]:
-    """Each row of a symmetric integer matrix from its diagonal on, the
-    diagonal entry included even when it is 0.
-
-    ``matrix`` is dense or an ``Envelope``, validated by ``_int_rows``.
-    The kernels read these upper envelopes alone, so ValueError is raised
-    unless the nonzeros left of the diagonal, mirrored, are exactly those
-    right of it.
-    """
-    offsets, rows = _int_rows(matrix)
-    upper = [(row[i - o:] or [0]) if o <= i else [0] * (o - i) + row
-             for i, (o, row) in enumerate(zip(offsets, rows))]
-    lower = {(j, i, e) for i, (o, row) in enumerate(zip(offsets, rows))
-             for j, e in enumerate(row[:max(i - o, 0)], o) if e}
-    if lower != {(i, j, e) for i, u in enumerate(upper) for j, e in enumerate(u[1:], i + 1) if e}:
+    rows = [_int_row(row) for row in matrix]
+    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix is not symmetric")
-    return upper
+    return [list(row[i:max((j for j in range(i, n) if row[j]), default=i) + 1])
+            for i, row in enumerate(rows)]
 
 
 def _eliminate(rows: list, one, zero, unit, step, carried=None):
@@ -239,7 +223,7 @@ def det_bareiss(matrix) -> int:
 
     Bareiss's fraction-free elimination pivots on the diagonal and works
     only inside each row's upper envelope, so a matrix of bandwidth b
-    costs O(n * b^2).  A nonsymmetric matrix raises ValueError, and a
+    costs O(n * b^2).  A nonsymmetric dense matrix raises ValueError, and a
     vanishing proper leading principal minor raises
     SingularMatrixError: det([[0, 1], [1, 0]]) raises, det([[1, 1], [1, 1]]) is 0.
     """
@@ -297,7 +281,7 @@ def char_poly_tails(matrix, scale) -> tuple[tuple[int, int, int], tuple[int, int
     """Lowest three coefficients, ascending, of det(xI - M) and of
     det(x*diag(scale) - M).
 
-    M is a symmetric integer matrix (else ValueError), dense or an
+    M is a symmetric integer matrix, dense (else ValueError) or an
     ``Envelope``; ``scale`` holds one positive int per row.  Both tails
     come from one elimination of det(xI + y*diag(scale) - M) over
     Z[x, y]/(x^3, xy, y^3): y = 0 leaves the first pencil and x = 0 the
@@ -329,23 +313,21 @@ def laplacian_rows(g, order) -> Envelope:
     """The Laplacian's principal submatrix on the vertices of ``order``.
 
     ``order`` lists distinct vertices of g and fixes the row/column order;
-    leaving a vertex out grounds it.  Each row is built from the vertex's
-    adjacency, in O(degree) besides its envelope, which spans the row's
-    first to last nonzero.
+    leaving a vertex out grounds it.  Row i holds the vertex's degree and
+    then -1 at each neighbour placed later in ``order``, built from its
+    adjacency in O(degree) besides its upper envelope.
     """
     vs = tuple(order)
     pos = {v: i for i, v in enumerate(vs)}
     if len(pos) != len(vs) or not pos.keys() <= set(g.vertices):
         raise ValueError("order must list distinct vertices of the graph")
-    offsets, entries = [], []
+    entries = []
     for i, v in enumerate(vs):
         neighbors = g.neighbors(v)
-        cols = [pos[w] for w in neighbors if w in pos]
-        first = min(cols + [i])
-        row = [0] * (max(cols + [i]) + 1 - first)
-        for j in cols:
-            row[j - first] = -1
-        row[i - first] = len(neighbors)
-        offsets.append(first)
+        later = [pos[w] - i for w in neighbors if pos.get(w, -1) > i]
+        row = [0] * (max(later, default=0) + 1)
+        row[0] = len(neighbors)
+        for k in later:
+            row[k] = -1
         entries.append(row)
-    return Envelope(tuple(offsets), tuple(entries))
+    return Envelope(tuple(entries))

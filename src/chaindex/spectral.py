@@ -237,8 +237,10 @@ def _tiles_split_into(rows: Envelope, sum_block: TriDiagSym, diff: tuple) -> boo
     order with A - B = diag(diff) and A + B tridiagonal, carrying the sum
     block's diagonal and, in each pair of opposite off-diagonal entries, a
     product equal to its ``offdiag_sq``.  Rows 2i, 2i+1 and columns 2j, 2j+1
-    meet in the tile [[a, b], [b, a]] with a = A_ij and b = B_ij, so no row
-    may leave tile columns i-1..i+1, and off the diagonal tile a = b.
+    meet in the tile [[a, b], [b, a]] with a = A_ij and b = B_ij.  M is
+    symmetric, so upper rows 2i, 2i+1 hold all of tiles (i, i) and (i, i+1):
+    no row may reach past tile column i+1, and the off tile holds one
+    value e four times, with (2e)^2 = offdiag_sq[i].
     The tile form is the rail swap's invariance, so no separate check of
     the swap is needed.  With P = [[I, I], [I, -I]] in rail-block order,
     P M P^-1 = diag(A + B, A - B), and the characteristic polynomial of a
@@ -248,20 +250,17 @@ def _tiles_split_into(rows: Envelope, sum_block: TriDiagSym, diff: tuple) -> boo
     m = sum_block.dim
     if len(diff) != m or len(rows) != 2 * m:
         return False
-    above = None  # a + b of tile (i-1, i)
     for i in range(m):
-        lo, hi = max(i - 1, 0), min(i + 2, m)  # the band: tile columns lo..hi-1
-        pair = tuple(zip(rows.offsets[2 * i:2 * i + 2], rows.entries[2 * i:2 * i + 2]))
-        if any(o < 2 * lo or o + len(e) > 2 * hi for o, e in pair):
+        width = 4 if i + 1 < m else 2  # the columns of tiles i and i+1, if any
+        top, bottom = rows.entries[2 * i], rows.entries[2 * i + 1]
+        if len(top) > width or len(bottom) >= width:
             return False
-        top, bottom = ((0,) * (o - 2 * lo) + e + (0,) * (2 * hi - o - len(e)) for o, e in pair)
-        a, b, k = top[::2], top[1::2], i - lo  # k: the diagonal tile
-        sums = [x + y for x, y in zip(a, b)]
-        if (bottom[::2] != b or bottom[1::2] != a or sums[k] != sum_block.diag[i]
-                or [x - y for x, y in zip(a, b)] != [0] * k + [diff[i]] + [0] * (hi - i - 1)
-                or i and above * sums[0] != sum_block.offdiag_sq[i - 1]):
+        a, b, *off = top + (0,) * (width - len(top))
+        a_primed, *off_primed = bottom + (0,) * (width - 1 - len(bottom))
+        off += off_primed  # tile (i, i+1)
+        if (a_primed != a or a + b != sum_block.diag[i] or a - b != diff[i]
+                or off and (off != off[:1] * 4 or (2 * off[0]) ** 2 != sum_block.offdiag_sq[i])):
             return False
-        above = sums[-1]
     return True
 
 

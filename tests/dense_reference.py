@@ -45,7 +45,13 @@ guards that.
 envelope rows, now written out from the degrees and the edge set rather
 than expanded from ``laplacian_rows``, so it does not agree with the
 rows by construction; ``test_reference_independence`` guards that too.
-``dense`` expands envelope rows into the n x n matrix they stand for.
+``dense`` expands envelope rows into the n x n symmetric matrix they
+stand for, and ``envelope`` cuts a dense symmetric matrix to its upper
+rows, so a test can build an ``Envelope`` without the package's
+conversion.  ``splits_into_mirror_blocks`` is the mirror-block split the
+certificate ``spectral._tiles_split_into`` checks on 2x2 tiles, written
+entry by entry from the full matrix in rail-block order;
+``test_reference_independence`` keeps it off the certificate.
 ``random_walk_laplacian`` is the rational matrix D^-1 L the package built
 to certify the normalized mirror split before that split was derived
 from the integer Laplacian split and the rail degrees.
@@ -56,7 +62,7 @@ from fractions import Fraction
 from math import lcm, prod
 
 from chaindex import spectral
-from chaindex.linalg import Envelope, SingularMatrixError, _int_rows
+from chaindex.linalg import Envelope, SingularMatrixError
 
 
 def dense_det_bareiss(matrix) -> int:
@@ -112,11 +118,18 @@ def adjugate(matrix) -> tuple[int, list[list[int]]]:
     on [M | I], every row below the pivot updated at every step, leaving
     U X = R with U upper triangular and X = M^-1; every entry of
     adj M = det M * X is an integer, so back substitution divides
-    exactly.  Entries are validated as the package's kernels validate
-    them.  A singular M raises SingularMatrixError.
+    exactly.  Entries are validated with the package's texts: M must be
+    square, a bool counts as 0 or 1 and any other non-int entry raises
+    ValueError.  M need not be symmetric.  A singular M raises
+    SingularMatrixError.
     """
-    rows = dense(Envelope(*_int_rows(matrix)))
-    n = len(rows)
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    for entry in (e for row in matrix for e in row):
+        if not isinstance(entry, int):
+            raise ValueError(f"matrix entries must be int, got {entry!r}")
+    rows = [[int(e) for e in row] for row in matrix]
     aug = [row + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     sign, prev = 1, 1
     for c in range(n):
@@ -309,12 +322,49 @@ def laplacian(g, order=None) -> list[list[int]]:
 
 
 def dense(envelope) -> list[list[int]]:
-    """The matrix an ``Envelope`` stands for, as n lists of n ints."""
+    """The symmetric matrix an ``Envelope`` stands for, as n lists of n ints:
+    row i's upper envelope from column i on, mirrored below the diagonal."""
     n = len(envelope)
     mat = [[0] * n for _ in range(n)]
-    for row, o, e in zip(mat, envelope.offsets, envelope.entries):
-        row[o:o + len(e)] = e
+    for i, row in enumerate(envelope.entries):
+        for j, e in enumerate(row, i):
+            mat[i][j] = mat[j][i] = e
     return mat
+
+
+def envelope(matrix) -> Envelope:
+    """A dense symmetric integer matrix as an ``Envelope``: each row from its
+    diagonal, kept even when it is 0, to its last nonzero.  ValueError
+    unless the matrix is symmetric."""
+    if any(row[j] != matrix[j][i] for i, row in enumerate(matrix) for j in range(len(row))):
+        raise ValueError("matrix is not symmetric")
+    rows = []
+    for i, row in enumerate(matrix):
+        last = max((j for j, e in enumerate(row) if e and j >= i), default=i)
+        rows.append(row[i:last + 1])
+    return Envelope(tuple(rows))
+
+
+def splits_into_mirror_blocks(matrix, sum_block, diff) -> bool:
+    """Whether M, in mirror order (v_1, v_1', v_2, v_2', ...), is [[A, B], [B, A]]
+    in rail-block order with A - B = diag(diff) and A + B tridiagonal,
+    carrying ``sum_block``'s diagonal and, in each pair of opposite
+    off-diagonal entries, a product equal to its ``offdiag_sq``.  Read
+    entry by entry from the full matrix, which need not be symmetric."""
+    m = len(diff)
+    if len(matrix) != 2 * m or len(sum_block.diag) != m:
+        return False
+    rails = list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2))
+    blocked = [[matrix[r][c] for c in rails] for r in rails]
+    a, b = [row[:m] for row in blocked[:m]], [row[m:] for row in blocked[:m]]
+    if [row[m:] for row in blocked[m:]] != a or [row[:m] for row in blocked[m:]] != b:
+        return False
+    total = [[x + y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+    return ([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
+            == [[diff[i] if i == j else 0 for j in range(m)] for i in range(m)]
+            and all(total[i][j] == 0 for i in range(m) for j in range(m) if abs(i - j) > 1)
+            and [total[i][i] for i in range(m)] == list(sum_block.diag)
+            and [total[i][i + 1] * total[i + 1][i] for i in range(m - 1)] == list(sum_block.offdiag_sq))
 
 
 def random_walk_laplacian(g, order=None) -> list[list[Fraction]]:

@@ -191,13 +191,8 @@ def test_criterion_8_distance_adjudication(chains, full_report):
     consistent = True
     for n in range(1, 9):
         g = chains[n]
-        index = {v: k for k, v in enumerate(g.vertices)}
         size = g.vertex_count
-        dist = [[0] * size for _ in range(size)]
-        for v in g.vertices:
-            row = dist[index[v]]
-            for w, d in g.distances_from(v).items():
-                row[index[w]] = d
+        dist = [g.hop_distances(k) for k in range(size)]
         for a in range(size):
             for b in range(a + 1, size):
                 if dist[a][b] != dist[b][a]:

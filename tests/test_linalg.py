@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 from dense_reference import (
-    adjugate, char_poly, dense, laplacian, proper_leading_minor_vanishes, random_walk_laplacian,
+    adjugate, char_poly, dense, envelope, laplacian, proper_leading_minor_vanishes,
+    random_walk_laplacian,
 )
 from test_kernel_differential import outcome
 
@@ -105,30 +106,31 @@ def both_tails(matrix):
     return char_poly_tails(matrix, [1] * len(matrix))
 
 
-@pytest.mark.parametrize("offsets, entries", [
-    pytest.param((0, 0), ([2, 1], [3, 2]), id="pair-inside-both-envelopes"),
-    # (0, 2) holds 5, and row 2's envelope starts at column 1
-    pytest.param((0, 1, 1), ([1, 0, 5], [1], [0, 1]), id="mirror-left-of-an-envelope"),
-    pytest.param((1, 0), ([2], [3, 0]), id="envelope-right-of-its-diagonal"),
+@pytest.mark.parametrize("matrix", [
+    pytest.param([[2, 1], [3, 2]], id="pair-inside-both-envelopes"),
+    # (0, 2) holds 5, and row 2 is zero left of its diagonal
+    pytest.param([[1, 0, 5], [0, 1, 0], [0, 0, 1]], id="mirror-left-of-an-envelope"),
+    pytest.param([[0, 2], [3, 0]], id="envelope-right-of-its-diagonal"),
 ])
-def test_every_kernel_rejects_an_asymmetric_matrix(offsets, entries):
-    rows = Envelope(offsets, entries)
-    for matrix in (rows, dense(rows)):
-        for kernel in (det_bareiss, both_tails, adjugate_forms):
-            with pytest.raises(ValueError) as err:
-                kernel(matrix)
-            assert str(err.value) == "matrix is not symmetric"
-            assert not isinstance(err.value, SingularMatrixError)
+def test_every_kernel_rejects_an_asymmetric_matrix(matrix):
+    # an Envelope is symmetric by construction, so only a dense matrix can fail
+    for kernel in (det_bareiss, both_tails, adjugate_forms):
+        with pytest.raises(ValueError) as err:
+            kernel(matrix)
+        assert str(err.value) == "matrix is not symmetric"
+        assert not isinstance(err.value, SingularMatrixError)
 
 
-@pytest.mark.parametrize("offsets, entries", [
-    pytest.param((0, 0), ([2, 1], [1, 2]), id="pair-inside-both-envelopes"),
-    pytest.param((0, 1, 0), ([1, 0, 5], [1], [5, 0, 9]), id="zeros-inside-envelopes"),
-    pytest.param((1, 0, 0), ([2, 5], [2, 0, 1], [5, 1, 3]), id="envelope-right-of-its-diagonal"),
-    pytest.param((0, 2, 1), ([3], [], [0, 4]), id="empty-row"),
+@pytest.mark.parametrize("entries", [
+    pytest.param(([2, 1], [2]), id="pair-inside-both-envelopes"),
+    pytest.param(([1, 0, 5], [1], [9]), id="zeros-inside-envelopes"),
+    # row 0's first nonzero lies right of its diagonal, a stored 0
+    pytest.param(([0, 2, 5], [0, 1], [3]), id="envelope-right-of-its-diagonal"),
+    # row 1 holds only its diagonal, 0
+    pytest.param(([3], [0], [4]), id="empty-row"),
 ])
-def test_every_kernel_accepts_a_symmetric_envelope(offsets, entries):
-    rows = Envelope(offsets, entries)
+def test_every_kernel_accepts_a_symmetric_envelope(entries):
+    rows = Envelope(entries)
     for kernel in (det_bareiss, both_tails, adjugate_forms):
         assert outcome(kernel, rows) == outcome(kernel, dense(rows))
 
@@ -325,27 +327,37 @@ def test_char_poly_vs_bareiss_on_mirror_blocks():
 # --- envelope rows -----------------------------------------------------------
 
 
+def seeded_graph(seed, vertices, edge_count):
+    # shuffled labels, a random spanning tree, then random extra edges
+    rng = random.Random(seed)
+    labels = rng.sample(range(1, 10 * vertices), vertices)
+    edges = {tuple(sorted((labels[k], labels[rng.randrange(k)]))) for k in range(1, vertices)}
+    while len(edges) < edge_count:
+        edges.add(tuple(sorted(rng.sample(labels, 2))))
+    return Graph(labels, sorted(edges))
+
+
 @pytest.mark.parametrize("g", [build_crossed_chain(2), build_plain_chain(2),
-                               Graph("abcde", [("a", "c"), ("b", "e"), ("c", "e"), ("d", "a")])])
+                               Graph("abcde", [("a", "c"), ("b", "e"), ("c", "e"), ("d", "a")]),
+                               seeded_graph(3, 9, 14), seeded_graph(7, 36, 54)])
 def test_laplacian_rows_are_tight_envelopes_of_the_laplacian(g):
     # a grounded Laplacian is a principal submatrix of the reference's
-    order = g.band_order()
-    full = laplacian(g, order)
-    for lo, hi in ((0, len(order)), (0, len(order) - 1), (1, len(order))):
-        kept = order[lo:hi]
-        rows = laplacian_rows(g, kept)
-        assert len(rows) == len(kept)
-        assert dense(rows) == [row[lo:hi] for row in full[lo:hi]]
-        for i, (o, e) in enumerate(zip(rows.offsets, rows.entries)):
-            assert e[0] and e[-1] and o <= i < o + len(e)
-        # every kernel reads the envelope as it reads its dense expansion,
-        # and leaves it as it was
-        expanded, ones, twos = dense(rows), [[1] * len(kept)], [2] * len(kept)
-        assert det_bareiss(rows) == det_bareiss(expanded)
-        assert char_poly_tails(rows, twos) == char_poly_tails(expanded, twos)
-        if kept != order:  # the full Laplacian is singular
-            assert adjugate_forms(rows, ones) == adjugate_forms(expanded, ones)
-        assert dense(rows) == expanded
+    for order in (g.band_order(), sorted(g.vertices)):
+        full = laplacian(g, order)
+        for lo, hi in ((0, len(order)), (0, len(order) - 1), (1, len(order))):
+            kept = order[lo:hi]
+            rows = laplacian_rows(g, kept)
+            expanded = [row[lo:hi] for row in full[lo:hi]]
+            assert rows == envelope(expanded)  # cut at each row's last nonzero
+            assert dense(rows) == expanded
+            # every kernel reads the envelope as it reads its dense expansion,
+            # and leaves it as it was
+            ones, twos = [[1] * len(kept)], [2] * len(kept)
+            assert det_bareiss(rows) == det_bareiss(expanded)
+            assert char_poly_tails(rows, twos) == char_poly_tails(expanded, twos)
+            if kept != order:  # the full Laplacian is singular
+                assert adjugate_forms(rows, ones) == adjugate_forms(expanded, ones)
+            assert dense(rows) == expanded
 
 
 @pytest.mark.parametrize("order", [[0, 0], [0, 7], [5]])
@@ -355,28 +367,26 @@ def test_laplacian_rows_need_distinct_vertices_of_the_graph(order):
 
 
 def test_envelope_expands_zero_rows():
-    assert dense(Envelope((0, 1, 2), ([1, 2], [], [3]))) == [[1, 2, 0], [0, 0, 0], [0, 0, 3]]
+    for entries in (([1], [0], [3]), ([1, 0, 0], [0, 0], [3])):
+        assert dense(Envelope(entries)) == [[1, 0, 0], [0, 0, 0], [0, 0, 3]]
 
 
-@pytest.mark.parametrize("offsets, entries, text", [
-    pytest.param((0, 0), ((Fraction(1, 2), 1), (1, 3.0)), "matrix entries must be int, got Fraction(1, 2)",
+@pytest.mark.parametrize("entries, text", [
+    pytest.param(((Fraction(1, 2), 1), (3.0,)), "matrix entries must be int, got Fraction(1, 2)",
                  id="fraction"),
-    pytest.param((0, 0), ((1, 1), (1, 3.0)), "matrix entries must be int, got 3.0", id="float"),
-    pytest.param((0, -1), ((1,), (2,)), "matrix is not square", id="negative-offset"),
-    pytest.param((0, 2), ((1,), (2,)), "matrix is not square", id="offset-past-the-last-column"),
-    pytest.param((0, 1), ((1,), (2, 3)), "matrix is not square", id="row-past-the-last-column"),
-    pytest.param((0, True), ((1,), (2,)), "matrix is not square", id="bool-offset"),
-    pytest.param((0,), ((1,), (2,)), "matrix is not square", id="offset-count"),
+    pytest.param(((1, 1), (3.0,)), "matrix entries must be int, got 3.0", id="float"),
+    pytest.param(((1,), (2, 3)), "matrix is not square", id="row-past-the-last-column"),
+    pytest.param(((1, 2), ()), "matrix is not square", id="empty-row"),
 ])
-def test_envelope_rejects_what_a_dense_matrix_may_not_hold(offsets, entries, text):
+def test_envelope_rejects_what_a_dense_matrix_may_not_hold(entries, text):
     with pytest.raises(ValueError) as err:
-        Envelope(offsets, entries)
+        Envelope(entries)
     assert str(err.value) == text
     assert not isinstance(err.value, SingularMatrixError)
 
 
 def test_envelope_bool_entries_count_as_ints():
-    rows = Envelope((0, 1), ([True, False], [3]))
+    rows = Envelope(([True, False], [3]))
     assert dense(rows) == [[1, 0], [0, 3]]
     assert all(type(e) is int for row in rows.entries for e in row)
     assert type(det_bareiss(rows)) is int and det_bareiss(rows) == 3
@@ -429,16 +439,6 @@ def test_verify_pass_step_counts_repeat_exactly(ring_steps):
             tally[:] = [0, 0]
         run_verification(1, 10)
         assert ring_steps == {"series": [3670, 0], "int": [5730, 0]}
-
-
-def seeded_graph(seed, vertices, edge_count):
-    # shuffled labels, a random spanning tree, then random extra edges
-    rng = random.Random(seed)
-    labels = rng.sample(range(1, 10 * vertices), vertices)
-    edges = {tuple(sorted((labels[k], labels[rng.randrange(k)]))) for k in range(1, vertices)}
-    while len(edges) < edge_count:
-        edges.add(tuple(sorted(rng.sample(labels, 2))))
-    return Graph(labels, sorted(edges))
 
 
 def test_seeded_graph_pencil_head_steps_repeat_exactly(monkeypatch):

@@ -13,7 +13,10 @@ attribute.  Nor does it step ``TriDiagSym``'s continuant sweeps
 (``leading_minors``, ``trailing_minors``, ``interior_det``, ``_sweep``),
 which its ``continuant_minors`` checks, or read ``laplacian_rows``: its
 dense ``laplacian`` is written out from the edge set, so a test comparing
-the rows with it does not compare them with themselves.
+the rows with it does not compare them with themselves.  For the same
+reason its ``splits_into_mirror_blocks`` reads neither the certificate
+``_tiles_split_into`` nor ``factorization_holds`` from
+``chaindex.spectral``.
 
 The kernel tests (``test_linalg``, ``test_kernel_differential``,
 ``test_properties``) call the kernels to check them against references,
@@ -35,6 +38,7 @@ KERNELS = {"_eliminate", "det_bareiss", "char_poly_tails", "adjugate_forms"}
 PENCILS = {"char_poly", "sum_block_tails", "_pencil"}
 SWEEPS = {"leading_minors", "trailing_minors", "interior_det", "_sweep"}
 ROW_BUILDERS = {"laplacian_rows"}
+CERTIFICATE = {"_tiles_split_into", "factorization_holds"}
 
 
 def kernel_uses(tree: ast.AST, counted_through=(), module="chaindex.linalg",
@@ -62,6 +66,7 @@ def test_references_use_no_kernel_they_check():
     assert pencil_uses(tree) == []
     assert kernel_uses(tree, module="chaindex.spectral", kernels=SWEEPS) == []
     assert kernel_uses(tree, kernels=ROW_BUILDERS) == []
+    assert kernel_uses(tree, module="chaindex.spectral", kernels=CERTIFICATE) == []
 
 
 @pytest.mark.parametrize("path", sorted(
@@ -83,7 +88,7 @@ def test_guard_rejects_each_kernel_use(snippet):
 
 
 def test_guard_accepts_the_helpers_the_references_share():
-    snippet = "from chaindex.linalg import Envelope, SingularMatrixError, _int_rows"
+    snippet = "from chaindex.linalg import Envelope, SingularMatrixError"
     assert kernel_uses(ast.parse(snippet)) == []
     assert kernel_uses(ast.parse(snippet), kernels=ROW_BUILDERS) == []
 
@@ -93,6 +98,15 @@ def test_row_guard_rejects_a_laplacian_expanded_from_the_rows():
                "def laplacian(g, order):\n"
                "    return dense(linalg.laplacian_rows(g, order))")
     assert kernel_uses(ast.parse(snippet), kernels=ROW_BUILDERS) == ["line 3: attribute laplacian_rows"]
+
+
+def test_certificate_guard_rejects_a_split_read_from_the_certificate():
+    snippet = ("from chaindex import spectral\n"
+               "def splits_into_mirror_blocks(matrix, sum_block, diff):\n"
+               "    return spectral._tiles_split_into(envelope(matrix), sum_block, diff)\n"
+               "from chaindex.spectral import factorization_holds")
+    assert sorted(kernel_uses(ast.parse(snippet), module="chaindex.spectral", kernels=CERTIFICATE)) == [
+        "line 3: attribute _tiles_split_into", "line 4: import factorization_holds"]
 
 
 def test_guard_on_tests_rejects_a_minor_taken_with_a_kernel():

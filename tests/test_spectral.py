@@ -10,7 +10,8 @@ import pytest
 from dense_reference import (
     char_poly, continuant_minors, dense_det_bareiss, fraction_interior_det_closed,
     fraction_pair_class_sum, fresh_interior_det, hand_normalized_blocks, leverrier_char_poly,
-    pair_class_sum, dense, laplacian, pencil_char_poly, random_walk_laplacian,
+    pair_class_sum, dense, envelope, laplacian, pencil_char_poly, random_walk_laplacian,
+    splits_into_mirror_blocks,
 )
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +19,6 @@ from hypothesis import strategies as st
 from chaindex import Vertex, build_crossed_chain, build_plain_chain
 from chaindex import spectral as sp
 from chaindex.graphs import ChainGraph, Graph
-from chaindex.linalg import Envelope, _int_rows
 from chaindex.verify import verify_one
 
 
@@ -194,8 +194,8 @@ def traced(fn, arg):
 
 def test_certificate_memory_stays_linear():
     # Given the chain, the certificate's own work (the blocks, the mirror
-    # order and the width-6 envelope rows) peaks below a fifth of the
-    # chain's build, and both grow linearly in N.  The dense N x N certificate
+    # order and the upper envelopes, at most 4 entries each) peaks below a
+    # fifth of the chain's build, and both grow linearly in N.  The dense N x N certificate
     # peaked at 31 MiB at n = 200, more than 40 times this bound.
     for n in (200, 400):
         g, chain_peak = traced(build_crossed_chain, n)
@@ -321,7 +321,7 @@ def perturb_rows(monkeypatch, entries, builder=sp.laplacian_rows):
         mat = dense(builder(g, order))
         for (u, v), value in entries.items():
             mat[pos[u]][pos[v]] = mat[pos[v]][pos[u]] = value
-        return Envelope(*_int_rows(mat))
+        return envelope(mat)
 
     monkeypatch.setattr(sp, builder.__name__, perturbed)
 
@@ -369,6 +369,57 @@ def test_certificate_rejects_tile_inside_the_band(monkeypatch, entries):
     # A - B.
     perturb_rows(monkeypatch, entries)
     assert sp.factorization_holds(build_crossed_chain(2)) == (False, False)
+
+
+def perturbed(base, tiles=(), entries=()):
+    """A copy of a mirror-order matrix with each tile (p, q) of ``tiles`` and
+    its mirror (q, p) set to [[a, b], [b, a]], then each symmetric entry
+    (r, c) of ``entries`` set to its value."""
+    mat = [row[:] for row in base]
+    for p, q, a, b in tiles:
+        for r, c in ((p, q), (q, p)):
+            mat[2 * r][2 * c] = mat[2 * r + 1][2 * c + 1] = a
+            mat[2 * r][2 * c + 1] = mat[2 * r + 1][2 * c] = b
+    for r, c, value in entries:
+        mat[r][c] = mat[c][r] = value
+    return mat
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tiles_agree_with_the_dense_split(n):
+    # Seeded symmetric perturbations of the mirror-order Laplacian: the
+    # certificate on upper rows and the reference on the full matrix give
+    # the same verdict.  The named cases pin the verdict as well.
+    rng = random.Random(4099 + n)
+    g, blocks = build_crossed_chain(n), sp.mirror_blocks(n)
+    base = laplacian(g, sorted(g.vertices))
+    m = blocks.lap_sum.dim
+    i, last = rng.randrange(m - 1), 2 * m - 2  # last: the last tile row's first row
+    a, b = base[last][last], base[last][last + 1]
+    cases = [
+        ("intact", perturbed(base), True),
+        ("off-tile-sign-flipped", perturbed(base, [(i, i + 1, 1, 1)]), True),
+        ("only-a-equals-b-broken", perturbed(base, [(i, i + 1, -2, 0)]), False),
+        ("only-the-square-broken", perturbed(base, [(i, i + 1, -2, -2)]), False),
+        ("last-diagonal-tile-difference", perturbed(base, [(m - 1, m - 1, a + 1, b - 1)]), False),
+        ("last-primed-diagonal", perturbed(base, entries=[(last + 1, last + 1, a + 1)]), False),
+        ("last-tile-row-far-column", perturbed(base, [(m - 1, 0, -1, -1)]), False),
+    ]
+    for k in range(20):
+        # one mirrored tile near the band, which keeps the rail swap, and
+        # one symmetric entry anywhere
+        p = rng.randrange(m)
+        q = min(max(rng.randrange(m), p - 2), p + 2)
+        cases.append((f"tile-{k}", perturbed(base, [(p, q, rng.randint(-2, 2), rng.randint(-2, 2))]), None))
+        entry = (rng.randrange(2 * m), rng.randrange(2 * m), rng.randint(-2, 2))
+        cases.append((f"entry-{k}", perturbed(base, entries=[entry]), None))
+    verdicts = set()
+    for name, mat, verdict in cases:
+        expected = splits_into_mirror_blocks(mat, blocks.lap_sum, blocks.lap_diff)
+        assert sp._tiles_split_into(envelope(mat), blocks.lap_sum, blocks.lap_diff) == expected, name
+        assert verdict is None or expected == verdict, name
+        verdicts.add(expected)
+    assert verdicts == {True, False}
 
 
 def dense_sum_block(blocks):
