@@ -28,11 +28,9 @@ reads the entries it needs inside the band of the symmetric factor
 tiles of ``laplacian_rows``.  The one graph matrix built here is the
 integer Laplacian, as upper envelopes from adjacency
 (``laplacian_rows``); its degree-scaled forms are read as the pencil
-det(xD - L), never as a rational matrix.  No dense matrix is built here;
-the tests keep theirs in ``dense_reference``.  A dense matrix passed to
-a kernel is validated once, rejected with ValueError unless symmetric,
-and cut to upper envelopes; an ``Envelope`` is symmetric by
-construction, and the kernels read it as given.
+det(xD - L), never as a rational matrix.  No dense matrix is built or
+taken here: every kernel takes an ``Envelope``, symmetric by
+construction, and raises ValueError on anything else.
 """
 
 from __future__ import annotations
@@ -54,55 +52,37 @@ class Envelope:
     always stored, to its last nonzero; zero right of that.  Left of the
     diagonal it mirrors the rows above, so the type is symmetric by
     construction and a matrix of bandwidth b takes O(n * b) integers.
-    Built by ``laplacian_rows``; every kernel takes it in place of a dense
-    matrix and reads it as given.  Each row must be nonempty, lie inside
-    the n columns and hold ints only, as a dense matrix must; a bool
-    becomes 0 or 1.  Rows are stored as tuples, so they stay as validated.
+    Built by ``laplacian_rows``; it is the one matrix form every kernel
+    takes.  Each row must be nonempty, lie inside the n columns and hold
+    ints only; a bool becomes 0 or 1.  Rows are stored as tuples, so they
+    stay as validated.
     """
 
     entries: tuple
 
     def __post_init__(self) -> None:
-        entries = tuple(tuple(_int_row(e)) for e in self.entries)
+        entries = []
+        for row in self.entries:
+            if not set(map(type, row)) <= {int}:
+                for entry in row:
+                    if not isinstance(entry, int):
+                        raise ValueError(f"matrix entries must be int, got {entry!r}")
+                row = map(int, row)
+            entries.append(tuple(row))
         if any(not e or i + len(e) > len(entries) for i, e in enumerate(entries)):
             raise ValueError("matrix is not square")
-        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "entries", tuple(entries))
 
     def __len__(self) -> int:
         return len(self.entries)
 
 
-def _int_row(row):
-    """``row`` itself when every entry is an int, else a copy with each bool
-    made 0 or 1; any other entry raises ValueError."""
-    if set(map(type, row)) <= {int}:
-        return row
-    for entry in row:
-        if not isinstance(entry, int):
-            raise ValueError(f"matrix entries must be int, got {entry!r}")
-    return list(map(int, row))
-
-
 def _upper_rows(matrix) -> list[list]:
-    """Fresh upper envelopes of a symmetric integer matrix: each row from
-    its diagonal, kept even when it is 0, to its last nonzero.
-
-    An ``Envelope``'s rows are copied.  A dense matrix (n lists of n
-    entries) is validated once, in this order: it must be square, a bool
-    becomes 0 or 1 and any other non-int entry raises ValueError, and it
-    must equal its transpose, since the kernels read the upper envelopes
-    alone.
-    """
-    if isinstance(matrix, Envelope):
-        return [list(e) for e in matrix.entries]
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    rows = [_int_row(row) for row in matrix]
-    if any(rows[i][j] != rows[j][i] for i in range(n) for j in range(i)):
-        raise ValueError("matrix is not symmetric")
-    return [list(row[i:max((j for j in range(i, n) if row[j]), default=i) + 1])
-            for i, row in enumerate(rows)]
+    """Fresh copies of an ``Envelope``'s rows, which the elimination
+    consumes; anything else raises ValueError."""
+    if not isinstance(matrix, Envelope):
+        raise ValueError(f"the kernels take a linalg.Envelope, got {type(matrix).__name__}")
+    return [list(e) for e in matrix.entries]
 
 
 def _eliminate(rows: list, one, zero, unit, step, carried=None):
@@ -219,12 +199,11 @@ def _series_step(p: _Series, a: _Series, h: _Series, b: _Series, q: _Series) -> 
 
 
 def det_bareiss(matrix) -> int:
-    """Exact determinant of a symmetric integer matrix, dense or ``Envelope``.
+    """Exact determinant of a symmetric integer matrix, an ``Envelope``.
 
     Bareiss's fraction-free elimination pivots on the diagonal and works
     only inside each row's upper envelope, so a matrix of bandwidth b
-    costs O(n * b^2).  A nonsymmetric dense matrix raises ValueError, and a
-    vanishing proper leading principal minor raises
+    costs O(n * b^2).  A vanishing proper leading principal minor raises
     SingularMatrixError: det([[0, 1], [1, 0]]) raises, det([[1, 1], [1, 1]]) is 0.
     """
     return _eliminate(_upper_rows(matrix), 1, 0, bool, _int_step)
@@ -233,7 +212,7 @@ def det_bareiss(matrix) -> int:
 def adjugate_forms(matrix, vectors=()) -> tuple[int, list[int], list[int]]:
     """(det M, diag(adj M), [v·adj(M)·v for v in vectors]) of a symmetric integer M.
 
-    M is dense or an ``Envelope``.  Every pivot is taken on the diagonal,
+    M is an ``Envelope``.  Every pivot is taken on the diagonal,
     so row k at its own step is row k of the fraction-free factor
     M = Uᵀ·diag(1/(p_{k-1}·p_k))·U, with pivot p_k = U_kk (p_{-1} = 1,
     det = p_{N-1}).  The vectors ride along as carried columns.
@@ -281,11 +260,11 @@ def char_poly_tails(matrix, scale) -> tuple[tuple[int, int, int], tuple[int, int
     """Lowest three coefficients, ascending, of det(xI - M) and of
     det(x*diag(scale) - M).
 
-    M is a symmetric integer matrix, dense (else ValueError) or an
-    ``Envelope``; ``scale`` holds one positive int per row.  Both tails
-    come from one elimination of det(xI + y*diag(scale) - M) over
-    Z[x, y]/(x^3, xy, y^3): y = 0 leaves the first pencil and x = 0 the
-    second, so only the wanted coefficients are ever formed.  Pivots are
+    M is a symmetric integer matrix, an ``Envelope``; ``scale`` holds one
+    positive int per row.  Both tails come from one elimination of
+    det(xI + y*diag(scale) - M) over Z[x, y]/(x^3, xy, y^3): y = 0 leaves
+    the first pencil and x = 0 the second, so only the wanted
+    coefficients are ever formed.  Pivots are
     taken on the diagonal, and each but the last needs a nonzero constant
     term, ± a proper leading principal minor of M.  One that vanishes
     raises SingularMatrixError, as does any M of rank below n - 1.

@@ -314,6 +314,9 @@ class IndexBundle:
 
 
 def index_bundle(g: ChainGraph) -> IndexBundle:
-    """The full exact bundle of a chain graph, τ read by ``_tree_count``."""
+    """The full exact bundle of a chain graph, τ read by ``_tree_count``.
+    A g that is not a ``ChainGraph`` raises ValueError before any oracle runs."""
+    if not isinstance(g, ChainGraph):
+        raise ValueError("the index bundle is defined for chain graphs")
     kf, kf_star, tau = kirchhoff_index(g), degree_kirchhoff_index(g), _tree_count(g)
     return IndexBundle(g.n, kf, kf_star, tau, wiener_index(g), gutman_index(g))

@@ -47,11 +47,14 @@ than expanded from ``laplacian_rows``, so it does not agree with the
 rows by construction; ``test_reference_independence`` guards that too.
 ``dense`` expands envelope rows into the n x n symmetric matrix they
 stand for, and ``envelope`` cuts a dense symmetric matrix to its upper
-rows, so a test can build an ``Envelope`` without the package's
-conversion.  ``splits_into_mirror_blocks`` is the mirror-block split the
-certificate ``spectral._tiles_split_into`` checks on 2x2 tiles, written
-entry by entry from the full matrix in rail-block order;
-``test_reference_independence`` keeps it off the certificate.
+rows.  The kernels take an ``Envelope`` only, so ``envelope`` is the one
+dense -> ``Envelope`` conversion: every test that hands a kernel a dense
+matrix passes it through here, and a ragged, non-square or asymmetric
+matrix raises ValueError.  ``splits_into_mirror_blocks`` is the
+mirror-block split the certificate ``spectral._tiles_split_into``
+checks on 2x2 tiles, written entry by entry from the full matrix in
+rail-block order; ``test_reference_independence`` keeps it off the
+certificate.
 ``random_walk_laplacian`` is the rational matrix D^-1 L the package built
 to certify the normalized mirror split before that split was derived
 from the integer Laplacian split and the rail degrees.
@@ -335,8 +338,12 @@ def dense(envelope) -> list[list[int]]:
 def envelope(matrix) -> Envelope:
     """A dense symmetric integer matrix as an ``Envelope``: each row from its
     diagonal, kept even when it is 0, to its last nonzero.  ValueError
-    unless the matrix is symmetric."""
-    if any(row[j] != matrix[j][i] for i, row in enumerate(matrix) for j in range(len(row))):
+    unless the matrix is n lists of n entries and symmetric; the
+    ``Envelope`` then rejects entries that are not ints."""
+    n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
+    if any(row[j] != matrix[j][i] for i, row in enumerate(matrix) for j in range(i)):
         raise ValueError("matrix is not symmetric")
     rows = []
     for i, row in enumerate(matrix):

@@ -4,10 +4,10 @@
 Bareiss copy, Fraction Gaussian elimination and the interpolated pencils
 det(xI - M) and det(x*diag(s) - M) in ``dense_reference``; the
 interpolated pencil is itself checked against the Faddeev-LeVerrier
-recurrence.  Every kernel takes symmetric matrices only: a drawn matrix
-must be rejected with the symmetry ValueError unless it is symmetric,
-the references are compared on it as drawn, and the kernels on the
-symmetric matrix that shares its lower triangle (``symmetrized``).
+recurrence.  Every kernel takes an ``Envelope`` only: the references
+are compared on a drawn matrix as drawn, and the kernels on the
+``envelope`` of the symmetric matrix that shares its lower triangle
+(``symmetrized``).
 The kernels pivot on the diagonal, so each check also
 holds them to the pivot contract: they raise SingularMatrixError
 exactly when a proper leading principal minor vanishes (judged by
@@ -46,6 +46,7 @@ from dense_reference import (
     adjugate,
     char_poly,
     dense_det_bareiss,
+    envelope,
     fraction_det,
     fraction_inverse,
     fraction_rank,
@@ -164,37 +165,26 @@ def outcome(kernel, *args):
         return SingularMatrixError
 
 
-def rejects_asymmetry(kernel, m, *args) -> None:
-    """kernel raises the symmetry ValueError on m unless m is symmetric."""
-    if symmetrized(m) != m:
-        with pytest.raises(ValueError, match="not symmetric") as err:
-            kernel(m, *args)
-        assert not isinstance(err.value, SingularMatrixError)
-
-
 def check_det(m) -> None:
     """Fraction elimination and the dense Bareiss copy agree on m, symmetric
-    or not; det_bareiss rejects m unless it is symmetric and, on the
-    symmetric matrix with m's lower triangle, equals both references or
-    raises SingularMatrixError exactly when a proper leading minor vanishes."""
+    or not; on the symmetric matrix with m's lower triangle det_bareiss
+    equals both references or raises SingularMatrixError exactly when a
+    proper leading minor vanishes."""
     assert dense_det_bareiss(m) == fraction_det(m)
-    rejects_asymmetry(det_bareiss, m)
     m = symmetrized(m)
     expected = fraction_det(m)
     assert dense_det_bareiss(m) == expected
-    assert outcome(det_bareiss, m) == \
+    assert outcome(det_bareiss, envelope(m)) == \
         (SingularMatrixError if proper_leading_minor_vanishes(m) else expected)
 
 
 def check_tail(m, s) -> None:
-    """char_poly_tails rejects m unless it is symmetric and, on the
-    symmetric matrix with m's lower triangle, equals the interpolated
-    pencils with s = 1 and with s, or raises SingularMatrixError exactly
-    when a proper leading minor vanishes."""
-    rejects_asymmetry(char_poly_tails, m, s)
+    """On the symmetric matrix with m's lower triangle char_poly_tails
+    equals the interpolated pencils with s = 1 and with s, or raises
+    SingularMatrixError exactly when a proper leading minor vanishes."""
     m = symmetrized(m)
     expected = tuple(tuple(padded(pencil_char_poly(m, scale), 3)) for scale in ([1] * len(m), s))
-    assert outcome(char_poly_tails, m, s) == \
+    assert outcome(char_poly_tails, envelope(m), s) == \
         (SingularMatrixError if proper_leading_minor_vanishes(m) else expected)
 
 
@@ -224,13 +214,13 @@ def test_det_of_banded_matrix(m):
 @BOUNDED
 @given(small_ints)
 def test_det_of_1x1(a):
-    assert det_bareiss([[a]]) == a
+    assert det_bareiss(envelope([[a]])) == a
 
 
 def test_empty_matrix():
-    assert det_bareiss([]) == 1
+    assert det_bareiss(envelope([])) == 1
     assert char_poly([]) == [Fraction(1)]
-    assert char_poly_tails([], []) == ((1, 0, 0), (1, 0, 0))
+    assert char_poly_tails(envelope([]), []) == ((1, 0, 0), (1, 0, 0))
 
 
 # --- adjugates ----------------------------------------------------------------
@@ -303,6 +293,16 @@ def reference_forms(m, vectors):
         sum(v[i] * adj[i][j] * v[j] for i in range(n) for j in range(n)) for v in vectors]
 
 
+def check_adjugate(m, vectors) -> None:
+    """On the symmetric matrix with m's lower triangle adjugate_forms equals
+    the reference, or raises SingularMatrixError exactly when a proper
+    leading minor or the determinant vanishes."""
+    m = symmetrized(m)
+    raises = proper_leading_minor_vanishes(m) or fraction_det(m) == 0
+    assert outcome(adjugate_forms, envelope(m), vectors) == \
+        (SingularMatrixError if raises else reference_forms(m, vectors))
+
+
 def check_forms(m, vectors) -> bool:
     """adjugate_forms equals the reference, or both raise SingularMatrixError;
     True when the matrix is nonsingular."""
@@ -310,9 +310,9 @@ def check_forms(m, vectors) -> bool:
         expected = reference_forms(m, vectors)
     except SingularMatrixError:
         with pytest.raises(SingularMatrixError):
-            adjugate_forms(m, vectors)
+            adjugate_forms(envelope(m), vectors)
         return False
-    assert adjugate_forms(m, vectors) == expected
+    assert adjugate_forms(envelope(m), vectors) == expected
     return True
 
 
@@ -341,12 +341,12 @@ def test_adjugate_forms_on_grounded_laplacians(g, extra):
 
 
 def test_adjugate_forms_explicit_cases():
-    assert adjugate_forms([]) == (1, [], [])
-    assert adjugate_forms([], [[]]) == (1, [], [0])
-    assert adjugate_forms([[5]], [[2], [0]]) == (5, [1], [4, 0])
+    assert adjugate_forms(envelope([])) == (1, [], [])
+    assert adjugate_forms(envelope([]), [[]]) == (1, [], [0])
+    assert adjugate_forms(envelope([[5]]), [[2], [0]]) == (5, [1], [4, 0])
     with pytest.raises(SingularMatrixError):
-        adjugate_forms([[0]], [[1]])
-    path = [[2, -1, 0], [-1, 2, -1], [0, -1, 2]]
+        adjugate_forms(envelope([[0]]), [[1]])
+    path = envelope([[2, -1, 0], [-1, 2, -1], [0, -1, 2]])
     assert adjugate_forms(path, [[0, 0, 0], [1, 1, 1]]) == (4, [3, 4, 3], [0, 20])
     # a disconnected graph's grounded Laplacian is singular for both routes
     apart = grounded(laplacian(Graph(range(5), [(0, 1), (1, 2), (3, 4)])))
@@ -357,14 +357,13 @@ def test_adjugate_forms_explicit_cases():
 
 
 def test_adjugate_forms_rejects_bad_input():
-    with pytest.raises(ValueError, match="not symmetric"):
-        adjugate_forms([[2, 1], [0, 2]])
+    with pytest.raises(ValueError, match="take a linalg.Envelope"):
+        adjugate_forms([[2, 1], [1, 2]], [[1, 1]])
+    pair = envelope([[2, 1], [1, 2]])
     with pytest.raises(ValueError, match="one int entry per row"):
-        adjugate_forms([[2, 1], [1, 2]], [[1]])
+        adjugate_forms(pair, [[1]])
     with pytest.raises(ValueError, match="one int entry per row"):
-        adjugate_forms([[2, 1], [1, 2]], [[1, Fraction(1, 2)]])
-    with pytest.raises(ValueError, match="must be int"):
-        adjugate_forms([[Fraction(1, 2)]])
+        adjugate_forms(pair, [[1, Fraction(1, 2)]])
 
 
 def check_graph_eliminations(g, order) -> None:
@@ -373,9 +372,9 @@ def check_graph_eliminations(g, order) -> None:
     # coefficient is (-1)^(N-1) * sum(s) * tau
     lap = laplacian(g, order)
     tau = dense_det_bareiss(grounded(lap))
-    assert det_bareiss(grounded(lap)) == adjugate_forms(grounded(lap))[0] == tau
+    assert det_bareiss(envelope(grounded(lap))) == adjugate_forms(envelope(grounded(lap)))[0] == tau
     degrees = [g.degree(v) for v in order]
-    for s, tail in zip(([1] * len(lap), degrees), char_poly_tails(lap, degrees)):
+    for s, tail in zip(([1] * len(lap), degrees), char_poly_tails(envelope(lap), degrees)):
         assert tail[:2] == (0, (-1) ** (len(lap) - 1) * sum(s) * tau)
 
 
@@ -449,7 +448,7 @@ def test_stale_rows_match_the_dense_references(m, scale):
 @example((STALE, [[1, 1, 1, 1, 1, 1]]))
 def test_stale_rows_in_the_symmetric_factor(case):
     if check_forms(*case):
-        assert adjugate_forms(case[0])[0] == dense_det_bareiss(case[0])
+        assert adjugate_forms(envelope(case[0]))[0] == dense_det_bareiss(case[0])
 
 
 # --- the pivot contract ------------------------------------------------------
@@ -468,14 +467,9 @@ def test_kernels_raise_exactly_when_a_proper_leading_minor_vanishes(m, scale):
     # char_poly_tails (s = 1 and drawn scales) equal their references or
     # raise exactly when a proper leading minor vanishes, and
     # adjugate_forms raises also when det M is 0
-    n = len(m)
     check_det(m)
-    check_tail(m, scale[:n])
-    m = symmetrized(m)
-    vectors = [[1] * n, scale[:n]]
-    raises = proper_leading_minor_vanishes(m) or fraction_det(m) == 0
-    assert outcome(adjugate_forms, m, vectors) == \
-        (SingularMatrixError if raises else reference_forms(m, vectors))
+    check_tail(m, scale[:len(m)])
+    check_adjugate(m, [[1] * len(m), scale[:len(m)]])
 
 
 # --- characteristic polynomials ----------------------------------------------
@@ -500,15 +494,16 @@ def test_tail_matches_char_poly(case):
     # det(xS - K) = det S * det(xI - S^-1 K) for the rational, nonsymmetric
     # S^-1 K, whose leading minors are those of K over products of scales
     k, s = case
-    assert outcome(lambda: char_poly_tails(k, s)[1]) == \
+    assert outcome(lambda: char_poly_tails(envelope(k), s)[1]) == \
         (SingularMatrixError if proper_leading_minor_vanishes(k) else scaled_tail(k, s))
 
 
 @BOUNDED
 @given(with_scales(low_rank(symmetric=True)))
 def test_tail_rejects_rank_below_n_minus_1(case):
+    m, s = case
     with pytest.raises(SingularMatrixError):
-        char_poly_tails(*case)
+        char_poly_tails(envelope(m), s)
 
 
 def test_tail_when_a_column_holds_no_pivot():
@@ -521,9 +516,10 @@ def test_tail_when_a_column_holds_no_pivot():
         reversed_m = [row[::-1] for row in m[::-1]]
         for s in ([1] * n, list(range(2, n + 2))):
             with pytest.raises(SingularMatrixError):
-                char_poly_tails(m, s)
-            assert char_poly_tails(reversed_m, s[::-1])[1] == tuple(padded(pencil_char_poly(m, s), 3))
-        assert char_poly_tails(reversed_m, [1] * n)[0] == tuple(padded(char_poly(m), 3))
+                char_poly_tails(envelope(m), s)
+            assert char_poly_tails(envelope(reversed_m), s[::-1])[1] == \
+                tuple(padded(pencil_char_poly(m, s), 3))
+        assert char_poly_tails(envelope(reversed_m), [1] * n)[0] == tuple(padded(char_poly(m), 3))
 
 
 def test_tail_when_a_column_vanishes_to_order_k():
@@ -533,21 +529,22 @@ def test_tail_when_a_column_vanishes_to_order_k():
     # c1 = +-c * sum(s_i w_i^2) != 0: the pencil vanishes to order 1 only,
     # semidefinite (a path's Laplacian) or not.  The nilpotent shift
     # conjugated by the lower triangle of ones, whose pencil is det S * x^n,
-    # is not symmetric and is rejected.
+    # is not symmetric, so no Envelope holds it.
     for n in (3, 4, 5):
         path = [[2 - (i in (0, n - 1)) if i == j else -(abs(i - j) == 1) for j in range(n)]
                 for i in range(n)]
         for s in ([1] * n, list(range(2, n + 2))):
-            assert char_poly_tails(path, s)[1] == tuple(padded(pencil_char_poly(path, s), 3))
-            assert char_poly_tails(path, s)[1][:2] == (0, (-1) ** (n - 1) * sum(s))
+            tails = char_poly_tails(envelope(path), s)
+            assert tails[1] == tuple(padded(pencil_char_poly(path, s), 3))
+            assert tails[1][:2] == (0, (-1) ** (n - 1) * sum(s))
         m = [[int(j == min(i + 1, n - 1)) - int(j == 0) for j in range(n)] for i in range(n)]
         assert pencil_char_poly(m, [1] * n)[:3] == [0, 0, 0]
         with pytest.raises(ValueError, match="not symmetric"):
-            char_poly_tails(m, [1] * n)
+            envelope(m)
     indefinite = [[1, 1, 1], [1, 0, 2], [1, 2, 0]]
     assert fraction_rank(indefinite) == 2 and not proper_leading_minor_vanishes(indefinite)
     check_tail(indefinite, [1, 2, 3])
-    assert char_poly_tails(indefinite, [1, 2, 3])[1][:2] != (0, 0)
+    assert char_poly_tails(envelope(indefinite), [1, 2, 3])[1][:2] != (0, 0)
 
 
 # --- the pencil det(x*diag(s) - M) -------------------------------------------
@@ -570,7 +567,7 @@ def test_pencil_tail_matches_dense_reference(case):
 
 def test_pencil_of_a_2x2_by_hand():
     # (x - 1)(x - 3) - 2 * 2 = x^2 - 4x - 1 and (2x - 1)(3x - 3) - 2 * 2 = 6x^2 - 9x - 1
-    assert char_poly_tails([[1, 2], [2, 3]], [2, 3]) == ((-1, -4, 1), (-1, -9, 6))
+    assert char_poly_tails(envelope([[1, 2], [2, 3]]), [2, 3]) == ((-1, -4, 1), (-1, -9, 6))
 
 
 @pytest.mark.parametrize("scale", [
@@ -585,7 +582,7 @@ def test_pencil_of_a_2x2_by_hand():
 ])
 def test_pencil_rejects_bad_scale(scale):
     with pytest.raises(ValueError, match="scale needs one positive int") as err:
-        char_poly_tails([[1, 2], [2, 4]], scale)
+        char_poly_tails(envelope([[1, 2], [2, 4]]), scale)
     assert not isinstance(err.value, SingularMatrixError)
 
 
@@ -656,7 +653,8 @@ def separate_tails(m, s) -> tuple:
 @given(with_scales(st.one_of(banded(sparse_ints), singular(), zero_leading(),
                              low_rank(), staggered()).map(symmetrized)))
 def test_fused_tails_match_two_separate_passes(case):
-    assert outcome(char_poly_tails, *case) == outcome(separate_tails, *case)
+    m, s = case
+    assert outcome(char_poly_tails, envelope(m), s) == outcome(separate_tails, m, s)
 
 
 def test_fused_stale_row_rescale_matches_two_separate_passes(monkeypatch):
@@ -671,7 +669,7 @@ def test_fused_stale_row_rescale_matches_two_separate_passes(monkeypatch):
     monkeypatch.setattr(linalg, "_series_step", counting)
     for s in ([1] * 6, [1, 2, 3, 4, 5, 6]):
         rescales.clear()
-        assert char_poly_tails(STALE, s) == separate_tails(STALE, s)
+        assert char_poly_tails(envelope(STALE), s) == separate_tails(STALE, s)
         assert any(rescales)
 
 
@@ -683,7 +681,7 @@ def test_fused_stale_row_rescale_matches_two_separate_passes(monkeypatch):
 def test_graph_tails_match_char_poly(g):
     # det(xI - L) and det(xD - L) = det D * det(xI - D^-1 L)
     lap, degrees = laplacian(g), [g.degree(v) for v in g.vertices]
-    assert char_poly_tails(lap, degrees) == (
+    assert char_poly_tails(envelope(lap), degrees) == (
         tuple(char_poly(lap)[:3]),
         tuple(prod(degrees) * c for c in char_poly(random_walk_laplacian(g))[:3]))
     # and the two routes of both resistance indices agree

@@ -3,10 +3,10 @@ from fractions import Fraction
 
 import pytest
 from dense_reference import (
-    adjugate, char_poly, dense, envelope, laplacian, proper_leading_minor_vanishes,
-    random_walk_laplacian,
+    adjugate, char_poly, dense, dense_det_bareiss, envelope, laplacian,
+    proper_leading_minor_vanishes, random_walk_laplacian,
 )
-from test_kernel_differential import outcome
+from test_kernel_differential import check_adjugate, check_det, check_tail, reference_forms
 
 from chaindex import Graph, Vertex, build_crossed_chain, build_plain_chain, linalg
 from chaindex import oracles as oc
@@ -57,18 +57,18 @@ def horner(poly, x):
 
 
 def test_det_identity():
-    assert det_bareiss([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == 1
+    assert det_bareiss(envelope([[1, 0, 0], [0, 1, 0], [0, 0, 1]])) == 1
 
 
 def test_det_2x2():
-    assert det_bareiss([[2, -2], [-2, 4]]) == 4
+    assert det_bareiss(envelope([[2, -2], [-2, 4]])) == 4
 
 
 def test_det_reduced_laplacian_q1():
     g = build_crossed_chain(1)
     lap = laplacian(g)
     reduced = [row[:-1] for row in lap[:-1]]
-    assert det_bareiss(reduced) == 12288
+    assert det_bareiss(envelope(reduced)) == 12288
 
 
 def test_det_against_cofactor_expansion():
@@ -78,24 +78,25 @@ def test_det_against_cofactor_expansion():
             m = random_symmetric_matrix(rng, n)
             if proper_leading_minor_vanishes(m):
                 with pytest.raises(SingularMatrixError):
-                    det_bareiss(m)
+                    det_bareiss(envelope(m))
             else:
-                assert det_bareiss(m) == naive_det(m)
+                assert det_bareiss(envelope(m)) == naive_det(m)
 
 
 def test_det_singular_and_permuted():
     # pivots are taken on the diagonal: a vanishing last pivot is a zero
     # determinant, a vanishing proper leading minor raises
-    assert det_bareiss([[1, 1], [1, 1]]) == 0
-    assert det_bareiss([[2, 1, 0], [1, 0, 1], [0, 1, 1]]) == -3
+    assert det_bareiss(envelope([[1, 1], [1, 1]])) == 0
+    assert det_bareiss(envelope([[2, 1, 0], [1, 0, 1], [0, 1, 1]])) == -3
     for m in ([[0, 0], [0, 0]], [[0, 1], [1, 0]], [[0, 2, 1], [2, 0, 0], [1, 0, 1]]):
         with pytest.raises(SingularMatrixError):
-            det_bareiss(m)
+            det_bareiss(envelope(m))
 
 
 def test_det_rejects_non_integer():
-    with pytest.raises(ValueError):
-        det_bareiss([[Fraction(1, 2)]])
+    # a Fraction never reaches the kernel: its Envelope is refused
+    with pytest.raises(ValueError, match="must be int"):
+        det_bareiss(envelope([[Fraction(1, 2)]]))
 
 
 def tail_with_scales(matrix):
@@ -111,13 +112,16 @@ def both_tails(matrix):
     # (0, 2) holds 5, and row 2 is zero left of its diagonal
     pytest.param([[1, 0, 5], [0, 1, 0], [0, 0, 1]], id="mirror-left-of-an-envelope"),
     pytest.param([[0, 2], [3, 0]], id="envelope-right-of-its-diagonal"),
+    pytest.param([[2, -1], [-1, 2]], id="symmetric"),
+    pytest.param([], id="empty"),
 ])
-def test_every_kernel_rejects_an_asymmetric_matrix(matrix):
-    # an Envelope is symmetric by construction, so only a dense matrix can fail
+def test_every_kernel_rejects_a_list_of_lists(matrix):
+    # an Envelope is the one matrix form the kernels take; a dense list,
+    # symmetric or not, is refused before any elimination
     for kernel in (det_bareiss, both_tails, adjugate_forms):
         with pytest.raises(ValueError) as err:
             kernel(matrix)
-        assert str(err.value) == "matrix is not symmetric"
+        assert str(err.value) == "the kernels take a linalg.Envelope, got list"
         assert not isinstance(err.value, SingularMatrixError)
 
 
@@ -130,32 +134,40 @@ def test_every_kernel_rejects_an_asymmetric_matrix(matrix):
     pytest.param(([3], [0], [4]), id="empty-row"),
 ])
 def test_every_kernel_accepts_a_symmetric_envelope(entries):
-    rows = Envelope(entries)
-    for kernel in (det_bareiss, both_tails, adjugate_forms):
-        assert outcome(kernel, rows) == outcome(kernel, dense(rows))
+    # each kernel equals its dense reference on the matrix the rows stand
+    # for, or raises exactly when a proper leading minor (or, for the
+    # adjugate, the determinant) vanishes
+    m = dense(Envelope(entries))
+    assert envelope(m) == Envelope(entries)
+    check_det(m)
+    check_tail(m, [1] * len(m))
+    check_adjugate(m, [[1] * len(m)])
 
 
 @pytest.mark.parametrize("bad", [1.5, 2.0, "1", None, Fraction(1, 2), Fraction(1)])
 def test_entries_other_than_int_or_fraction_rejected(bad):
-    # the kernels take ints only: a Fraction, even one equal to an int, is rejected
+    # ints only: a Fraction, even one equal to an int, is rejected by the
+    # Envelope, so it never reaches a kernel, and by the dense reference
     text = f"matrix entries must be int, got {bad!r}"
-    for kernel in (det_bareiss, adjugate, adjugate_forms, tail_with_scales):
+    m = [[1, 0, True], [0, bad, 0], [True, 0, 1]]  # the diagonal is always stored
+    for build in (envelope, adjugate):
         with pytest.raises(ValueError) as err:
-            kernel([[1, 0, 0], [0, True, bad], [bad, 0, 1]])
+            build(m)
         assert str(err.value) == text
 
 
 def test_bool_entries_count_as_ints():
     m = [[True, False, True], [False, True, 2], [1, 2, 6]]
     ints = [[int(e) for e in row] for row in m]
-    for kernel in (det_bareiss, adjugate, tail_with_scales):
-        assert kernel(m) == kernel(ints)
-    assert type(det_bareiss([[True]])) is int
+    for kernel in (det_bareiss, tail_with_scales):
+        assert kernel(envelope(m)) == kernel(envelope(ints))
+    assert adjugate(m) == adjugate(ints)
+    assert type(det_bareiss(envelope([[True]]))) is int
     assert type(adjugate([[True, False], [False, True]])[1][0][0]) is int
-    assert all(type(c) is int for c in tail_with_scales(m))
-    symmetric = [[True, False, True], [False, True, True], [1, True, 5]]
+    assert all(type(c) is int for c in tail_with_scales(envelope(m)))
+    symmetric = envelope([[True, False, True], [False, True, True], [1, True, 5]])
     assert adjugate_forms(symmetric, [[True, 2, 0]]) == \
-        adjugate_forms([[int(e) for e in row] for row in symmetric], [[1, 2, 0]]) == (3, [4, 4, 1], [24])
+        adjugate_forms(symmetric, [[1, 2, 0]]) == (3, [4, 4, 1], [24])
     assert all(type(e) is int for e in adjugate_forms(symmetric, [[True, 0, 0]])[1])
 
 
@@ -321,7 +333,7 @@ def test_char_poly_vs_bareiss_on_mirror_blocks():
                                         for j in range(m)] for i in range(m)])):
             shifted = [[(x if i == j else 0) - source[i][j] for j in range(m)]
                        for i in range(m)]
-            assert horner(p, x) == det_bareiss(shifted)
+            assert horner(p, x) == det_bareiss(envelope(shifted))
 
 
 # --- envelope rows -----------------------------------------------------------
@@ -350,13 +362,13 @@ def test_laplacian_rows_are_tight_envelopes_of_the_laplacian(g):
             expanded = [row[lo:hi] for row in full[lo:hi]]
             assert rows == envelope(expanded)  # cut at each row's last nonzero
             assert dense(rows) == expanded
-            # every kernel reads the envelope as it reads its dense expansion,
-            # and leaves it as it was
+            # every kernel reads the rows as the dense references read their
+            # expansion, and leaves them as they were
             ones, twos = [[1] * len(kept)], [2] * len(kept)
-            assert det_bareiss(rows) == det_bareiss(expanded)
-            assert char_poly_tails(rows, twos) == char_poly_tails(expanded, twos)
+            assert det_bareiss(rows) == dense_det_bareiss(expanded)
+            char_poly_tails(rows, twos)
             if kept != order:  # the full Laplacian is singular
-                assert adjugate_forms(rows, ones) == adjugate_forms(expanded, ones)
+                assert adjugate_forms(rows, ones) == reference_forms(expanded, ones)
             assert dense(rows) == expanded
 
 
@@ -364,6 +376,38 @@ def test_laplacian_rows_are_tight_envelopes_of_the_laplacian(g):
 def test_laplacian_rows_need_distinct_vertices_of_the_graph(order):
     with pytest.raises(ValueError, match="distinct vertices of the graph"):
         laplacian_rows(Graph([0, 1, 2], [(0, 1), (1, 2)]), order)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_envelope_conversion_round_trips(seed):
+    # dense(envelope(m)) == m on symmetric matrices with zero rows and rows
+    # whose first stored entries are 0
+    rng = random.Random(seed)
+    for n in range(7):
+        m = random_symmetric_matrix(rng, n, -2, 2)
+        for i in rng.sample(range(n), n // 3):
+            for j in range(n):
+                m[i][j] = m[j][i] = 0
+        for i in range(n - 1):
+            if rng.random() < 0.5:
+                m[i][i] = m[i][i + 1] = m[i + 1][i] = 0
+        rows = envelope(m)
+        assert dense(rows) == m
+        assert all(row[-1] or len(row) == 1 for row in rows.entries)  # cut at the last nonzero
+
+
+@pytest.mark.parametrize("matrix, text", [
+    pytest.param([[1, 2], [3]], "matrix is not square", id="ragged"),
+    pytest.param([[1, 2, 0], [2, 1, 0]], "matrix is not square", id="wide"),
+    pytest.param([[1], [2]], "matrix is not square", id="tall"),
+    pytest.param([[0, 2], [3, 0]], "matrix is not symmetric", id="asymmetric"),
+    pytest.param([[1, 0, 5], [0, 1, 0], [0, 0, 1]], "matrix is not symmetric",
+                 id="mirror-left-of-an-envelope"),
+])
+def test_envelope_conversion_rejects_what_is_not_a_symmetric_square(matrix, text):
+    with pytest.raises(ValueError) as err:
+        envelope(matrix)
+    assert str(err.value) == text
 
 
 def test_envelope_expands_zero_rows():

@@ -296,6 +296,22 @@ def test_bundle_json_dict():
     }
 
 
+@pytest.mark.parametrize("g", [
+    pytest.param(Graph(range(4), [(0, 1), (1, 2), (2, 3)]), id="path"),
+    pytest.param(Graph(build_crossed_chain(2).vertices, build_crossed_chain(2).edges),
+                 id="graph-of-the-chain"),
+])
+def test_bundle_rejects_anything_but_a_chain_graph(monkeypatch, g):
+    # rejected before any oracle runs, not after all five
+    ran = []
+    for name in ("kirchhoff_index", "degree_kirchhoff_index", "_tree_count",
+                 "wiener_index", "gutman_index"):
+        monkeypatch.setattr(oc, name, lambda g, name=name: ran.append(name))
+    with pytest.raises(ValueError, match="defined for chain graphs"):
+        oc.index_bundle(g)
+    assert ran == []
+
+
 def count_grounded_inverses(monkeypatch) -> list:
     # one adjugate_forms call is one elimination of a grounded Laplacian
     calls = []

@@ -731,10 +731,13 @@ def test_verify_one_builds_the_blocks_once(monkeypatch):
 
 def test_verify_one_sweeps_no_normalized_view():
     # every normalized claim reads the integer blocks and the degrees, so
-    # verify_one builds neither rational view
-    blocks = sp.mirror_blocks(3)
-    verify_one(3)
-    assert sp.mirror_blocks(3) is blocks
+    # verify_one builds neither rational view; at a size nobody holds yet,
+    # since an earlier failure's traceback may keep one alive and let other
+    # tests build its views
+    n = next(k for k in itertools.count(3) if k not in sp._live_blocks)
+    blocks = sp.mirror_blocks(n)
+    verify_one(n)
+    assert sp.mirror_blocks(n) is blocks
     assert "norm_sum" not in vars(blocks) and "norm_diff" not in vars(blocks)
 
 
@@ -787,6 +790,25 @@ def test_interior_det_exhaustive(n):
     for i in range(1, m + 1):
         for j in range(i + 1, m + 1):
             assert blocks.norm_sum.interior_det(i, j) == sp.interior_det_closed(i, j), (i, j)
+
+
+def test_interior_minors_repeat_with_period_4():
+    # every interior block lies where lap_sum's diagonal and offdiag_sq are
+    # all 4, its scale reads degrees that repeat with period 4 away from the
+    # ends, and the closed form reads (i mod 4, j mod 4, j//4 - i//4): so
+    # the triple is invariant under (i, j) -> (i + 4, j + 4)
+    def triple(blocks, i, j):
+        p = blocks.degree_prefix
+        return blocks.lap_sum.interior_det(i, j), p[j - 1] // p[i], sp.interior_det_parts(i, j)
+
+    checked = 0
+    for n in range(1, 8):
+        blocks = sp.mirror_blocks(n)
+        for j in range(2, 4 * n - 2):  # j + 4 <= 4n + 1
+            for i in range(1, j):
+                assert triple(blocks, i, j) == triple(blocks, i + 4, j + 4), (n, i, j)
+                checked += 1
+    assert checked == 770
 
 
 def test_interior_closed_form_matches_fraction_reference():
